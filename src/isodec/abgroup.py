@@ -365,8 +365,8 @@ def all_subgroups(
     divide n_i (the lattice contains n_i * e_i), the above-diagonal entries
     range over [0, pivot), and candidates failing to contain some relation
     row are discarded.  Each subgroup appears exactly once because the HNF
-    basis is unique.  Raises PreconditionError when the candidate count
-    would exceed ``limit`` (very high-rank 2-groups).
+    basis is unique.  Raises PreconditionError, before enumerating, when the
+    candidate count exceeds ``limit`` (very high-rank 2-groups).
     """
     from .numtheory import divisors
 
@@ -374,18 +374,18 @@ def all_subgroups(
     diag_choices = [divisors(n) for n in group.moduli]
     relations = group.relation_rows()
 
-    total = 0
+    # a pivot d in column col has col entries above it, each in [0, d)
+    candidates = prod(
+        sum(d**col for d in ds) for col, ds in enumerate(diag_choices)
+    )
+    if candidates > limit:
+        raise PreconditionError("subgroup enumeration is too large for this group")
+
     found = []
 
     def fill(rows, col):
         # rows: the diagonal-fixed matrix being completed, column by column.
-        nonlocal total
         if col == k:
-            total += 1
-            if total > limit:
-                raise PreconditionError(
-                    "subgroup enumeration is too large for this group"
-                )
             entries = tuple(tuple(r) for r in rows)
             if all(_lattice_contains(entries, rel) for rel in relations):
                 found.append(Subgroup(group, MatZ(entries)))

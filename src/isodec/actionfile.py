@@ -83,12 +83,25 @@ def _parse_moduli(obj) -> FinAbGroup:
     return FinAbGroup(tuple(obj))
 
 
+def check_max_order(group: FinAbGroup, max_order: int | None) -> None:
+    """Refuse a group whose order exceeds the cap set by ``--max-order``
+    (no cap when None)."""
+    if max_order is not None and group.order > max_order:
+        raise ValidationError(
+            f"group order {group.order} exceeds --max-order {max_order}"
+        )
+
+
 def parse_action_file(text: str) -> GAction:
     return load_action_file(text).action
 
 
-def load_action_file(text: str) -> ActionFile:
-    """Parse and fully validate an action file, ground truth included."""
+def load_action_file(text: str, max_order: int | None = None) -> ActionFile:
+    """Parse and fully validate an action file, ground truth included.
+
+    With ``max_order`` set, a larger group is refused as soon as it is
+    parsed, before any matrix work.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -100,6 +113,7 @@ def load_action_file(text: str) -> ActionFile:
     if "generators" not in obj:
         raise ValidationError("missing required key 'generators'")
     group = _parse_moduli(obj["group"])
+    check_max_order(group, max_order)
     gens = obj["generators"]
     if not isinstance(gens, list):
         raise ValidationError("'generators' must be a list of matrices")

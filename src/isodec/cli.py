@@ -27,8 +27,13 @@ import json
 import sys
 
 from .abgroup import FinAbGroup, Subgroup, all_subgroups, index_and_quotient
-from .action import isotypical_decomposition
-from .actionfile import ActionFile, load_action_file, serialize_action_file
+from .action import IsotypicalReport, isotypical_decomposition
+from .actionfile import (
+    ActionFile,
+    check_max_order,
+    load_action_file,
+    serialize_action_file,
+)
 from .chars import rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
 from .fixtures import FIXTURE_KINDS, FixtureSpec, make_fixture
@@ -73,15 +78,8 @@ def _parse_group_arg(text: str, max_order: int) -> FinAbGroup:
     if any(n < 1 for n in moduli):
         raise ValidationError("group moduli must be >= 1")
     group = FinAbGroup(moduli)
-    _check_order(group, max_order)
+    check_max_order(group, max_order)
     return group
-
-
-def _check_order(group: FinAbGroup, max_order: int) -> None:
-    if group.order > max_order:
-        raise ValidationError(
-            f"group order {group.order} exceeds --max-order {max_order}"
-        )
 
 
 def _load_file(path: str, max_order: int) -> ActionFile:
@@ -90,9 +88,7 @@ def _load_file(path: str, max_order: int) -> ActionFile:
             text = fh.read()
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e.strerror or e}") from None
-    af = load_action_file(text)
-    _check_order(af.action.group, max_order)
-    return af
+    return load_action_file(text, max_order)
 
 
 # ---------------------------------------------------------------- decompose
@@ -186,7 +182,7 @@ def _cmd_verify(args) -> int:
             "defined for cyclic actions)"
         )
     match = verify_roan_matching(af.action)
-    gt_status = _check_ground_truth(af)
+    gt_status = _check_ground_truth(af, match.decomposition)
     if args.json:
         obj = match.to_jsonable()
         obj["ground_truth"] = gt_status
@@ -212,11 +208,11 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _check_ground_truth(af: ActionFile) -> str:
-    """Compare the computed multiplicities against the file's expectations."""
+def _check_ground_truth(af: ActionFile, report: IsotypicalReport) -> str:
+    """Compare the multiplicities of a decomposition of the file's action
+    against the file's expectations."""
     if af.ground_truth is None:
         return "absent"
-    report = isotypical_decomposition(af.action)
     computed = {
         c.irrep.kernel.hnf_basis.entries: c.multiplicity for c in report.components
     }
@@ -377,8 +373,7 @@ def _cmd_fixture(args) -> int:
             seed=args.seed,
             max_dim=args.max_dim,
         )
-    af = make_fixture(spec)
-    _check_order(af.action.group, args.max_order)
+    af = make_fixture(spec, args.max_order)
     text = serialize_action_file(af)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abgroup import FinAbGroup
-from .actionfile import ActionFile
+from .actionfile import ActionFile, check_max_order
 from .action import validate_action
 from .chars import Character, char_kernel, irrep_model, rational_irreps
 from .errors import ValidationError
@@ -79,12 +79,12 @@ def _semisimple_action(group: FinAbGroup, multiplicities, name: str):
         raise ValidationError("multiplicities must be non-negative")
     if not any(mult):
         raise ValidationError("at least one multiplicity must be positive")
-    models = [irrep_model(w) for w in irreps]
+    models = [(irrep_model(w), m) for w, m in zip(irreps, mult) if m]
     gen_mats = []
     for j in range(group.rank):
         blocks = []
-        for w_i, m in enumerate(mult):
-            blocks.extend([models[w_i][j]] * m)
+        for model, m in models:
+            blocks.extend([model[j]] * m)
         gen_mats.append(_block_diag(blocks))
     action = validate_action(group, gen_mats, name=name)
     ground_truth = tuple(
@@ -93,10 +93,11 @@ def _semisimple_action(group: FinAbGroup, multiplicities, name: str):
     return ActionFile(action, ground_truth)
 
 
-def _regular(n: int) -> ActionFile:
+def _regular(n: int, max_order: int | None) -> ActionFile:
     if n is None or n < 1:
         raise ValidationError("regular fixture needs an order n >= 1")
     group = FinAbGroup((n,))
+    check_max_order(group, max_order)
     shift = MatQ(
         [[1 if (i - 1) % n == j else 0 for j in range(n)] for i in range(n)]
     )
@@ -107,10 +108,11 @@ def _regular(n: int) -> ActionFile:
     return ActionFile(action, ground_truth)
 
 
-def _paper_example(p: int, q: int, multiplicities) -> ActionFile:
+def _paper_example(p: int, q: int, multiplicities, max_order: int | None) -> ActionFile:
     if p is None or q is None or not is_prime(p) or not is_prime(q):
         raise ValidationError("paper-example fixture needs two primes p, q")
     group = FinAbGroup((p ** 3, q ** 2))
+    check_max_order(group, max_order)
     irreps = rational_irreps(group)
     index_of = {w.kernel: i for i, w in enumerate(irreps)}
     # The four distinguished classes, named by a character in each orbit.
@@ -175,15 +177,21 @@ def _random_multiplicities(group: FinAbGroup, rng: random.Random, max_dim: int):
     return tuple(mult)
 
 
-def make_fixture(spec: FixtureSpec) -> ActionFile:
+def make_fixture(spec: FixtureSpec, max_order: int | None = None) -> ActionFile:
+    """Build the fixture a spec describes.
+
+    With ``max_order`` set, a larger group is refused before any matrix is
+    built.
+    """
     if spec.kind == "regular":
-        return _regular(spec.n)
+        return _regular(spec.n, max_order)
     if spec.kind == "paper-example":
-        return _paper_example(spec.p, spec.q, spec.multiplicities)
+        return _paper_example(spec.p, spec.q, spec.multiplicities, max_order)
     if spec.kind in ("semisimple", "random-conjugated"):
         if not spec.moduli:
             raise ValidationError(f"{spec.kind} fixture needs group moduli")
         group = FinAbGroup(spec.moduli)
+        check_max_order(group, max_order)
         rng = random.Random(spec.seed)
         mult = spec.multiplicities
         if mult is None:

@@ -12,8 +12,10 @@ Conventions, fixed once and relied on throughout the package:
   upper triangular, positive diagonal, and every entry above a pivot reduced
   into [0, pivot).
 
-Matrices keep integer numerators over a single positive denominator; the
-public face is `fractions.Fraction`.  Elimination is fraction-free inside.
+Matrices, subspace bases included, keep integer numerators over a single
+positive denominator, and elimination, products and containment checks run
+on those integers.  `fractions.Fraction` appears only at the public face
+(`entry`, `fraction_rows`, `basis_rows`, `coordinates_of`, `mul_vector`).
 No floating point appears anywhere.
 """
 
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import PreconditionError
 from .numtheory import divisors
@@ -71,6 +74,12 @@ def fraction_from_jsonable(v) -> Fraction:
     return Fraction(v)
 
 
+def _dot_rows(a, bt) -> list[list[int]]:
+    """The integer product a @ bt^T: entry (i, j) is row i of a dotted with
+    row j of bt.  The one dot-product kernel behind every integer product."""
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
 def _content(rows, start: int) -> int:
     """gcd of `start` and every entry; 0 entries ignored; always >= 0."""
     g = abs(start)
@@ -93,22 +102,18 @@ class MatQ:
 
     __slots__ = ("rows", "cols", "num", "den")
 
-    def __init__(self, entries, _den=None):
-        if _den is not None:
-            num, den = _normalize_int_rows(entries, _den)
-            ncols = len(num[0]) if num else 0
-        else:
-            frac = [[_as_fraction(v) for v in row] for row in entries]
-            if frac and any(len(r) != len(frac[0]) for r in frac):
-                raise ValueError("ragged matrix")
-            den = 1
-            for row in frac:
-                for v in row:
-                    den = lcm(den, v.denominator)
-            num, den = _normalize_int_rows(
-                [[int(v * den) for v in row] for row in frac], den
-            )
-            ncols = len(frac[0]) if frac else 0
+    def __init__(self, entries):
+        frac = [[_as_fraction(v) for v in row] for row in entries]
+        if frac and any(len(r) != len(frac[0]) for r in frac):
+            raise ValueError("ragged matrix")
+        den = 1
+        for row in frac:
+            for v in row:
+                den = lcm(den, v.denominator)
+        num, den = _normalize_int_rows(
+            [[v.numerator * (den // v.denominator) for v in row] for row in frac], den
+        )
+        ncols = len(frac[0]) if frac else 0
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", len(num))
@@ -154,22 +159,20 @@ class MatQ:
     def __matmul__(self, other: "MatQ") -> "MatQ":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        bt = list(zip(*other.num))
-        num = [
-            [sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.num
-        ]
-        return MatQ._raw(num, self.den * other.den, ncols=other.cols)
+        bt = list(zip(*other.num)) if other.rows else [()] * other.cols
+        return MatQ._raw(
+            _dot_rows(self.num, bt), self.den * other.den, ncols=other.cols
+        )
 
     def mul_vector(self, vec) -> tuple[Fraction, ...]:
         """M v for a column vector v (any sequence of rationals)."""
         v = [_as_fraction(x) for x in vec]
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        d = self.den
-        return tuple(
-            sum((Fraction(a, d) * b for a, b in zip(row, v)), Fraction(0))
-            for row in self.num
-        )
+        vden = lcm(1, *(x.denominator for x in v))
+        vnum = [[x.numerator * (vden // x.denominator) for x in v]]
+        d = self.den * vden
+        return tuple(Fraction(row[0], d) for row in _dot_rows(self.num, vnum))
 
     def __add__(self, other: "MatQ") -> "MatQ":
         if self.shape != other.shape:
@@ -262,15 +265,13 @@ class MatQ:
 def _normalize_int_rows(rows, den: int):
     if den == 0:
         raise ZeroDivisionError("zero denominator")
-    rows = [list(r) for r in rows]
     if den < 0:
         den = -den
         rows = [[-v for v in row] for row in rows]
     g = _content(rows, den)
     if g > 1:
-        den //= g
-        rows = [[v // g for v in row] for row in rows]
-    return tuple(tuple(row) for row in rows), den
+        return tuple(tuple(v // g for v in row) for row in rows), den // g
+    return tuple(map(tuple, rows)), den
 
 
 @dataclass(frozen=True)
@@ -332,13 +333,16 @@ def _reduce_row_content(row):
 
 
 def _row_reduce(int_rows, ncols: int):
-    """Canonical RREF of the row space of integer rows.
+    """Fraction-free Gauss-Jordan elimination of integer rows.
 
-    Returns (pivot_cols, rows) where rows are tuples of Fractions with pivot
-    entries 1 and zero rows dropped.  Row scaling is irrelevant to the row
-    space, so callers may clear denominators per row before calling.
+    Returns (pivot_cols, rows): the nonzero rows of a reduced echelon form,
+    each an integer row divided by its content, with zeros above and below
+    every pivot.  Dividing a row by its pivot entry gives the canonical RREF
+    row.  Row scaling is irrelevant to the row space, so callers may clear
+    denominators per row before calling.
     """
-    rows = [list(r) for r in int_rows if any(r)]
+    # rows are replaced, never mutated, so the caller's rows are safe
+    rows = [_reduce_row_content(r) for r in int_rows if any(r)]
     piv: list[int] = []
     r = 0
     for c in range(ncols):
@@ -358,22 +362,32 @@ def _row_reduce(int_rows, ncols: int):
                 )
         piv.append(c)
         r += 1
-    out = []
-    for row, c in zip(rows[:r], piv):
-        p = row[c]
-        out.append(tuple(Fraction(a, p) for a in row))
-    return piv, out
+    return piv, rows[:r]
+
+
+def _rref_over_lcm(piv, rows, ncols: int) -> MatQ:
+    """The RREF of `_row_reduce` output: each row divided by its pivot entry,
+    all over the lcm of the pivots."""
+    den = lcm(1, *(abs(row[c]) for row, c in zip(rows, piv)))
+    return MatQ._raw(
+        [[v * (den // row[c]) for v in row] for row, c in zip(rows, piv)],
+        den,
+        ncols=ncols,
+    )
 
 
 def _fraction_rows_to_int(rows):
-    """Clear denominators row by row (row spaces are scale-invariant)."""
+    """Clear denominators row by row (row spaces are scale-invariant).
+    Rows of plain integers pass through unconverted."""
     out = []
     for row in rows:
+        row = tuple(row)
+        if all(type(v) is int for v in row):
+            out.append(row)
+            continue
         frac = [_as_fraction(v) for v in row]
-        d = 1
-        for v in frac:
-            d = lcm(d, v.denominator)
-        out.append([int(v * d) for v in frac])
+        d = lcm(1, *(v.denominator for v in frac))
+        out.append([v.numerator * (d // v.denominator) for v in frac])
     return out
 
 
@@ -381,7 +395,11 @@ class SubspaceQ:
     """A linear subspace of Q^n, canonicalized as a reduced row-echelon basis.
 
     The basis rows span the subspace; `contains_vector` and equality are exact.
-    Any spanning set passed to the constructor yields the same object.
+    Any spanning set passed to the constructor yields the same object.  The
+    basis is stored as integer rows over one denominator, so the canonical
+    form and every containment check stay in integer arithmetic; rows of
+    plain integers, which is what every caller inside the package passes,
+    never become Fractions.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivot_cols")
@@ -394,9 +412,9 @@ class SubspaceQ:
             raise PreconditionError(
                 f"ambient dimension mismatch: expected vectors of length {ambient_dim}"
             )
-        piv, frac_rows = _row_reduce(int_rows, ambient_dim)
+        piv, rows = _row_reduce(int_rows, ambient_dim)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", MatQ(frac_rows) if frac_rows else MatQ.zeros(0, ambient_dim))
+        object.__setattr__(self, "basis", _rref_over_lcm(piv, rows, ambient_dim))
         object.__setattr__(self, "pivot_cols", tuple(piv))
 
     def __setattr__(self, *a):
@@ -408,7 +426,7 @@ class SubspaceQ:
 
     @classmethod
     def full(cls, n: int) -> "SubspaceQ":
-        return cls(n, MatQ.identity(n).fraction_rows())
+        return cls(n, MatQ.identity(n).num)
 
     @property
     def dim(self) -> int:
@@ -417,21 +435,32 @@ class SubspaceQ:
     def basis_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.basis.fraction_rows()
 
+    def _pivot_coords(self, rows):
+        """Coordinates of integer rows in the canonical basis, or None if some
+        row lies outside the subspace.
+
+        In an RREF basis a vector's coordinates are its entries at the pivot
+        columns, so one integer product, coords @ basis == rows, decides
+        containment.  The coordinates share the rows' denominator.
+        """
+        coords = [[row[c] for c in self.pivot_cols] for row in rows]
+        b = self.basis
+        bt = list(zip(*b.num)) if b.rows else [()] * self.ambient_dim
+        if _dot_rows(coords, bt) != [[v * b.den for v in row] for row in rows]:
+            return None
+        return coords
+
     def coordinates_of(self, vec):
         """Coordinates of vec in the canonical basis, or None if not contained."""
         v = [_as_fraction(x) for x in vec]
         if len(v) != self.ambient_dim:
             raise PreconditionError("ambient dimension mismatch")
-        coords = []
-        rows = self.basis.fraction_rows()
-        for row, c in zip(rows, self.pivot_cols):
-            q = v[c]
-            coords.append(q)
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        if any(v):
+        den = lcm(1, *(x.denominator for x in v))
+        row = [x.numerator * (den // x.denominator) for x in v]
+        coords = self._pivot_coords([row])
+        if coords is None:
             return None
-        return tuple(coords)
+        return tuple(Fraction(c, den) for c in coords[0])
 
     def contains_vector(self, vec) -> bool:
         return self.coordinates_of(vec) is not None
@@ -439,14 +468,16 @@ class SubspaceQ:
     def contains_subspace(self, other: "SubspaceQ") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise PreconditionError("ambient dimension mismatch")
-        return all(self.contains_vector(r) for r in other.basis_rows())
+        if other.dim > self.dim:
+            return False
+        return self._pivot_coords(other.basis.num) is not None
 
     def to_jsonable(self) -> dict:
         return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_jsonable()}
 
     @classmethod
     def from_jsonable(cls, obj) -> "SubspaceQ":
-        return cls(obj["ambient_dim"], MatQ.from_jsonable(obj["basis"]).fraction_rows())
+        return cls(obj["ambient_dim"], MatQ.from_jsonable(obj["basis"]).num)
 
     def __eq__(self, other) -> bool:
         return (
@@ -462,33 +493,38 @@ class SubspaceQ:
         return f"SubspaceQ(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def kernel_space(M: MatQ) -> SubspaceQ:
-    """{v : M v = 0} as a canonical subspace of Q^cols."""
-    n = M.cols
-    piv, rows = _row_reduce([list(r) for r in M.num], n)
+def _kernel_rows(num_rows, ncols: int) -> list[list[int]]:
+    """Integer rows spanning {v : M v = 0}, one per non-pivot column, for the
+    integer matrix M with the given rows."""
+    piv, rows = _row_reduce(num_rows, ncols)
+    rref = _rref_over_lcm(piv, rows, ncols)
     pivset = set(piv)
-    basis = []
-    for f in range(n):
+    out = []
+    for f in range(ncols):
         if f in pivset:
             continue
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, c in zip(rows, piv):
+        v = [0] * ncols
+        v[f] = rref.den
+        for c, row in zip(piv, rref.num):
             v[c] = -row[f]
-        basis.append(v)
-    return SubspaceQ(n, basis)
+        out.append(v)
+    return out
+
+
+def kernel_space(M: MatQ) -> SubspaceQ:
+    """{v : M v = 0} as a canonical subspace of Q^cols."""
+    return SubspaceQ(M.cols, _kernel_rows(M.num, M.cols))
 
 
 def image_space(M: MatQ) -> SubspaceQ:
     """The column space of M as a canonical subspace of Q^rows."""
-    cols = [list(col) for col in zip(*M.num)] if M.num else []
-    return SubspaceQ(M.rows, cols)
+    return SubspaceQ(M.rows, list(zip(*M.num)))
 
 
 def sum_spaces(u: SubspaceQ, v: SubspaceQ) -> SubspaceQ:
     if u.ambient_dim != v.ambient_dim:
         raise PreconditionError("ambient dimension mismatch")
-    return SubspaceQ(u.ambient_dim, u.basis_rows() + v.basis_rows())
+    return SubspaceQ(u.ambient_dim, u.basis.num + v.basis.num)
 
 
 def intersect_spaces(u: SubspaceQ, v: SubspaceQ) -> SubspaceQ:
@@ -507,17 +543,8 @@ def intersect_spaces(u: SubspaceQ, v: SubspaceQ) -> SubspaceQ:
         + [-vrows[j][i] * u.basis.den for j in range(q)]
         for i in range(n)
     ]
-    ker = kernel_space(MatQ._raw(stacked, 1, ncols=p + q))
-    ub = u.basis_rows()
-    vecs = []
-    for row in ker.basis_rows():
-        a = row[:p]
-        vec = [Fraction(0)] * n
-        for coef, brow in zip(a, ub):
-            if coef:
-                vec = [x + coef * y for x, y in zip(vec, brow)]
-        vecs.append(vec)
-    return SubspaceQ(n, vecs)
+    coeffs = [row[:p] for row in _kernel_rows(stacked, p + q)]
+    return SubspaceQ(n, _dot_rows(coeffs, list(zip(*urows))))
 
 
 # ---------------------------------------------------------------------------
@@ -929,8 +956,7 @@ def _charpoly_int(num_rows) -> list[int]:
     coeffs[n] = 1
     Mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        At = list(zip(*Mk))
-        AM = [[sum(a * b for a, b in zip(row, col)) for col in At] for row in A]
+        AM = _dot_rows(A, list(zip(*Mk)))
         tr = sum(AM[i][i] for i in range(n))
         c, rem = divmod(-tr, k)
         if rem:
@@ -964,8 +990,11 @@ def inverse(M: MatQ) -> MatQ:
     piv, rows = _row_reduce(aug, 2 * n)
     if piv != list(range(n)):
         raise PreconditionError("singular matrix has no inverse")
-    right = [row[n:] for row in rows]
-    return MatQ(right) * M.den
+    # (num / den)^-1 = den * num^-1, and num^-1 is the right half of the RREF
+    rref = _rref_over_lcm(piv, rows, 2 * n)
+    return MatQ._raw(
+        [[v * M.den for v in row[n:]] for row in rref.num], rref.den, ncols=n
+    )
 
 
 def restrict_operator(M: MatQ, s: SubspaceQ) -> MatQ:
@@ -979,12 +1008,9 @@ def restrict_operator(M: MatQ, s: SubspaceQ) -> MatQ:
     d = s.dim
     if d == 0:
         return MatQ.zeros(0, 0)
-    images = [M.mul_vector(row) for row in s.basis_rows()]  # images[j] = M b_j
-    out = [[Fraction(0)] * d for _ in range(d)]
-    for j, img in enumerate(images):
-        coords = s.coordinates_of(img)
-        if coords is None:
-            raise PreconditionError("subspace is not invariant under the operator")
-        for i, c in enumerate(coords):
-            out[i][j] = c
-    return MatQ(out)
+    images = _dot_rows(s.basis.num, M.num)  # images[j] = M b_j
+    coords = s._pivot_coords(images)
+    if coords is None:
+        raise PreconditionError("subspace is not invariant under the operator")
+    # column j of the result holds the coordinates of M b_j
+    return MatQ._raw(list(zip(*coords)), s.basis.den * M.den, ncols=d)

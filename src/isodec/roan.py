@@ -17,7 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .action import GAction, action_matrix, isotypical_decomposition
+from .action import (
+    GAction,
+    IsotypicalReport,
+    action_matrix,
+    isotypical_decomposition,
+)
 from .errors import InternalCheckError, PreconditionError
 from .numtheory import divisors
 from .ratlinalg import (
@@ -98,11 +103,8 @@ class RoanReport:
 
 
 def _image_within(t: MatQ, y: SubspaceQ) -> SubspaceQ:
-    """The image of t restricted to y (columns are t applied to basis rows)."""
-    if y.dim == 0:
-        return SubspaceQ.zero(y.ambient_dim)
-    rows = [t.mul_vector(r) for r in y.basis_rows()]
-    return SubspaceQ(y.ambient_dim, rows)
+    """The image of t restricted to y: row j of y.basis @ t^T is t b_j."""
+    return SubspaceQ(y.ambient_dim, (y.basis @ t.transpose()).num)
 
 
 def roan_decomposition(m: MatQ, d: int) -> RoanReport:
@@ -152,6 +154,7 @@ class RoanMatchReport:
     roan: RoanReport
     matches: tuple[tuple[int, "Subgroup", int], ...]  # (order, kernel, dim)
     zero_components: tuple["Subgroup", ...]
+    decomposition: IsotypicalReport  # the decomposition matched against
 
     def to_jsonable(self) -> dict:
         return {
@@ -218,4 +221,4 @@ def verify_roan_matching(action: GAction) -> RoanMatchReport:
                 "nonzero isotypical component not produced by the filtration"
             )
         zero.append(c.irrep.kernel)
-    return RoanMatchReport(roan, tuple(matches), tuple(zero))
+    return RoanMatchReport(roan, tuple(matches), tuple(zero), decomposition)

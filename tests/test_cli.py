@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import time
 
 import pytest
 
@@ -170,6 +171,48 @@ def test_max_order_exits_2():
     assert code == 2
     assert "exceeds --max-order" in err
     assert run_cli(["characters", "--group", "101", "--max-order", "101"])[0] == 0
+
+
+def test_max_order_checked_before_building_the_action(tmp_path):
+    # a generator table for |G| = 3e6 would take minutes to build
+    big = tmp_path / "big.json"
+    big.write_text('{"group":[3000000],"generators":[[[1]]]}')
+    start = time.perf_counter()
+    code, _, err = run_cli(["decompose", str(big)])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert "group order 3000000 exceeds --max-order 10000" in err
+
+
+def test_fixture_max_order_checked_before_building():
+    # the shift action of Z/300 takes minutes to validate
+    start = time.perf_counter()
+    code, _, err = run_cli(["fixture", "regular", "300", "--max-order", "10"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert "group order 300 exceeds --max-order 10" in err
+    code, _, err = run_cli(["fixture", "paper-example", "2", "3", "--max-order", "71"])
+    assert code == 2
+    assert "group order 72 exceeds --max-order 71" in err
+
+
+def test_oversized_subgroup_enumeration_exits_3_before_enumerating():
+    start = time.perf_counter()
+    code, _, err = run_cli(["subgroups", "--group", "2,4,8,16"])
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert "subgroup enumeration is too large for this group" in err
+
+
+def test_paper_example_with_large_degree_classes_is_fast():
+    # Z/27 x Z/25 has classes of degree up to 360; only four are used
+    start = time.perf_counter()
+    code, out, err = run_cli(["fixture", "paper-example", "3", "5"])
+    assert time.perf_counter() - start < 20
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["group"] == [27, 25]
+    assert [g["multiplicity"] for g in obj["ground_truth"]].count(1) == 4
 
 
 def test_non_cyclic_roan_and_verify_exit_3(tmp_path):

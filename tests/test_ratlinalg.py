@@ -342,3 +342,174 @@ def test_restrict_operator_rejects_noninvariant_subspace():
     s = SubspaceQ(3, [[0, 0, 1]])
     with pytest.raises(PreconditionError):
         restrict_operator(shear, s)
+
+
+# ------------------------------------------- rational inputs vs. an oracle
+#
+# The subspace kernel works on integer rows over one denominator; these
+# tests feed it non-integral entries and compare against plain Fraction
+# Gauss-Jordan elimination.
+
+
+def frac_matrix(rows, cols):
+    return st.lists(
+        st.lists(fractions, min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    )
+
+
+def oracle_rref(rows, ncols):
+    """(pivot columns, nonzero RREF rows) by Fraction Gauss-Jordan."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    piv = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        p = m[r][c]
+        m[r] = [v / p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        piv.append(c)
+        r += 1
+    return piv, m[:r]
+
+
+def oracle_basis(rows, ncols) -> MatQ:
+    _, rref = oracle_rref(rows, ncols)
+    return MatQ(rref) if rref else MatQ.zeros(0, ncols)
+
+
+def oracle_kernel(rows, ncols):
+    """Fraction vectors spanning {v : M v = 0}, one per free column."""
+    piv, rref = oracle_rref(rows, ncols)
+    out = []
+    for f in range(ncols):
+        if f in piv:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, c in zip(rref, piv):
+            v[c] = -row[f]
+        out.append(v)
+    return out
+
+
+def oracle_apply(rows, vec):
+    return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in rows]
+
+
+def assert_basis_is(s: SubspaceQ, expected: MatQ):
+    assert s.basis.num == expected.num
+    assert s.basis.den == expected.den
+    assert s.basis.shape == expected.shape
+
+
+@given(frac_matrix(3, 4))
+def test_rational_subspace_basis_is_the_oracle_rref(rows):
+    s = SubspaceQ(4, rows)
+    piv, _ = oracle_rref(rows, 4)
+    assert s.pivot_cols == tuple(piv)
+    assert_basis_is(s, oracle_basis(rows, 4))
+
+
+@given(frac_matrix(3, 4))
+def test_rational_kernel_space_matches_oracle(rows):
+    assert_basis_is(kernel_space(MatQ(rows)), oracle_basis(oracle_kernel(rows, 4), 4))
+
+
+@given(frac_matrix(3, 4))
+def test_rational_image_space_matches_oracle(rows):
+    columns = [list(col) for col in zip(*rows)]
+    assert_basis_is(image_space(MatQ(rows)), oracle_basis(columns, 3))
+
+
+@given(frac_matrix(2, 4), frac_matrix(2, 4))
+def test_rational_sum_and_intersection_match_oracle(rows_u, rows_v):
+    u = SubspaceQ(4, rows_u)
+    v = SubspaceQ(4, rows_v)
+    assert_basis_is(sum_spaces(u, v), oracle_basis(rows_u + rows_v, 4))
+    # U ∩ V: combinations a.U with a.U = b.V, from the kernel of [U^T | -V^T]
+    _, ub = oracle_rref(rows_u, 4)
+    _, vb = oracle_rref(rows_v, 4)
+    stacked = [[r[i] for r in ub] + [-r[i] for r in vb] for i in range(4)]
+    meet = []
+    for a in oracle_kernel(stacked, len(ub) + len(vb)):
+        meet.append(oracle_apply(list(zip(*ub)), a[: len(ub)]))
+    assert_basis_is(intersect_spaces(u, v), oracle_basis(meet, 4))
+
+
+@given(frac_matrix(2, 4), frac_matrix(2, 4))
+def test_rational_contains_subspace_matches_oracle_rank(rows_u, rows_w):
+    u = SubspaceQ(4, rows_u)
+    w = SubspaceQ(4, rows_w)
+    rank_u = len(oracle_rref(rows_u, 4)[1])
+    contained = len(oracle_rref(rows_u + rows_w, 4)[1]) == rank_u
+    assert u.contains_subspace(w) == contained
+    assert sum_spaces(u, w).contains_subspace(w)
+    for row in rows_w:
+        coords = u.coordinates_of(row)
+        assert (coords is not None) == (
+            len(oracle_rref(rows_u + [row], 4)[1]) == rank_u
+        )
+        if coords is not None:
+            basis = u.basis_rows()
+            rebuilt = [
+                sum((c * b[k] for c, b in zip(coords, basis)), Fraction(0))
+                for k in range(4)
+            ]
+            assert rebuilt == [Fraction(x) for x in row]
+
+
+@given(frac_matrix(3, 3), frac_matrix(1, 3), frac_matrix(2, 3))
+def test_rational_restrict_operator_matches_oracle(m_rows, seed, other):
+    m = MatQ(m_rows)
+    # the Krylov space of a vector is invariant
+    krylov = [seed[0]]
+    for _ in range(3):
+        krylov.append(oracle_apply(m_rows, krylov[-1]))
+    s = SubspaceQ(3, krylov)
+    _, basis = oracle_rref(krylov, 3)
+    expected = [[Fraction(0)] * len(basis) for _ in basis]
+    for j, b in enumerate(basis):
+        image = oracle_apply(m_rows, b)
+        for i, c in enumerate(s.pivot_cols):
+            expected[i][j] = image[c]
+    r = restrict_operator(m, s)
+    assert r == (MatQ(expected) if basis else MatQ.zeros(0, 0))
+    # any subspace: invariant iff its images stay inside it
+    t = SubspaceQ(3, other)
+    _, tb = oracle_rref(other, 3)
+    images = [oracle_apply(m_rows, b) for b in tb]
+    invariant = len(oracle_rref(tb + images, 3)[1]) == len(tb)
+    if invariant:
+        restrict_operator(m, t)
+    else:
+        with pytest.raises(PreconditionError):
+            restrict_operator(m, t)
+
+
+@given(square_matq(3))
+def test_rational_inverse_matches_oracle(a):
+    rows = a.fraction_rows()
+    aug = [
+        list(r) + [Fraction(int(i == j)) for j in range(3)] for i, r in enumerate(rows)
+    ]
+    piv, rref = oracle_rref(aug, 6)
+    if piv[:3] != [0, 1, 2]:
+        with pytest.raises(PreconditionError):
+            inverse(a)
+        return
+    assert inverse(a) == MatQ([r[3:] for r in rref])
+
+
+@given(frac_matrix(3, 4), st.lists(fractions, min_size=4, max_size=4))
+def test_rational_mul_vector_matches_oracle(rows, vec):
+    result = MatQ(rows).mul_vector(vec)
+    assert all(type(x) is Fraction for x in result)
+    assert list(result) == oracle_apply(rows, [Fraction(x) for x in vec])

@@ -134,6 +134,7 @@ def test_matching_agrees_with_decomposition_subspaces():
         )
         match = verify_roan_matching(af.action)
         rep = isotypical_decomposition(af.action)
+        assert match.decomposition.components == rep.components
         by_kernel = {c.irrep.kernel: c for c in rep.components}
         for order, kernel, dim in match.matches:
             c = by_kernel[kernel]
