@@ -18,6 +18,17 @@ The three geometric constructions:
         minimal overgroups H of K (the defining formula), and
     (2) as the image of the central idempotent e_W.
 
+How the matrices are formed.  No idempotent is summed over all of G.  For a
+subgroup H, p_H is the product of one cyclic factor per HNF row h of H,
+each the average of rho(j * h) over j < ord(h) (p_A p_B = p_{A+B} in an
+abelian group).  Route (1) takes images of these p_H and of differences
+p_K - p_H.  Route (2) writes e_W = p_K * (1/n) sum_{j<n} c_n(j) rho(j * x),
+for n = [G:K], x a generator of G/K and c_n the Ramanujan sum: n matrices
+and one dim^3 product beyond p_K.  When |G| <= n + |K| + dim (the regular
+representation, say) that product costs more than the |G|-term sum, and e_W
+is expanded as ``algebra_matrix(A, central_idempotent(W))`` instead.  Both
+forms are the same element of Q[G], so both give the same matrix.
+
 ``isotypical_decomposition`` assembles all components, checks that dimensions
 are additive and exhaust the space, and derives multiplicities.
 """
@@ -31,10 +42,11 @@ from .abgroup import (
     FinAbGroup,
     GroupElement,
     Subgroup,
-    minimal_overgroups,
+    _minimal_overgroups_from_generator,
+    index_and_quotient,
     subgroup_from_generators,
 )
-from .chars import RationalIrrep, rational_irreps
+from .chars import RationalIrrep, ramanujan_sum, rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
 from .qalgebra import GroupAlgebraElem, central_idempotent
 from .ratlinalg import MatQ, SubspaceQ, image_space, intersect_spaces, sum_spaces
@@ -177,24 +189,16 @@ def action_matrix(action: GAction, g: GroupElement) -> MatQ:
     return m
 
 
-def algebra_matrix(action: GAction, x: GroupAlgebraElem) -> MatQ:
-    """The matrix of a group-algebra element: sum of x(g) * rho(g).
+def _combination(dim: int, terms, den: int) -> MatQ:
+    """(1/den) * the sum of c * M over (c, M) pairs, integer c, dim x dim M.
 
-    Accumulates integer numerators over a running common denominator, so the
-    result is exact and cheap even for elements with many terms.
+    Accumulates integer numerators over a running common denominator (the
+    lcm of the matrices' denominators), so the sum is exact and builds no
+    Fractions.
     """
-    if x.group != action.group:
-        raise PreconditionError("group algebra element of a different group")
-    dim = action.dim
-    table = _table(action)
     acc = [[0] * dim for _ in range(dim)]
     acc_den = 1
-    for i, num in enumerate(x.nums):
-        if not num:
-            continue
-        m = table[i] if table is not None else action_matrix(
-            action, action.group.element_of_index(i)
-        )
+    for num, m in terms:
         new_den = lcm(acc_den, m.den)
         s = new_den // acc_den
         t = num * (new_den // m.den)
@@ -208,19 +212,98 @@ def algebra_matrix(action: GAction, x: GroupAlgebraElem) -> MatQ:
                 for j in range(dim):
                     r[j] = r[j] * s + t * mr[j]
         acc_den = new_den
-    return MatQ._raw(acc, acc_den * x.den, dim)
+    return MatQ._raw(acc, acc_den * den, dim)
+
+
+def algebra_matrix(action: GAction, x: GroupAlgebraElem) -> MatQ:
+    """The matrix of a group-algebra element: sum of x(g) * rho(g).
+
+    One term per nonzero coefficient, so the cost grows with the support of
+    x (up to |G|) times dim^2.
+    """
+    if x.group != action.group:
+        raise PreconditionError("group algebra element of a different group")
+    group = action.group
+    table = _table(action)
+    terms = (
+        (
+            num,
+            table[i] if table is not None
+            else action_matrix(action, group.element_of_index(i)),
+        )
+        for i, num in enumerate(x.nums)
+        if num
+    )
+    return _combination(action.dim, terms, x.den)
+
+
+def _multiples(action: GAction, g: GroupElement, count: int):
+    """rho(j * g) for j = 0, ..., count - 1.
+
+    Looked up in the cached table when there is one; otherwise a running
+    product, one multiplication per step.
+    """
+    table = _table(action)
+    if table is not None:
+        group = action.group
+        exps = (0,) * group.rank
+        for _ in range(count):
+            yield table[group.index_of(exps)]
+            exps = tuple((a + e) % n for a, e, n in zip(exps, g.exps, group.moduli))
+        return
+    step = action_matrix(action, g)
+    cur = MatQ.identity(action.dim)
+    for j in range(count):
+        yield cur
+        if j + 1 < count:
+            cur = cur @ step
+
+
+def _cyclic_factor(action: GAction, g: GroupElement, coeffs, den: int) -> MatQ:
+    """(1/den) * sum over j < len(coeffs) of coeffs[j] * rho(j * g)."""
+    terms = (
+        (c, m) for c, m in zip(coeffs, _multiples(action, g, len(coeffs))) if c
+    )
+    return _combination(action.dim, terms, den)
 
 
 def _avg_matrix(action: GAction, h: Subgroup) -> MatQ:
-    """Matrix of the averaging idempotent p_H, cached per subgroup."""
+    """Matrix of the averaging idempotent p_H, cached per subgroup.
+
+    In an abelian group p_A p_B = p_{A+B}, so p_H is the product of the
+    cyclic factors p_<h> = (1/ord h) * sum over j < ord h of rho(j * h), one
+    per HNF row h of H: a sum of at most ord(h) matrices each, not |H|.
+    """
     cache = action._cache.setdefault("avg", {})
     m = cache.get(h)
     if m is None:
-        from .qalgebra import averaging_idempotent
-
-        m = algebra_matrix(action, averaging_idempotent(h))
+        for g in h.generators():
+            o = g.order()
+            if o > 1:
+                f = _cyclic_factor(action, g, (1,) * o, o)
+                m = f if m is None else m @ f
+        if m is None:
+            m = MatQ.identity(action.dim)
         cache[h] = m
     return m
+
+
+def _central_matrix(
+    action: GAction, k_sub: Subgroup, n: int, x: GroupElement
+) -> MatQ:
+    """e_W in factored form, for W with kernel K = k_sub, n = [G:K] and x
+    generating G/K.
+
+    Every g is j*x + k with k in K; m(j*x) = j * m(x) with m(x) a unit mod n,
+    and the Ramanujan sum c_n depends only on gcd(n, .), so
+
+        e_W = p_K * (1/n) * sum over j < n of c_n(j) * rho(j * x).
+
+    That is n matrices and one dim^3 product on top of p_K, which the first
+    route has already cached.
+    """
+    coeffs = [ramanujan_sum(n, j) for j in range(n)]
+    return _avg_matrix(action, k_sub) @ _cyclic_factor(action, x, coeffs, n)
 
 
 def fixed_subvariety(action: GAction, h: Subgroup) -> SubspaceQ:
@@ -249,15 +332,22 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     """The isotypical component of W, computed two ways and cross-checked.
 
     Route one is the defining intersection over minimal overgroups of the
-    kernel (the fixed part itself when the kernel is all of G); route two is
-    the image of the central idempotent e_W.  Disagreement raises
-    InternalCheckError — it would mean the algebra identity behind the
-    construction failed.
+    kernel (the fixed part itself when the kernel is all of G), from the
+    images of p_K - p_H, with each p_H a product of cyclic factors.  Route
+    two is the image of the central idempotent e_W: p_K times one cyclic
+    factor of n = [G:K] terms in the generator x of G/K, or the |G|-term sum
+    when |G| <= n + |K| + dim.  Disagreement raises InternalCheckError — it
+    would mean the algebra identity behind the construction failed.
     """
     if w.group != action.group:
         raise PreconditionError("representation of a different group")
     k_sub = w.kernel
-    over = minimal_overgroups(action.group, k_sub)
+    info = index_and_quotient(action.group, k_sub)
+    if not info.is_cyclic:
+        raise PreconditionError("minimal overgroups require a cyclic quotient G/K")
+    over = _minimal_overgroups_from_generator(
+        action.group, k_sub, info.index, info.generator
+    )
     if not over:
         by_intersection = fixed_subvariety(action, k_sub)
     else:
@@ -265,7 +355,12 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
         by_intersection = parts[0]
         for p in parts[1:]:
             by_intersection = intersect_spaces(by_intersection, p)
-    by_idempotent = image_space(algebra_matrix(action, central_idempotent(w)))
+    if action.group.order <= info.index + k_sub.order + action.dim:
+        # the dim^3 product would cost more than the |G|-term sum
+        e_w = algebra_matrix(action, central_idempotent(w))
+    else:
+        e_w = _central_matrix(action, k_sub, info.index, info.generator)
+    by_idempotent = image_space(e_w)
     if by_intersection != by_idempotent:
         raise InternalCheckError(
             "isotypical component mismatch: the intersection of complements "

@@ -162,30 +162,39 @@ class RationalIrrep:
 def rational_irreps(group: FinAbGroup) -> tuple[RationalIrrep, ...]:
     """All irreducible rational representations, in canonical order.
 
-    Complex characters are grouped by kernel; each kernel class is one
-    rational irreducible.  The canonical order is by kernel sort key
-    (index ascending, then basis entries), so the trivial representation
-    always comes first.
+    Complex characters fall into Galois orbits, and each orbit is one
+    rational irreducible; one kernel (one HNF) is computed per orbit.  The
+    canonical order is by kernel sort key (index ascending, then basis
+    entries), so the trivial representation always comes first.
     """
-    by_kernel: dict[Subgroup, list[Character]] = {}
-    for exps in itertools.product(*(range(n) for n in group.moduli)):
-        chi = Character(group, exps)
-        by_kernel.setdefault(chi.kernel(), []).append(chi)
+    seen: set[tuple[int, ...]] = set()
     irreps = []
+    kernels: set[Subgroup] = set()
     total_degree = 0
-    for kernel, orbit in by_kernel.items():
-        n = orbit[0].order()
+    for exps in itertools.product(*(range(n) for n in group.moduli)):
+        if exps in seen:
+            continue
+        chi = Character(group, exps)
+        orbit = chi.galois_orbit()
+        seen.update(c.exps for c in orbit)
+        kernel = char_kernel(chi)
+        n = chi.order()
         if kernel.index != n:
             raise InternalCheckError("kernel index differs from character order")
-        if any(chi.order() != n for chi in orbit):
-            raise InternalCheckError("characters with equal kernels have equal order")
+        rows = kernel.generators()
+        if any(
+            c.order() != n or any(c.value_exponent(g) for g in rows) for c in orbit
+        ):
+            raise InternalCheckError("a Galois conjugate has a different kernel")
         degree = totient(n)
         if len(orbit) != degree:
             raise InternalCheckError(
                 f"Galois orbit size {len(orbit)} != phi({n}) = {degree}"
             )
-        rep = min(orbit, key=lambda chi: chi.exps)
-        irreps.append(RationalIrrep(kernel, n, degree, rep))
+        if kernel in kernels:
+            raise InternalCheckError("two Galois orbits share a kernel")
+        kernels.add(kernel)
+        irreps.append(RationalIrrep(kernel, n, degree, orbit[0]))
         total_degree += degree
     if total_degree != group.order:
         raise InternalCheckError("degrees of rational irreducibles do not sum to |G|")

@@ -150,11 +150,8 @@ class MatQ:
         return tuple(tuple(Fraction(v, d) for v in row) for row in self.num)
 
     def transpose(self) -> "MatQ":
-        return MatQ._raw(
-            [list(col) for col in zip(*self.num)] if self.num else [],
-            self.den,
-            ncols=self.rows,
-        )
+        cols = zip(*self.num) if self.num else [()] * self.cols
+        return MatQ._raw([list(col) for col in cols], self.den, ncols=self.rows)
 
     def __matmul__(self, other: "MatQ") -> "MatQ":
         if self.cols != other.rows:

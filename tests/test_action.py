@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import perm_matrix
 from isodec import (
     FinAbGroup,
+    all_subgroups,
     MatQ,
     PreconditionError,
     Subgroup,
@@ -13,7 +15,9 @@ from isodec import (
     algebra_matrix,
     complementary_subvariety,
     fixed_subvariety,
+    index_and_quotient,
     intersect_spaces,
+    inverse,
     isotypical_component,
     isotypical_decomposition,
     make_fixture,
@@ -23,8 +27,51 @@ from isodec import (
 )
 from isodec.fixtures import FixtureSpec
 from isodec.numtheory import totient
-from isodec.qalgebra import from_terms, identity
+from isodec.qalgebra import (
+    averaging_idempotent,
+    central_idempotent,
+    from_terms,
+    identity,
+)
 import isodec.action
+from isodec.action import _avg_matrix, _central_matrix
+
+
+def assert_factored_idempotents_match_expanded_sums(action):
+    """p_H from cyclic factors, for every subgroup H, and e_W from p_K and
+    one cyclic factor, for every irreducible W, equal the |G|-term sums."""
+    group = action.group
+    for h in all_subgroups(group):
+        assert _avg_matrix(action, h) == algebra_matrix(
+            action, averaging_idempotent(h)
+        )
+    for w in rational_irreps(group):
+        info = index_and_quotient(group, w.kernel)
+        assert _central_matrix(
+            action, w.kernel, info.index, info.generator
+        ) == algebra_matrix(action, central_idempotent(w))
+
+
+def rationally_conjugated(action, seed):
+    """The action conjugated by a random upper-triangular rational matrix of
+    determinant other than +-1, so neither it nor its inverse is integral."""
+    rng = random.Random(seed)
+    dim = action.dim
+    p = MatQ(
+        [
+            [
+                Fraction(rng.choice((2, 3, -5)), rng.choice((1, 2, 7)))
+                if i == j
+                else Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if j > i else 0
+                for j in range(dim)
+            ]
+            for i in range(dim)
+        ]
+    )
+    p_inv = inverse(p)
+    return validate_action(
+        action.group, [p_inv @ m @ p for m in action.gen_matrices]
+    )
 
 
 # --------------------------------------------------------------- validation
@@ -97,6 +144,7 @@ def test_action_matrix_without_cached_table(monkeypatch):
         assert action_matrix(action, g) == table[g.index()]
     rep = isotypical_decomposition(action)
     assert sum(c.dim for c in rep.components) == action.dim
+    assert_factored_idempotents_match_expanded_sums(action)
 
 
 def test_algebra_matrix_is_linear_and_multiplicative():
@@ -260,6 +308,58 @@ def test_non_faithful_components_vanish_off_the_kernel():
     for c in rep.components:
         if not kernel.is_contained_in(c.irrep.kernel):
             assert c.multiplicity == 0
+
+
+def decomposition_multiplicities(action):
+    rep = isotypical_decomposition(action)
+    return {c.irrep.kernel.hnf_basis.entries: c.multiplicity for c in rep.components}
+
+
+def uses_factored_central_idempotent(action):
+    group = action.group
+    return any(
+        group.order > w.kernel.index + w.kernel.order + action.dim
+        for w in rational_irreps(group)
+    )
+
+
+@pytest.mark.parametrize("moduli, seed", [((4, 6), 1), ((2, 2, 6), 2)])
+def test_factored_idempotents_on_rationally_conjugated_actions(moduli, seed):
+    af = make_fixture(
+        FixtureSpec("random-conjugated", moduli=moduli, seed=seed, max_dim=8)
+    )
+    action = rationally_conjugated(af.action, seed)
+    assert any(m.den > 1 for m in action.gen_matrices)
+    assert uses_factored_central_idempotent(action)
+    assert_factored_idempotents_match_expanded_sums(action)
+    assert decomposition_multiplicities(action) == {
+        k.entries: m for k, m in af.ground_truth
+    }
+
+
+@pytest.mark.parametrize(
+    "moduli, kernel_gens", [((4, 6), [(2, 3)]), ((2, 2, 6), [(1, 1, 0)])]
+)
+def test_factored_idempotents_on_non_faithful_actions(moduli, kernel_gens):
+    # one copy of each class through G/S while the dimension stays <= 8
+    group = FinAbGroup(moduli)
+    s = subgroup_from_generators(group, kernel_gens)
+    mult, budget = [], 8
+    for w in rational_irreps(group):
+        take = s.is_contained_in(w.kernel) and w.degree <= budget
+        mult.append(int(take))
+        budget -= w.degree * take
+    af = make_fixture(
+        FixtureSpec("semisimple", moduli=moduli, multiplicities=tuple(mult))
+    )
+    action = af.action
+    assert not action.faithful
+    assert s.is_contained_in(action.action_kernel)
+    assert uses_factored_central_idempotent(action)
+    assert_factored_idempotents_match_expanded_sums(action)
+    assert decomposition_multiplicities(action) == {
+        k.entries: m for k, m in af.ground_truth
+    }
 
 
 def test_plausibility_warnings():

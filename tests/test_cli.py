@@ -215,6 +215,27 @@ def test_paper_example_with_large_degree_classes_is_fast():
     assert [g["multiplicity"] for g in obj["ground_truth"]].count(1) == 4
 
 
+def test_decompose_of_a_large_group_is_fast(tmp_path):
+    # Z/60 x Z/60 has 3600 elements and 350 irreducibles; summing |G|
+    # matrices per irreducible took 18 s
+    path = tmp_path / "wide.json"
+    code, _, err = run_cli(
+        ["fixture", "random-conjugated", "--group", "60,60", "--seed", "1",
+         "--max-dim", "8", "-o", str(path)]
+    )
+    assert code == 0, err
+    truth = json.loads(path.read_text())["ground_truth"]
+    start = time.perf_counter()
+    code, out, err = run_cli(["decompose", "--json", str(path)])
+    assert time.perf_counter() - start < 6
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["dim"] == 8
+    got = {str(c["kernel_hnf"]): c["multiplicity"] for c in report["components"]}
+    assert got == {str(g["kernel_hnf"]): g["multiplicity"] for g in truth}
+    assert sorted(v for v in got.values() if v) == [1, 1]
+
+
 def test_non_cyclic_roan_and_verify_exit_3(tmp_path):
     path = tmp_path / "ss22.json"
     assert run_cli(["fixture", "semisimple", "--group", "2,2", "-o", str(path)])[0] == 0

@@ -75,6 +75,16 @@ def test_matq_scaling_normalizes(a):
     assert a.transpose().transpose() == a
 
 
+def test_transpose_of_matrices_without_rows_or_columns():
+    no_rows = MatQ.zeros(0, 3)
+    assert no_rows.transpose().shape == (3, 0)
+    assert no_rows.transpose() @ no_rows == MatQ.zeros(3, 3)
+    assert no_rows.transpose().transpose() == no_rows
+    no_cols = MatQ.zeros(2, 0)
+    assert no_cols.transpose().shape == (0, 2)
+    assert no_cols @ no_cols.transpose() == MatQ.zeros(2, 2)
+
+
 def test_matq_equality_ignores_representation():
     a = MatQ([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)]])
     b = MatQ.identity(2) * Fraction(1, 2)
