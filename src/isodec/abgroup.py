@@ -19,8 +19,8 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 from .errors import PreconditionError
-from .numtheory import prime_divisors
-from .ratlinalg import MatZ, _hermite, smith_with_transforms
+from .numtheory import divisors, prime_divisors
+from .ratlinalg import MatZ, _hermite, smith_with_transforms, snf_invariants
 
 __all__ = [
     "FinAbGroup",
@@ -29,6 +29,7 @@ __all__ = [
     "QuotientInfo",
     "subgroup_from_generators",
     "index_and_quotient",
+    "all_subgroups",
     "minimal_overgroups",
 ]
 
@@ -92,10 +93,8 @@ class FinAbGroup:
         )
 
     def relation_rows(self) -> tuple[tuple[int, ...], ...]:
-        k = self.rank
-        return tuple(
-            tuple(self.moduli[j] if i == j else 0 for i in range(k)) for j in range(k)
-        )
+        """The rows n_j * e_j spanning the relation lattice."""
+        return _relation_rows(self.moduli)
 
     def invariants(self) -> tuple[int, ...]:
         """Invariant factors d1 | d2 | ... | dk of the group itself."""
@@ -107,9 +106,12 @@ class FinAbGroup:
 
 @lru_cache(maxsize=None)
 def _group_invariants(moduli: tuple[int, ...]) -> tuple[int, ...]:
-    from .ratlinalg import snf_invariants
-
     return snf_invariants(MatZ.diagonal(moduli))
+
+
+@lru_cache(maxsize=None)
+def _relation_rows(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    return MatZ.diagonal(moduli).entries
 
 
 @dataclass(frozen=True)
@@ -253,8 +255,6 @@ class Subgroup:
 
     def group_invariants(self) -> tuple[int, ...]:
         """Invariant factors of H itself (not of the quotient G/H)."""
-        from .ratlinalg import snf_invariants
-
         b = self.hnf_basis.entries
         k = self.group.rank
         rel = [list(r) for r in self.group.relation_rows()]
@@ -361,18 +361,23 @@ def all_subgroups(
 ) -> tuple[Subgroup, ...]:
     """Every subgroup of G, in canonical order (index ascending, then basis).
 
-    Enumerates Hermite normal forms directly: the i-th diagonal entry must
-    divide n_i (the lattice contains n_i * e_i), the above-diagonal entries
-    range over [0, pivot), and candidates failing to contain some relation
-    row are discarded.  Each subgroup appears exactly once because the HNF
-    basis is unique.  Raises PreconditionError, before enumerating, when the
-    candidate count exceeds ``limit`` (very high-rank 2-groups).
-    """
-    from .numtheory import divisors
+    Enumerates Hermite normal forms directly, bottom row first.  Row i has a
+    pivot d_i dividing n_i (the lattice contains n_i * e_i) and a tail of
+    entries a_{i,l} in [0, d_l) for the columns l > i.  Back-substituting
+    n_i * e_i touches only rows i, i+1, ..., so the relation holds exactly
+    when (n_i / d_i) * (a_{i,i+1}, ..., a_{i,k-1}) lies in the lattice of
+    the rows below, restricted to the columns after i.  Each row is checked
+    as soon as it is chosen, and only rows that pass are extended upward, so
+    the work follows the subgroups found, not the candidate bases.  Each
+    subgroup appears exactly once because the HNF basis is unique.
 
+    Raises PreconditionError, before enumerating, when the count of
+    candidate bases without that pruning, prod over columns of
+    sum_{d | n_col} d^col, exceeds ``limit`` (very high-rank 2-groups).
+    """
     k = group.rank
-    diag_choices = [divisors(n) for n in group.moduli]
-    relations = group.relation_rows()
+    moduli = group.moduli
+    diag_choices = [divisors(n) for n in moduli]
 
     # a pivot d in column col has col entries above it, each in [0, d)
     candidates = prod(
@@ -383,34 +388,22 @@ def all_subgroups(
 
     found = []
 
-    def fill(rows, col):
-        # rows: the diagonal-fixed matrix being completed, column by column.
-        if col == k:
-            entries = tuple(tuple(r) for r in rows)
-            if all(_lattice_contains(entries, rel) for rel in relations):
-                found.append(Subgroup(group, MatZ(entries)))
+    def extend(i, below):
+        # below: the rows i+1, ..., k-1 already chosen, each of full width
+        if i < 0:
+            found.append(Subgroup(group, MatZ(tuple(below))))
             return
-        d = rows[col][col]
-        def above(i):
-            if i == col:
-                fill(rows, col + 1)
-                return
-            for v in range(d):
-                rows[i][col] = v
-                above(i + 1)
-            rows[i][col] = 0
-        above(0)
-
-    def pick_diag(i, rows):
-        if i == k:
-            fill([r[:] for r in rows], 0)
-            return
+        tail_basis = [row[i + 1 :] for row in below]
+        pivots = [row[l] for l, row in enumerate(below, start=i + 1)]
+        tails = list(itertools.product(*(range(p) for p in pivots)))
         for d in diag_choices[i]:
-            rows[i][i] = d
-            pick_diag(i + 1, rows)
-        rows[i][i] = 0
+            m = moduli[i] // d
+            head = (0,) * i + (d,)
+            for tail in tails:
+                if _lattice_contains(tail_basis, [m * a for a in tail]):
+                    extend(i - 1, [head + tail] + below)
 
-    pick_diag(0, [[0] * k for _ in range(k)])
+    extend(k - 1, [])
     return tuple(sorted(found, key=lambda s: s.sort_key))
 
 

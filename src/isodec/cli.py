@@ -37,6 +37,7 @@ from .actionfile import (
 from .chars import rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
 from .fixtures import FIXTURE_KINDS, FixtureSpec, make_fixture
+from .ratlinalg import snf_invariants
 from .roan import verify_roan_matching
 
 __all__ = ["main"]
@@ -280,9 +281,13 @@ def _cmd_characters(args) -> int:
 def _cmd_subgroups(args) -> int:
     group = _parse_group_arg(args.group, args.max_order)
     subs = all_subgroups(group)
-    infos = [(s, index_and_quotient(group, s)) for s in subs]
+    # the quotient's invariants only: no generator, so no Smith transforms
+    infos = []
+    for s in subs:
+        inv = [d for d in snf_invariants(s.hnf_basis) if d > 1]
+        infos.append((s, inv, len(inv) <= 1))
     if args.kernels:
-        infos = [(s, q) for s, q in infos if q.is_cyclic]
+        infos = [(s, inv, cyclic) for s, inv, cyclic in infos if cyclic]
     if args.json:
         _print_json(
             {
@@ -293,10 +298,10 @@ def _cmd_subgroups(args) -> int:
                         "hnf": s.hnf_basis.to_jsonable(),
                         "index": s.index,
                         "order": s.order,
-                        "quotient_invariants": [d for d in q.invariants if d > 1],
-                        "cyclic_quotient": q.is_cyclic,
+                        "quotient_invariants": inv,
+                        "cyclic_quotient": cyclic,
                     }
-                    for s, q in infos
+                    for s, inv, cyclic in infos
                 ],
             }
         )
@@ -308,14 +313,13 @@ def _cmd_subgroups(args) -> int:
         "",
     ]
     rows = []
-    for s, q in infos:
-        inv = [d for d in q.invariants if d > 1]
+    for s, inv, cyclic in infos:
         rows.append(
             (
                 s.index,
                 s.order,
                 "trivial" if not inv else " x ".join(f"Z/{d}" for d in inv),
-                "yes" if q.is_cyclic else "no",
+                "yes" if cyclic else "no",
                 _fmt_intmat(s.hnf_basis.entries),
             )
         )

@@ -1,3 +1,4 @@
+import itertools
 from math import gcd, prod
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import closure, closure_subgroups, quotient_order_counts, subgroup_element_set
 from isodec import (
     FinAbGroup,
+    MatZ,
     PreconditionError,
     Subgroup,
     all_subgroups,
@@ -14,8 +16,8 @@ from isodec import (
     minimal_overgroups,
     subgroup_from_generators,
 )
-from isodec.abgroup import _minimal_overgroups_from_generator
-from isodec.numtheory import prime_divisors
+from isodec.abgroup import _lattice_contains, _minimal_overgroups_from_generator
+from isodec.numtheory import divisors, prime_divisors
 
 SMALL_MODULI = [(6,), (8,), (12,), (2, 2), (2, 4), (3, 3), (8, 9), (2, 2, 2), (2, 6)]
 
@@ -170,8 +172,7 @@ def test_subgroup_jsonable_round_trip():
 
 
 def test_invalid_hnf_rejected():
-    from isodec import MatZ
-
+    
     g = FinAbGroup((4, 4))
     with pytest.raises(PreconditionError):
         Subgroup(g, MatZ(((2, 3), (0, 2))))  # above-entry not reduced
@@ -297,3 +298,62 @@ def test_all_subgroups_match_closure_enumeration(moduli):
 def test_all_subgroups_enumeration_limit():
     with pytest.raises(PreconditionError):
         all_subgroups(FinAbGroup((2,) * 10), limit=100)
+
+
+def _all_subgroups_by_filtering(group):
+    """Reference enumeration: every HNF with pivots d_i | n_i and entries
+    above each pivot in [0, pivot), kept when it contains every relation row."""
+    k = group.rank
+    found = []
+    for diag in itertools.product(*(divisors(n) for n in group.moduli)):
+        cells = [(i, j) for j in range(k) for i in range(j)]
+        for values in itertools.product(*(range(diag[j]) for _, j in cells)):
+            rows = [[diag[i] if i == j else 0 for j in range(k)] for i in range(k)]
+            for (i, j), v in zip(cells, values):
+                rows[i][j] = v
+            entries = tuple(tuple(r) for r in rows)
+            if all(_lattice_contains(entries, rel) for rel in group.relation_rows()):
+                found.append(Subgroup(group, MatZ(entries)))
+    return tuple(sorted(found, key=lambda s: s.sort_key))
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        (2,) * 5,
+        (2, 2, 2, 2),
+        (3, 3, 3),
+        (4, 4, 4),
+        (2, 4, 8),
+        (9, 3),
+        (4, 2, 8),
+        (12, 18),
+        (1, 5),
+        (5, 1),
+        (1, 1, 1),
+        (6, 6, 6),
+    ],
+)
+def test_all_subgroups_equal_the_filtered_candidates_in_order(moduli):
+    group = FinAbGroup(moduli)
+    assert all_subgroups(group) == _all_subgroups_by_filtering(group)
+
+
+@pytest.mark.parametrize(
+    "moduli, count", [((2,) * 6, 2825), ((8, 8, 8), 802), ((100, 100), 675)]
+)
+def test_all_subgroups_counts_of_larger_groups(moduli, count):
+    assert len(all_subgroups(FinAbGroup(moduli))) == count
+
+
+def _gaussian_binomial(r, k, p):
+    num = prod(p ** (r - i) - 1 for i in range(k))
+    den = prod(p ** (i + 1) - 1 for i in range(k))
+    return num // den
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_elementary_abelian_subgroup_count_is_a_gaussian_binomial_sum(p, r):
+    expected = sum(_gaussian_binomial(r, k, p) for k in range(r + 1))
+    assert len(all_subgroups(FinAbGroup((p,) * r))) == expected

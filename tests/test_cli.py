@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from isodec import FinAbGroup, MatZ, Subgroup, all_subgroups, index_and_quotient
 from isodec.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -333,6 +334,19 @@ def test_subgroups_kernels_agree_with_characters():
     irreps = json.loads(out)["irreps"]
     assert [s["hnf"] for s in subs] == [w["kernel_hnf"] for w in irreps]
     assert all(s["cyclic_quotient"] for s in subs)
+
+
+@pytest.mark.parametrize("group", ["2,4,8", "6,6"])
+def test_subgroups_quotients_agree_with_index_and_quotient(group):
+    code, out, _ = run_cli(["subgroups", "--group", group, "--json"])
+    assert code == 0
+    obj = json.loads(out)
+    g = FinAbGroup(tuple(obj["group"]))
+    assert len(obj["subgroups"]) == len(all_subgroups(g))
+    for entry in obj["subgroups"]:
+        info = index_and_quotient(g, Subgroup(g, MatZ.from_jsonable(entry["hnf"])))
+        assert entry["quotient_invariants"] == [d for d in info.invariants if d > 1]
+        assert entry["cyclic_quotient"] == info.is_cyclic
 
 
 def test_entry_point_module():

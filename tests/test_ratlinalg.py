@@ -2,7 +2,7 @@ import doctest
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import isodec.ratlinalg as ratlinalg
@@ -250,6 +250,29 @@ def test_smith_transforms_are_unimodular_and_exact(rows):
     diag = [d.entries[i][i] for i in range(3)]
     assert all(x > 0 for x in diag)
     assert all(diag[i + 1] % diag[i] == 0 for i in range(2))
+
+
+def square_int_matrix():
+    """Square integer matrices with negative entries, and diagonal ones whose
+    entries are out of divisibility order (they need the chain fix-up)."""
+    dense = st.integers(min_value=1, max_value=4).flatmap(lambda n: int_matrix(n, n))
+    nonzero = st.integers(min_value=-12, max_value=12).filter(bool)
+    diagonal = st.lists(nonzero, min_size=1, max_size=4).map(
+        lambda d: [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+    )
+    return st.one_of(dense, diagonal)
+
+
+@given(square_int_matrix())
+@example([[2, 0], [0, 3]])
+@example([[-4, 0], [0, 6]])
+@example([[6, 0, 0], [0, -4, 0], [0, 0, 9]])
+@settings(max_examples=150)
+def test_snf_invariants_equal_the_smith_diagonal(rows):
+    m = MatZ(tuple(tuple(r) for r in rows))
+    assume(det_int(m) != 0)
+    d, _, _, _ = smith_with_transforms(m)
+    assert snf_invariants(m) == tuple(d.entries[i][i] for i in range(m.rows))
 
 
 def test_snf_requires_nonsingular():
