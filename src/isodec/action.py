@@ -18,16 +18,25 @@ The three geometric constructions:
         minimal overgroups H of K (the defining formula), and
     (2) as the image of the central idempotent e_W.
 
-How the matrices are formed.  No idempotent is summed over all of G.  For a
-subgroup H, p_H is the product of one cyclic factor per HNF row h of H,
-each the average of rho(j * h) over j < ord(h) (p_A p_B = p_{A+B} in an
-abelian group).  Route (1) takes images of these p_H and of differences
-p_K - p_H.  Route (2) writes e_W = p_K * (1/n) sum_{j<n} c_n(j) rho(j * x),
-for n = [G:K], x a generator of G/K and c_n the Ramanujan sum: n matrices
-and one dim^3 product beyond p_K.  When |G| <= n + |K| + dim (the regular
-representation, say) that product costs more than the |G|-term sum, and e_W
-is expanded as ``algebra_matrix(A, central_idempotent(W))`` instead.  Both
-forms are the same element of Q[G], so both give the same matrix.
+How the matrices are formed.  Every rho(g) comes from one memo per action,
+element index -> rho(g), which starts out holding the identity; each new
+entry costs one product.  It is filled two ways: by a running product along
+a step, rho(g + s) = rho(g) @ rho(s) (validation and the cyclic factors
+below), and by ``action_matrix``, which walks back from g to an element
+already held and multiplies forward by generator matrices.  Validation forms
+rho only on the Sylow subgroups of G and on the walks to their generators,
+not on all of G.
+
+No idempotent is summed over all of G.  For a subgroup H, p_H is the product
+of one cyclic factor per HNF row h of H, each the average of rho(j * h) over
+j < ord(h) (p_A p_B = p_{A+B} in an abelian group).  Route (1) takes images
+of these p_H and of differences p_K - p_H.  Route (2) writes
+e_W = p_K * (1/n) sum_{j<n} c_n(j) rho(j * x), for n = [G:K], x a generator
+of G/K and c_n the Ramanujan sum: n matrices and one dim^3 product beyond
+p_K.  When |G| <= n + |K| + dim (the regular representation, say) that
+product costs more than the |G|-term sum, and e_W is expanded as
+``algebra_matrix(A, central_idempotent(W))`` instead.  Both forms are the
+same element of Q[G], so both give the same matrix.
 
 ``isotypical_decomposition`` assembles all components, checks that dimensions
 are additive and exhaust the space, and derives multiplicities.
@@ -48,6 +57,7 @@ from .abgroup import (
 )
 from .chars import RationalIrrep, ramanujan_sum, rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
+from .numtheory import factorint, prime_divisors
 from .qalgebra import GroupAlgebraElem, central_idempotent
 from .ratlinalg import MatQ, SubspaceQ, image_space, intersect_spaces, sum_spaces
 
@@ -63,9 +73,6 @@ __all__ = [
     "IsotypicalComponent",
     "IsotypicalReport",
 ]
-
-# Cache the full g -> rho(g) table only while |G| * dim^2 stays this small.
-_TABLE_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,10 @@ class GAction:
     name: str | None = None
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
+    def __post_init__(self):
+        # the memo of rho: element index -> rho(g), never without the identity
+        self._cache.setdefault("rho", {0: MatQ.identity(self.dim)})
+
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"GAction({self.group.moduli} on Q^{self.dim}{label})"
@@ -98,6 +109,11 @@ def validate_action(group: FinAbGroup, matrices, name: str | None = None) -> GAc
     generator matrices do not commute.  A non-faithful action is legal but
     recorded with a warning (components for representations that the kernel
     does not fix are forced to zero).
+
+    The action kernel K is the sum of its Sylow parts K & G_p, with G_p
+    generated by (n_j / p^v_p(n_j)) * e_j.  So rho is formed, into the
+    action's memo, only on each G_p and on the way to its generators, not on
+    all of G (unless G is a p-group).
     """
     mats = tuple(matrices)
     k = group.rank
@@ -121,18 +137,18 @@ def validate_action(group: FinAbGroup, matrices, name: str | None = None) -> GAc
             if mats[i] @ mats[j] != mats[j] @ mats[i]:
                 raise ValidationError(f"generators {i + 1} and {j + 1} do not commute")
 
-    cache: dict = {}
+    rho = {0: MatQ.identity(dim)}
     kernel_gens = []
-    if group.order * dim * dim <= _TABLE_BUDGET:
-        table = list(_matrix_iter(group, mats))
-        cache["table"] = tuple(table)
-        kernel_gens = [
-            group.element_of_index(i) for i, m in enumerate(table) if m.is_identity()
-        ]
-    else:
-        for g, m in zip(group.elements(), _matrix_iter(group, mats)):
-            if m.is_identity():
-                kernel_gens.append(g)
+    for p in prime_divisors(group.order):
+        sylow = [((0,) * k, rho[0])]
+        for j, n in enumerate(group.moduli):
+            q = p ** dict(factorint(n)).get(p, 0)
+            if q == 1:
+                continue
+            s = tuple(n // q if t == j else 0 for t in range(k))
+            step = _walk(rho, group, mats, s)
+            sylow = [e for g, _ in sylow for e in _run(rho, group, g, s, step, q)]
+        kernel_gens += [g for g, m in sylow if m.is_identity()]
     action_kernel = subgroup_from_generators(group, kernel_gens)
     faithful = action_kernel.order == 1
     warnings = ()
@@ -141,52 +157,54 @@ def validate_action(group: FinAbGroup, matrices, name: str | None = None) -> GAc
             "action is not faithful: a subgroup of order "
             f"{action_kernel.order} acts trivially",
         )
-    return GAction(group, mats, dim, faithful, action_kernel, warnings, name, cache)
+    return GAction(
+        group, mats, dim, faithful, action_kernel, warnings, name, {"rho": rho}
+    )
 
 
-def _matrix_iter(group: FinAbGroup, mats: tuple[MatQ, ...]):
-    """rho(g) for every g in index order, using O(|G|) multiplications.
+def _run(rho: dict, group: FinAbGroup, g, s, step: MatQ, count: int):
+    """(exps, rho) of g + j * s for j < count, for exponent tuples g and s
+    with rho(g) in the memo and step = rho(s).
 
-    Recursively: for each exponent of the leading generator, multiply the
-    current prefix into every matrix produced for the remaining generators.
+    A running product: each entry not yet in the memo costs one product
+    rho(g + (j-1) s) @ step, and is stored.
     """
-    dim = mats[0].rows
-
-    def rec(j: int, prefix: MatQ):
-        if j == len(mats):
-            yield prefix
-            return
-        cur = prefix
-        for e in range(group.moduli[j]):
-            yield from rec(j + 1, cur)
-            if e + 1 < group.moduli[j]:
-                cur = cur @ mats[j]
-
-    yield from rec(0, MatQ.identity(dim))
+    cur = rho[group.index_of(g)]
+    for j in range(count):
+        if j:
+            g = tuple((a + e) % n for a, e, n in zip(g, s, group.moduli))
+            i = group.index_of(g)
+            m = rho.get(i)
+            if m is None:
+                m = rho[i] = cur @ step
+            cur = m
+        yield g, cur
 
 
-def _table(action: GAction):
-    """The cached g -> rho(g) table, or None when above the size budget."""
-    if "table" in action._cache:
-        return action._cache["table"]
-    if action.group.order * action.dim * action.dim <= _TABLE_BUDGET:
-        action._cache["table"] = tuple(_matrix_iter(action.group, action.gen_matrices))
-        return action._cache["table"]
-    return None
+def _walk(rho: dict, group: FinAbGroup, mats, exps) -> MatQ:
+    """rho of the element with these exponents, through the memo.
+
+    Walks back from it, lowering its last nonzero coordinate, to an element
+    already held, then forward by generator matrices: one product per new
+    entry.
+    """
+    i, exps, path = group.index_of(exps), list(exps), []
+    while i not in rho:
+        j = max(t for t, e in enumerate(exps) if e)
+        path.append((i, j))
+        exps[j] -= 1
+        i = group.index_of(exps)
+    m = rho[i]
+    for i, j in reversed(path):
+        m = rho[i] = m @ mats[j]
+    return m
 
 
 def action_matrix(action: GAction, g: GroupElement) -> MatQ:
-    """rho(g), from the cached table when available."""
+    """rho(g), memoized per action (see ``_walk``)."""
     if g.group != action.group:
         raise PreconditionError("element of a different group")
-    table = _table(action)
-    if table is not None:
-        return table[g.index()]
-    m = MatQ.identity(action.dim)
-    for e, gen in zip(g.exps, action.gen_matrices):
-        if e:
-            m = m @ (gen ** e)
-    return m
+    return _walk(action._cache["rho"], action.group, action.gen_matrices, g.exps)
 
 
 def _combination(dim: int, terms, den: int) -> MatQ:
@@ -219,51 +237,26 @@ def algebra_matrix(action: GAction, x: GroupAlgebraElem) -> MatQ:
     """The matrix of a group-algebra element: sum of x(g) * rho(g).
 
     One term per nonzero coefficient, so the cost grows with the support of
-    x (up to |G|) times dim^2.
+    x (up to |G|) times dim^2.  Read in index order, each rho(g) not yet in
+    the memo costs one product.
     """
     if x.group != action.group:
         raise PreconditionError("group algebra element of a different group")
-    group = action.group
-    table = _table(action)
     terms = (
-        (
-            num,
-            table[i] if table is not None
-            else action_matrix(action, group.element_of_index(i)),
-        )
-        for i, num in enumerate(x.nums)
+        (num, action_matrix(action, g))
+        for g, num in zip(action.group.elements(), x.nums)
         if num
     )
     return _combination(action.dim, terms, x.den)
 
 
-def _multiples(action: GAction, g: GroupElement, count: int):
-    """rho(j * g) for j = 0, ..., count - 1.
-
-    Looked up in the cached table when there is one; otherwise a running
-    product, one multiplication per step.
-    """
-    table = _table(action)
-    if table is not None:
-        group = action.group
-        exps = (0,) * group.rank
-        for _ in range(count):
-            yield table[group.index_of(exps)]
-            exps = tuple((a + e) % n for a, e, n in zip(exps, g.exps, group.moduli))
-        return
-    step = action_matrix(action, g)
-    cur = MatQ.identity(action.dim)
-    for j in range(count):
-        yield cur
-        if j + 1 < count:
-            cur = cur @ step
-
-
 def _cyclic_factor(action: GAction, g: GroupElement, coeffs, den: int) -> MatQ:
-    """(1/den) * sum over j < len(coeffs) of coeffs[j] * rho(j * g)."""
-    terms = (
-        (c, m) for c, m in zip(coeffs, _multiples(action, g, len(coeffs))) if c
-    )
+    """(1/den) * sum over j < len(coeffs) of coeffs[j] * rho(j * g), with
+    rho(j * g) a running product along g through the memo."""
+    step = action_matrix(action, g)
+    zero = (0,) * action.group.rank
+    run = _run(action._cache["rho"], action.group, zero, g.exps, step, len(coeffs))
+    terms = ((c, m) for c, (_, m) in zip(coeffs, run) if c)
     return _combination(action.dim, terms, den)
 
 

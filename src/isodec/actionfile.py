@@ -87,9 +87,11 @@ def check_max_order(group: FinAbGroup, max_order: int | None) -> None:
     """Refuse a group whose order exceeds the cap set by ``--max-order``
     (no cap when None)."""
     if max_order is not None and group.order > max_order:
-        raise ValidationError(
-            f"group order {group.order} exceeds --max-order {max_order}"
-        )
+        try:
+            order = str(group.order)
+        except ValueError:  # more digits than the interpreter converts
+            order = f"of {group.order.bit_length()} bits"
+        raise ValidationError(f"group order {order} exceeds --max-order {max_order}")
 
 
 def parse_action_file(text: str) -> GAction:
@@ -104,8 +106,10 @@ def load_action_file(text: str, max_order: int | None = None) -> ActionFile:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a syntax error, or an integer over the digit limit
         raise ValidationError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ValidationError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValidationError("top level must be a JSON object")
     if "group" not in obj:

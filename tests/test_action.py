@@ -6,6 +6,7 @@ import pytest
 from conftest import perm_matrix
 from isodec import (
     FinAbGroup,
+    GAction,
     all_subgroups,
     MatQ,
     PreconditionError,
@@ -33,7 +34,6 @@ from isodec.qalgebra import (
     from_terms,
     identity,
 )
-import isodec.action
 from isodec.action import _avg_matrix, _central_matrix
 
 
@@ -133,18 +133,87 @@ def test_action_matrix_is_a_homomorphism():
         ) @ action_matrix(af.action, h)
 
 
-def test_action_matrix_without_cached_table(monkeypatch):
-    monkeypatch.setattr(isodec.action, "_TABLE_BUDGET", 0)
-    group = FinAbGroup((4, 3))
-    af = make_fixture(FixtureSpec("semisimple", moduli=(4, 3)))
-    action = validate_action(group, af.action.gen_matrices)
-    assert action._cache.get("table") is None
-    table = list(isodec.action._matrix_iter(group, action.gen_matrices))
-    for g in group.elements():
-        assert action_matrix(action, g) == table[g.index()]
-    rep = isotypical_decomposition(action)
-    assert sum(c.dim for c in rep.components) == action.dim
-    assert_factored_idempotents_match_expanded_sums(action)
+def rho_by_powers(action, g) -> MatQ:
+    """prod_j M_j ** e_j, computed without the memo."""
+    m = MatQ.identity(action.dim)
+    for e, gen in zip(g.exps, action.gen_matrices):
+        m = m @ gen ** e
+    return m
+
+
+def test_action_matrix_from_a_cold_memo(monkeypatch):
+    # in any order, each rho(g) not yet in the memo costs one product
+    products = 0
+    matmul = MatQ.__matmul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return matmul(a, b)
+
+    for moduli in [(4, 3), (2, 2, 6)]:
+        group = FinAbGroup(moduli)
+        validated = make_fixture(
+            FixtureSpec("random-conjugated", moduli=moduli, seed=2, max_dim=12)
+        ).action
+        action = GAction(
+            group,
+            validated.gen_matrices,
+            validated.dim,
+            validated.faithful,
+            validated.action_kernel,
+        )
+        elements = list(group.elements())
+        random.Random(5).shuffle(elements)
+        with monkeypatch.context() as m:
+            m.setattr(MatQ, "__matmul__", counted)
+            products = 0
+            got = [action_matrix(action, g) for g in elements]
+            assert products == group.order - 1
+        for g, rho_g in zip(elements, got):
+            assert rho_g == rho_by_powers(action, g)
+        rep = isotypical_decomposition(action)
+        assert sum(c.dim for c in rep.components) == action.dim
+        assert rep.components == isotypical_decomposition(validated).components
+        assert_factored_idempotents_match_expanded_sums(action)
+
+
+@pytest.mark.parametrize(
+    "moduli,trivial_on",
+    [
+        ((12, 18), [(6, 0), (0, 6)]),
+        ((4, 6), [(2, 0), (0, 2)]),
+        ((2, 2, 6), [(1, 0, 0), (0, 0, 2)]),
+        ((30,), [(5,)]),
+        ((6, 10), [(2, 0), (0, 5)]),
+        ((1, 5), [(0, 1)]),
+    ],
+)
+def test_action_kernel_equals_brute_force_kernel(moduli, trivial_on):
+    # only irreducibles whose kernel holds trivial_on (of order 6 except on
+    # (1, 5), so with parts at two primes) appear
+    group = FinAbGroup(moduli)
+    forced = subgroup_from_generators(group, trivial_on)
+    mult, budget = [], 12
+    for w in rational_irreps(group):
+        take = forced.is_contained_in(w.kernel) and w.degree <= budget
+        mult.append(int(take))
+        budget -= w.degree * take
+    af = make_fixture(
+        FixtureSpec(
+            "random-conjugated", moduli=moduli, multiplicities=tuple(mult), seed=3
+        )
+    )
+    for action in (af.action, rationally_conjugated(af.action, seed=4)):
+        kernel = {
+            g.exps
+            for g in group.elements()
+            if rho_by_powers(action, g).is_identity()
+        }
+        assert {g.exps for g in forced.elements()} <= kernel
+        assert {g.exps for g in action.action_kernel.elements()} == kernel
+        assert not action.faithful
+        assert "not faithful" in action.warnings[0]
 
 
 def test_algebra_matrix_is_linear_and_multiplicative():

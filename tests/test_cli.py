@@ -3,11 +3,19 @@ import io
 import json
 import os
 import pathlib
+import sys
 import time
 
 import pytest
 
-from isodec import FinAbGroup, MatZ, Subgroup, all_subgroups, index_and_quotient
+from isodec import (
+    FinAbGroup,
+    MatZ,
+    Subgroup,
+    all_subgroups,
+    index_and_quotient,
+    load_action_file,
+)
 from isodec.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -161,6 +169,44 @@ def test_invalid_action_exits_2(tmp_path):
     assert "M^2 != I" in err
 
 
+def test_deeply_nested_json_exits_2(tmp_path):
+    deep = tmp_path / "deep.json"
+    depth = 100_000
+    deep.write_text(
+        '{"group":[2],"generators":[[[1]]],"name":' + "[" * depth + "]" * depth + "}"
+    )
+    code, _, err = run_cli(["decompose", str(deep)])
+    assert code == 2
+    assert err == "error: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+)
+def test_modulus_over_the_integer_digit_limit_exits_2(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the integer digit limit is switched off")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"group":[' + "9" * (limit + 1) + '],"generators":[[[1]]]}')
+    code, _, err = run_cli(["decompose", str(huge)])
+    assert code == 2
+    assert err.startswith("error: invalid JSON:")
+
+
+def test_group_order_too_long_to_print_exits_2(tmp_path):
+    # each modulus has 3001 digits, their product 6001
+    big = tmp_path / "big.json"
+    n = "1" + "0" * 3000
+    big.write_text('{"group":[%s,%s],"generators":[[[1]],[[1]]]}' % (n, n))
+    code, _, err = run_cli(["decompose", str(big)])
+    assert code == 2
+    assert "exceeds --max-order 10000" in err
+    code, _, err = run_cli(["characters", "--group", f"{n},{n}"])
+    assert code == 2
+    assert "exceeds --max-order 10000" in err
+
+
 def test_bad_group_argument_exits_2():
     code, _, err = run_cli(["characters", "--group", "6;7"])
     assert code == 2
@@ -235,6 +281,26 @@ def test_decompose_of_a_large_group_is_fast(tmp_path):
     got = {str(c["kernel_hnf"]): c["multiplicity"] for c in report["components"]}
     assert got == {str(g["kernel_hnf"]): g["multiplicity"] for g in truth}
     assert sorted(v for v in got.values() if v) == [1, 1]
+
+
+def test_fixture_of_a_large_group_at_dim_24_is_fast(tmp_path):
+    # validating by a running product over all 10000 elements took 15 s
+    path = tmp_path / "wide24.json"
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        ["fixture", "random-conjugated", "--group", "100,100", "--max-dim", "24",
+         "-o", str(path)]
+    )
+    assert time.perf_counter() - start < 6
+    assert code == 0, err
+    text = path.read_text()
+    truth = json.loads(text)["ground_truth"]
+    af = load_action_file(text)
+    assert af.action.group.moduli == (100, 100)
+    assert af.action.dim == 24
+    assert af.ground_truth == tuple(
+        (MatZ.from_jsonable(g["kernel_hnf"]), g["multiplicity"]) for g in truth
+    )
 
 
 def test_non_cyclic_roan_and_verify_exit_3(tmp_path):
