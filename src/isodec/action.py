@@ -36,7 +36,25 @@ of G/K and c_n the Ramanujan sum: n matrices and one dim^3 product beyond
 p_K.  When |G| <= n + |K| + dim (the regular representation, say) that
 product costs more than the |G|-term sum, and e_W is expanded as
 ``algebra_matrix(A, central_idempotent(W))`` instead.  Both forms are the
-same element of Q[G], so both give the same matrix.
+same element of Q[G], so both give the same matrix.  For the trivial class
+e_W is p_G, which route (1) already takes the image of; route (2) reads
+A^G as the intersection of the kernels of M_j - 1 instead.
+
+Decomposing along the candidates.  Roan's filtration, applied one generator
+at a time, shows which classes can be nonzero before any idempotent is
+built.  ``isotypical_decomposition`` first splits V jointly under the Sylow
+parts of the generators: for each generator j and each p^a exactly dividing
+n_j, with s = (n_j / p^a) * e_j, every piece is peeled into the parts where
+rho(s) has eigenvalue order 1, p, ..., p^a (the kernel and image of
+rho(p^i * s) - 1, for i < a).  Those rho(p^i * s) are in the memo from
+validation.  A class W lies in the piece whose signature is, per (j, p), the
+p-part of n_j / gcd(n_j, r_j) for its representative r.  Both routes run
+only on the classes whose piece is nonzero, the candidates; every other
+class gets the zero subspace.  The checks that the components add up
+without overlap and span the space certify those zeros: the isotypical
+components form a direct sum, so once the candidates fill V every other
+component is 0.  A split that wrongly left out a nonzero class would fail
+the span check.
 
 ``isotypical_decomposition`` assembles all components, checks that dimensions
 are additive and exhaust the space, and derives multiplicities.
@@ -45,7 +63,7 @@ are additive and exhaust the space, and derives multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
 
 from .abgroup import (
     FinAbGroup,
@@ -59,7 +77,14 @@ from .chars import RationalIrrep, ramanujan_sum, rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
 from .numtheory import factorint, prime_divisors
 from .qalgebra import GroupAlgebraElem, central_idempotent
-from .ratlinalg import MatQ, SubspaceQ, image_space, intersect_spaces, sum_spaces
+from .ratlinalg import (
+    MatQ,
+    SubspaceQ,
+    image_space,
+    intersect_spaces,
+    kernel_and_image,
+    sum_spaces,
+)
 
 __all__ = [
     "GAction",
@@ -145,7 +170,7 @@ def validate_action(group: FinAbGroup, matrices, name: str | None = None) -> GAc
             q = p ** dict(factorint(n)).get(p, 0)
             if q == 1:
                 continue
-            s = tuple(n // q if t == j else 0 for t in range(k))
+            s = _unit(group, j, n // q)
             step = _walk(rho, group, mats, s)
             sylow = [e for g, _ in sylow for e in _run(rho, group, g, s, step, q)]
         kernel_gens += [g for g, m in sylow if m.is_identity()]
@@ -198,6 +223,11 @@ def _walk(rho: dict, group: FinAbGroup, mats, exps) -> MatQ:
     for i, j in reversed(path):
         m = rho[i] = m @ mats[j]
     return m
+
+
+def _unit(group: FinAbGroup, j: int, e: int) -> tuple[int, ...]:
+    """The exponents of e * e_j."""
+    return tuple(e if t == j else 0 for t in range(group.rank))
 
 
 def action_matrix(action: GAction, g: GroupElement) -> MatQ:
@@ -329,8 +359,10 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     images of p_K - p_H, with each p_H a product of cyclic factors.  Route
     two is the image of the central idempotent e_W: p_K times one cyclic
     factor of n = [G:K] terms in the generator x of G/K, or the |G|-term sum
-    when |G| <= n + |K| + dim.  Disagreement raises InternalCheckError — it
-    would mean the algebra identity behind the construction failed.
+    when |G| <= n + |K| + dim.  For the trivial class, e_W = p_G, so route
+    two reads A^G off the generators instead, as the intersection of the
+    kernels of M_j - 1.  Disagreement raises InternalCheckError — it would
+    mean the algebra identity behind the construction failed.
     """
     if w.group != action.group:
         raise PreconditionError("representation of a different group")
@@ -348,12 +380,19 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
         by_intersection = parts[0]
         for p in parts[1:]:
             by_intersection = intersect_spaces(by_intersection, p)
-    if action.group.order <= info.index + k_sub.order + action.dim:
+    if info.index == 1:
+        # e_W = p_G, which route one just used: A^G read off the generators
+        by_idempotent = SubspaceQ.full(action.dim)
+        eye = MatQ.identity(action.dim)
+        for m in action.gen_matrices:
+            by_idempotent, _ = kernel_and_image(m - eye, by_idempotent)
+    elif action.group.order <= info.index + k_sub.order + action.dim:
         # the dim^3 product would cost more than the |G|-term sum
-        e_w = algebra_matrix(action, central_idempotent(w))
+        by_idempotent = image_space(algebra_matrix(action, central_idempotent(w)))
     else:
-        e_w = _central_matrix(action, k_sub, info.index, info.generator)
-    by_idempotent = image_space(e_w)
+        by_idempotent = image_space(
+            _central_matrix(action, k_sub, info.index, info.generator)
+        )
     if by_intersection != by_idempotent:
         raise InternalCheckError(
             "isotypical component mismatch: the intersection of complements "
@@ -409,28 +448,89 @@ class IsotypicalReport:
         }
 
 
+def _sylow_parts(group: FinAbGroup) -> tuple[tuple[int, int, int], ...]:
+    """(j, p, a) for each generator j and each prime power p^a exactly
+    dividing n_j: the coordinates of a signature."""
+    return tuple(
+        (j, p, a) for j, n in enumerate(group.moduli) for p, a in factorint(n)
+    )
+
+
+def _signature(w: RationalIrrep, parts) -> tuple[int, ...]:
+    """Per (j, p, a) of ``_sylow_parts``, the order of the eigenvalue of
+    rho((n_j / p^a) * e_j) on W: the p-part of n_j / gcd(n_j, r_j) for the
+    representative r.  Galois conjugates share it."""
+    r = w.representative.exps
+    return tuple(p**a // gcd(p**a, r[j]) for j, p, a in parts)
+
+
+def _sylow_split(action: GAction) -> dict[tuple[int, ...], SubspaceQ]:
+    """The nonzero joint pieces of V under the Sylow parts of the
+    generators, by signature (see ``_signature``).
+
+    For s = (n_j / p^a) * e_j, each piece Y is peeled in order i < a: the
+    kernel of rho(p^i * s) - 1 on Y is the part where rho(s) has eigenvalue
+    order p^i, and the image is the rest, of order above p^i.  What remains
+    has order p^a.  Every rho(p^i * s) is one that ``validate_action``
+    formed for the Sylow subgroup of p.
+    """
+    group, rho = action.group, action._cache["rho"]
+    eye = MatQ.identity(action.dim)
+    pieces = {(): SubspaceQ.full(action.dim)}
+    for j, p, a in _sylow_parts(group):
+        step = group.moduli[j] // p**a
+        ts = [
+            _walk(rho, group, action.gen_matrices, _unit(group, j, step * p**i))
+            - eye
+            for i in range(a)
+        ]
+        split = {}
+        for sig, y in pieces.items():
+            for i, t in enumerate(ts):
+                b, y = kernel_and_image(t, y)
+                if b.dim:
+                    split[sig + (p**i,)] = b
+                if not y.dim:
+                    break
+            else:
+                split[sig + (p**a,)] = y
+        pieces = split
+    return pieces
+
+
 def isotypical_decomposition(action: GAction) -> IsotypicalReport:
     """Decompose the action space into isotypical components.
 
     Components appear in the canonical order of the irreducibles (kernel
-    index ascending).  Internal checks: each component dimension must be a
-    multiple of the irreducible's degree, the dimensions must add up without
-    overlap, and the components must span the whole space.
+    index ascending).  Both routes run only on the candidates, the classes
+    whose signature names a nonzero piece of ``_sylow_split``; every other
+    class gets the zero subspace.  Internal checks: each component dimension
+    must be a multiple of the irreducible's degree, the dimensions must add
+    up without overlap, and the components must span the whole space.  The
+    last one is what certifies the classes left out: the components form a
+    direct sum, so once the candidates fill the space every other one is 0.
     """
     irreps = rational_irreps(action.group)
+    parts = _sylow_parts(action.group)
+    candidates = _sylow_split(action).keys()
+    zero = SubspaceQ.zero(action.dim)
     components = []
-    running = SubspaceQ.zero(action.dim)
+    running = zero
     for w in irreps:
-        s = isotypical_component(action, w)
+        if _signature(w, parts) in candidates:
+            s = isotypical_component(action, w)
+        else:
+            s = zero
         if s.dim % w.degree:
             raise InternalCheckError(
                 f"component dimension {s.dim} is not a multiple of degree {w.degree}"
             )
         mult = s.dim // w.degree
-        new_running = sum_spaces(running, s)
-        if new_running.dim != running.dim + s.dim:
-            raise InternalCheckError("isotypical components overlap")
-        running = new_running
+        if s.dim:
+            new_running = sum_spaces(running, s)
+            if new_running.dim != running.dim + s.dim:
+                raise InternalCheckError("isotypical components overlap")
+            running = new_running
         components.append(IsotypicalComponent(w, s, mult))
     if running.dim != action.dim:
         raise InternalCheckError("isotypical components do not span the space")

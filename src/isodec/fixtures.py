@@ -143,21 +143,22 @@ def _paper_example(p: int, q: int, multiplicities, max_order: int | None) -> Act
 
 
 def _random_unimodular(dim: int, rng: random.Random) -> MatQ:
-    """A product of about 2*dim integer shears: unimodular, exactly invertible."""
-    rows = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    m = MatQ(rows)
-    if dim == 1:
-        return m
-    for _ in range(2 * dim):
-        i = rng.randrange(dim)
-        j = rng.randrange(dim)
-        while j == i:
+    """A product of about 2*dim integer shears: unimodular, exactly invertible.
+
+    Multiplying by the shear I + c * E_ij on the right adds c times column i
+    to column j, so each shear is one column operation.
+    """
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    if dim > 1:
+        for _ in range(2 * dim):
+            i = rng.randrange(dim)
             j = rng.randrange(dim)
-        c = rng.choice((-1, 1))
-        shear = [[Fraction(int(a == b)) for b in range(dim)] for a in range(dim)]
-        shear[i][j] = Fraction(c)
-        m = m @ MatQ(shear)
-    return m
+            while j == i:
+                j = rng.randrange(dim)
+            c = rng.choice((-1, 1))
+            for row in rows:
+                row[j] += c * row[i]
+    return MatQ._raw(rows, 1)
 
 
 def _random_multiplicities(group: FinAbGroup, rng: random.Random, max_dim: int):

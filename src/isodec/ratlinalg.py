@@ -38,6 +38,7 @@ __all__ = [
     "kernel_space",
     "image_space",
     "intersect_spaces",
+    "kernel_and_image",
     "sum_spaces",
     "hnf",
     "det_int",
@@ -200,13 +201,17 @@ class MatQ:
             raise ValueError("power of a non-square matrix")
         if n < 0:
             raise ValueError("negative matrix powers are not supported")
-        acc = MatQ.identity(self.rows)
+        if n == 0:
+            return MatQ.identity(self.rows)
+        # the accumulator starts at the lowest set bit's power, not at I
+        acc = None
         base = self
         while n:
             if n & 1:
-                acc = acc @ base
-            base = base @ base if n > 1 else base
+                acc = base if acc is None else acc @ base
             n >>= 1
+            if n:
+                base = base @ base
         return acc
 
     def trace(self) -> Fraction:
@@ -542,6 +547,24 @@ def intersect_spaces(u: SubspaceQ, v: SubspaceQ) -> SubspaceQ:
     ]
     coeffs = [row[:p] for row in _kernel_rows(stacked, p + q)]
     return SubspaceQ(n, _dot_rows(coeffs, list(zip(*urows))))
+
+
+def kernel_and_image(t: MatQ, y: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
+    """ker T ∩ Y and T(Y), for a square T and a subspace Y of its space.
+
+    One product gives the rows T b_j, for the basis rows b_j of Y: they span
+    T(Y), and the coefficient rows c with sum c_j T b_j = 0 are the
+    coordinates of ker T ∩ Y.  Everything stays of size dim Y by dim T.  When
+    T is semisimple and Y is T-invariant (a power of a finite-order operator
+    minus 1, on a piece it preserves), Y is the direct sum of the two.
+    """
+    if t.rows != t.cols or t.cols != y.ambient_dim:
+        raise PreconditionError("operator and subspace dimensions do not match")
+    n = y.ambient_dim
+    images = _dot_rows(y.basis.num, t.num)  # images[j] = T b_j
+    coeffs = _kernel_rows(list(zip(*images)), y.dim)
+    kernel = SubspaceQ(n, _dot_rows(coeffs, list(zip(*y.basis.num))))
+    return kernel, SubspaceQ(n, images)
 
 
 # ---------------------------------------------------------------------------

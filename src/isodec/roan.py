@@ -27,13 +27,11 @@ from .errors import InternalCheckError, PreconditionError
 from .numtheory import divisors
 from .ratlinalg import (
     MatQ,
-    PolyQ,
     SubspaceQ,
     char_poly,
     cyclotomic,
-    image_space,
-    intersect_spaces,
-    kernel_space,
+    image_space,  # unused; bench/tests/test_bench.py checks its traced binding
+    kernel_and_image,
     restrict_operator,
 )
 
@@ -102,11 +100,6 @@ class RoanReport:
         }
 
 
-def _image_within(t: MatQ, y: SubspaceQ) -> SubspaceQ:
-    """The image of t restricted to y: row j of y.basis @ t^T is t b_j."""
-    return SubspaceQ(y.ambient_dim, (y.basis @ t.transpose()).num)
-
-
 def roan_decomposition(m: MatQ, d: int) -> RoanReport:
     """Split a space under an order-d operator along the eigenvalue orders.
 
@@ -123,8 +116,7 @@ def roan_decomposition(m: MatQ, d: int) -> RoanReport:
     components = []
     for d_i in orders:
         t = eye - (m ** d_i)
-        b = intersect_spaces(y, kernel_space(t))
-        y_next = _image_within(t, y)
+        b, y_next = kernel_and_image(t, y)
         if b.dim + y_next.dim != y.dim:
             raise InternalCheckError("filtration step is not a direct splitting")
         if not y.contains_subspace(y_next):

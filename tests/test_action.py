@@ -26,6 +26,8 @@ from isodec import (
     subgroup_from_generators,
     validate_action,
 )
+from isodec.actionfile import serialize_action_file
+from isodec.errors import InternalCheckError
 from isodec.fixtures import FixtureSpec
 from isodec.numtheory import totient
 from isodec.qalgebra import (
@@ -34,7 +36,10 @@ from isodec.qalgebra import (
     from_terms,
     identity,
 )
-from isodec.action import _avg_matrix, _central_matrix
+import isodec.action as action_module
+from isodec.action import _avg_matrix, _central_matrix, _signature, _sylow_parts
+
+from test_cli import run_cli
 
 
 def assert_factored_idempotents_match_expanded_sums(action):
@@ -50,6 +55,17 @@ def assert_factored_idempotents_match_expanded_sums(action):
         assert _central_matrix(
             action, w.kernel, info.index, info.generator
         ) == algebra_matrix(action, central_idempotent(w))
+
+
+def through_quotient(group, sub, budget):
+    """Multiplicities with one copy of each class whose kernel holds sub,
+    while the dimension stays within budget."""
+    mult = []
+    for w in rational_irreps(group):
+        take = sub.is_contained_in(w.kernel) and w.degree <= budget
+        mult.append(int(take))
+        budget -= w.degree * take
+    return tuple(mult)
 
 
 def rationally_conjugated(action, seed):
@@ -194,14 +210,12 @@ def test_action_kernel_equals_brute_force_kernel(moduli, trivial_on):
     # (1, 5), so with parts at two primes) appear
     group = FinAbGroup(moduli)
     forced = subgroup_from_generators(group, trivial_on)
-    mult, budget = [], 12
-    for w in rational_irreps(group):
-        take = forced.is_contained_in(w.kernel) and w.degree <= budget
-        mult.append(int(take))
-        budget -= w.degree * take
     af = make_fixture(
         FixtureSpec(
-            "random-conjugated", moduli=moduli, multiplicities=tuple(mult), seed=3
+            "random-conjugated",
+            moduli=moduli,
+            multiplicities=through_quotient(group, forced, 12),
+            seed=3,
         )
     )
     for action in (af.action, rationally_conjugated(af.action, seed=4)):
@@ -413,13 +427,10 @@ def test_factored_idempotents_on_non_faithful_actions(moduli, kernel_gens):
     # one copy of each class through G/S while the dimension stays <= 8
     group = FinAbGroup(moduli)
     s = subgroup_from_generators(group, kernel_gens)
-    mult, budget = [], 8
-    for w in rational_irreps(group):
-        take = s.is_contained_in(w.kernel) and w.degree <= budget
-        mult.append(int(take))
-        budget -= w.degree * take
     af = make_fixture(
-        FixtureSpec("semisimple", moduli=moduli, multiplicities=tuple(mult))
+        FixtureSpec(
+            "semisimple", moduli=moduli, multiplicities=through_quotient(group, s, 8)
+        )
     )
     action = af.action
     assert not action.faithful
@@ -457,3 +468,88 @@ def test_report_jsonable_shape():
                    "multiplicity", "dim", "basis"}
         for c in obj["components"]
     )
+
+
+# ----------------------------------------------------- candidate classes
+
+
+def candidate_actions(moduli, kernel_gens):
+    """An integral, a rationally conjugated and a non-faithful action."""
+    group = FinAbGroup(moduli)
+    integral = make_fixture(
+        FixtureSpec("random-conjugated", moduli=moduli, seed=7, max_dim=10)
+    ).action
+    s = subgroup_from_generators(group, kernel_gens)
+    non_faithful = make_fixture(
+        FixtureSpec(
+            "random-conjugated",
+            moduli=moduli,
+            multiplicities=through_quotient(group, s, 10),
+            seed=8,
+        )
+    ).action
+    assert not non_faithful.faithful
+    return [integral, rationally_conjugated(integral, seed=9), non_faithful]
+
+
+@pytest.mark.parametrize(
+    "moduli, kernel_gens",
+    [((12,), [(6,)]), ((4, 6), [(2, 3)]), ((3, 3), [(1, 1)]), ((2, 2, 2), [(1, 1, 0)])],
+)
+def test_every_class_equals_its_component_computed_alone(moduli, kernel_gens):
+    # classes outside the candidates get the zero subspace without either
+    # route; isotypical_component runs both routes on every class
+    skipped = 0
+    for action in candidate_actions(moduli, kernel_gens):
+        parts = _sylow_parts(action.group)
+        candidates = action_module._sylow_split(action)
+        rep = isotypical_decomposition(action)
+        for c in rep.components:
+            assert c.subspace == isotypical_component(action, c.irrep)
+            skipped += _signature(c.irrep, parts) not in candidates
+    assert skipped
+
+
+def test_a_split_that_drops_a_nonzero_class_fails_the_span_check(
+    monkeypatch, tmp_path
+):
+    af = make_fixture(
+        FixtureSpec("random-conjugated", moduli=(4, 6), seed=1, max_dim=8)
+    )
+    split = action_module._sylow_split
+
+    def dropping(action):
+        pieces = split(action)
+        del pieces[next(iter(pieces))]
+        return pieces
+
+    path = tmp_path / "action.json"
+    path.write_text(serialize_action_file(af))
+    assert run_cli(["decompose", str(path)])[0] == 0
+    monkeypatch.setattr(action_module, "_sylow_split", dropping)
+    with pytest.raises(InternalCheckError, match="do not span"):
+        isotypical_decomposition(af.action)
+    code, out, err = run_cli(["decompose", str(path)])
+    assert code == 4
+    assert "do not span" in err
+
+
+def test_decomposition_with_a_trivial_class_forms_rho_on_part_of_g():
+    # the trivial class used to expand the |G|-term sum p_G
+    group = FinAbGroup((30, 30))
+    irreps = rational_irreps(group)
+    mult = [0] * len(irreps)
+    mult[0] = 2
+    mult[next(i for i, w in enumerate(irreps) if w.order == 6)] = 1
+    mult[next(i for i, w in enumerate(irreps) if w.order == 30)] = 1
+    af = make_fixture(
+        FixtureSpec(
+            "random-conjugated", moduli=(30, 30), multiplicities=tuple(mult), seed=0
+        )
+    )
+    action = af.action
+    assert action.dim == 12
+    assert decomposition_multiplicities(action) == {
+        k.entries: m for k, m in af.ground_truth
+    }
+    assert len(action._cache["rho"]) < group.order

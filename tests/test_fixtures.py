@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from isodec import (
     Character,
     FinAbGroup,
+    MatQ,
     ValidationError,
     char_kernel,
     index_and_quotient,
@@ -12,7 +15,7 @@ from isodec import (
     rational_irreps,
     serialize_action_file,
 )
-from isodec.fixtures import FIXTURE_KINDS, FixtureSpec
+from isodec.fixtures import FIXTURE_KINDS, FixtureSpec, _random_unimodular
 
 
 def test_fixture_kinds_are_documented():
@@ -22,6 +25,31 @@ def test_fixture_kinds_are_documented():
         "semisimple",
         "random-conjugated",
     )
+
+
+def dense_shear_product(dim, rng):
+    """The product of the same 2*dim shears, each a dense dim x dim matrix."""
+    m = MatQ.identity(dim)
+    if dim == 1:
+        return m
+    for _ in range(2 * dim):
+        i = rng.randrange(dim)
+        j = rng.randrange(dim)
+        while j == i:
+            j = rng.randrange(dim)
+        c = rng.choice((-1, 1))
+        shear = [[int(a == b) for b in range(dim)] for a in range(dim)]
+        shear[i][j] = c
+        m = m @ MatQ(shear)
+    return m
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 16])
+def test_random_unimodular_equals_the_dense_shear_product(dim):
+    for seed in range(4):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert _random_unimodular(dim, rng) == dense_shear_product(dim, ref)
+        assert rng.getstate() == ref.getstate()
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from isodec import (
     snf_invariants,
     sum_spaces,
 )
+from isodec.ratlinalg import kernel_and_image
 
 import pytest
 
@@ -129,6 +130,27 @@ def test_matq_powers(a, k):
     for _ in range(k):
         expected = expected @ a
     assert a**k == expected
+
+
+def test_matq_power_spends_no_product_on_the_identity(monkeypatch):
+    a = MatQ([[0, -1], [1, 1]])
+    products = 0
+    matmul = MatQ.__matmul__
+
+    def counted(x, y):
+        nonlocal products
+        products += 1
+        return matmul(x, y)
+
+    powers = [MatQ.identity(2)]
+    for _ in range(40):
+        powers.append(powers[-1] @ a)
+    monkeypatch.setattr(MatQ, "__matmul__", counted)
+    for k, expected in enumerate(powers):
+        products = 0
+        assert a**k == expected
+        # one squaring per bit after the first, one product per set bit after the first
+        assert products == max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
 
 
 def test_matq_jsonable_round_trip():
@@ -525,6 +547,30 @@ def test_rational_restrict_operator_matches_oracle(m_rows, seed, other):
     else:
         with pytest.raises(PreconditionError):
             restrict_operator(m, t)
+
+
+@given(frac_matrix(4, 4), frac_matrix(3, 4))
+@settings(max_examples=60)
+def test_kernel_and_image_on_a_subspace_match_the_oracle(t_rows, y_rows):
+    # Y need not be invariant: ker T ∩ Y and T(Y) are defined for any Y
+    t = MatQ(t_rows)
+    y = SubspaceQ(4, y_rows)
+    kernel, image = kernel_and_image(t, y)
+    _, yb = oracle_rref(y_rows, 4)
+    images = [oracle_apply(t_rows, b) for b in yb]
+    assert_basis_is(image, oracle_basis(images, 4))
+    # sum c_j b_j lies in ker T iff sum c_j T b_j = 0
+    coeffs = oracle_kernel([list(col) for col in zip(*images)], len(yb)) if yb else []
+    meet = [oracle_apply(list(zip(*yb)), c) for c in coeffs]
+    assert_basis_is(kernel, oracle_basis(meet, 4))
+    assert kernel == intersect_spaces(y, kernel_space(t))
+
+
+def test_kernel_and_image_rejects_mismatched_dimensions():
+    with pytest.raises(PreconditionError):
+        kernel_and_image(MatQ.identity(3), SubspaceQ.full(2))
+    with pytest.raises(PreconditionError):
+        kernel_and_image(MatQ([[1, 0]]), SubspaceQ.full(2))
 
 
 @given(square_matq(3))

@@ -16,8 +16,12 @@ from isodec import (
     validate_action,
     verify_roan_matching,
 )
+from isodec.actionfile import ActionFile, serialize_action_file
 from isodec.fixtures import FixtureSpec
 from isodec.numtheory import divisors, totient
+
+from test_action import rationally_conjugated
+from test_cli import run_cli
 
 
 # ---------------------------------------------------------- eigenvalue orders
@@ -173,3 +177,33 @@ def test_match_report_jsonable():
     assert set(obj) == {"roan", "matches", "zero_components"}
     assert [m["order"] for m in obj["matches"]] == [1, 2, 4]
     assert obj["roan"]["filtration_dims"] == [4, 3, 2, 0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FixtureSpec("random-conjugated", moduli=(12,), seed=1, max_dim=12),
+        FixtureSpec("random-conjugated", moduli=(30,), seed=2, max_dim=14),
+        FixtureSpec("paper-example", p=2, q=3),
+    ],
+)
+def test_matching_on_rationally_conjugated_actions(spec, tmp_path):
+    af = make_fixture(spec)
+    action = rationally_conjugated(af.action, seed=3)
+    assert any(m.den > 1 for m in action.gen_matrices)
+    match = verify_roan_matching(action)
+    nonzero = [c for c in match.decomposition.components if c.multiplicity]
+    assert [(d, k) for d, k, _ in match.matches] == [
+        (c.irrep.order, c.irrep.kernel) for c in nonzero
+    ]
+    assert [s for _, s in match.roan.components] == [c.subspace for c in nonzero]
+    assert {
+        c.irrep.kernel.hnf_basis.entries: c.multiplicity
+        for c in match.decomposition.components
+    } == {k.entries: m for k, m in af.ground_truth}
+    path = tmp_path / "action.json"
+    path.write_text(serialize_action_file(ActionFile(action, af.ground_truth)))
+    code, out, err = run_cli(["verify", str(path)])
+    assert code == 0, err
+    assert "verify: OK" in out.splitlines()
+    assert "ground truth: ok" in out.splitlines()
