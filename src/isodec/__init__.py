@@ -56,7 +56,6 @@ from .qalgebra import (
 from .ratlinalg import (
     MatQ,
     MatZ,
-    PolyQ,
     SubspaceQ,
     char_poly,
     companion_matrix,
@@ -127,7 +126,6 @@ __all__ = [
     "MatQ",
     "MatZ",
     "SubspaceQ",
-    "PolyQ",
     "kernel_space",
     "image_space",
     "intersect_spaces",

@@ -14,8 +14,10 @@ Conventions, fixed once and relied on throughout the package:
 
 Matrices, subspace bases included, keep integer numerators over a single
 positive denominator, and elimination, products and containment checks run
-on those integers.  `fractions.Fraction` appears only at the public face
-(`entry`, `fraction_rows`, `basis_rows`, `coordinates_of`, `mul_vector`).
+on those integers.  Polynomials are tuples of coefficients in ascending
+order: integers for cyclotomic polynomials, Fractions for `char_poly`.
+`fractions.Fraction` appears only at the public face (`entry`,
+`fraction_rows`, `basis_rows`, `coordinates_of`, `mul_vector`, `char_poly`).
 No floating point appears anywhere.
 """
 
@@ -34,7 +36,6 @@ __all__ = [
     "MatQ",
     "MatZ",
     "SubspaceQ",
-    "PolyQ",
     "kernel_space",
     "image_space",
     "intersect_spaces",
@@ -812,171 +813,61 @@ def snf_invariants(M: MatZ) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over Q
+# Polynomials: coefficient tuples, ascending
 
 
-@dataclass(frozen=True)
-class PolyQ:
-    """Dense univariate polynomial over Q; coefficients ascending, trimmed."""
+def _divmod_monic(p, q) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of the integer polynomial p by the monic q.
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        cs = [_as_fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def zero(cls) -> "PolyQ":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "PolyQ":
-        return cls((Fraction(1),))
-
-    @classmethod
-    def x(cls) -> "PolyQ":
-        return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def from_ints(cls, coeffs) -> "PolyQ":
-        return cls(tuple(Fraction(c) for c in coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return PolyQ(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        return self + (-other)
-
-    def __mul__(self, other: "PolyQ") -> "PolyQ":
-        if self.is_zero() or other.is_zero():
-            return PolyQ.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return PolyQ(tuple(out))
-
-    def __divmod__(self, other: "PolyQ"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        q = [Fraction(0)] * max(len(rem) - d, 0)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c:
-                f = c / lead
-                q[i - d] = f
-                for j, b in enumerate(other.coeffs):
-                    rem[i - d + j] -= f * b
-        return PolyQ(tuple(q)), PolyQ(tuple(rem))
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __pow__(self, n: int) -> "PolyQ":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        acc = PolyQ.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def evaluate(self, x) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            mon = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if i == 0:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mon
-            else:
-                body = f"{abs(c)}*{mon}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+    Coefficients are ascending; the remainder has len(q) - 1 entries (fewer
+    when p is shorter), and it is zero exactly when q divides p.
+    """
+    rem = list(p)
+    dq = len(q) - 1
+    quo = [0] * max(len(rem) - dq, 0)
+    for i in range(len(rem) - 1, dq - 1, -1):
+        c = rem[i]
+        if c:
+            quo[i - dq] = c
+            for j, b in enumerate(q):
+                rem[i - dq + j] -= c * b
+    return tuple(quo), tuple(rem[:dq])
 
 
 @lru_cache(maxsize=None)
-def cyclotomic(n: int) -> PolyQ:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1.
+def cyclotomic(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial as monic integer coefficients,
+    ascending, by exact division of x^n - 1.
 
-    >>> str(cyclotomic(6))
-    'x^2 - x + 1'
+    >>> cyclotomic(6)
+    (1, -1, 1)
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    num = PolyQ(tuple([Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]))
+    num = (-1,) + (0,) * (n - 1) + (1,)
     for d in divisors(n):
         if d == n:
             continue
-        num, rem = divmod(num, cyclotomic(d))
-        if not rem.is_zero():
+        num, rem = _divmod_monic(num, cyclotomic(d))
+        if any(rem):
             raise AssertionError("cyclotomic division must be exact")
     return num
 
 
-def companion_matrix(p: PolyQ) -> MatQ:
-    """Companion matrix of a monic polynomial of degree >= 1.
+def companion_matrix(coeffs) -> MatQ:
+    """Companion matrix of a monic polynomial of degree >= 1, given by its
+    coefficients in ascending order.
 
     Subdiagonal ones; last column holds the negated low-order coefficients,
     so companion_matrix(cyclotomic(6)) == MatQ([[0, -1], [1, 1]]).
     """
-    if not p.is_monic() or p.degree < 1:
+    coeffs = tuple(coeffs)
+    if len(coeffs) < 2 or coeffs[-1] != 1:
         raise PreconditionError("companion matrix requires a monic polynomial of degree >= 1")
-    d = p.degree
-    rows = [
-        [Fraction(1) if i == j + 1 else Fraction(0) for j in range(d - 1)]
-        + [-p.coeffs[i]]
-        for i in range(d)
-    ]
-    return MatQ(rows)
+    d = len(coeffs) - 1
+    return MatQ(
+        [[int(i == j + 1) for j in range(d - 1)] + [-coeffs[i]] for i in range(d)]
+    )
 
 
 def _charpoly_int(num_rows) -> list[int]:
@@ -1003,16 +894,15 @@ def _charpoly_int(num_rows) -> list[int]:
     return coeffs
 
 
-def char_poly(M: MatQ) -> PolyQ:
-    """Exact monic characteristic polynomial det(x*I - M)."""
+def char_poly(M: MatQ) -> tuple[Fraction, ...]:
+    """Exact monic characteristic polynomial det(x*I - M), as its
+    coefficients in ascending order."""
     if M.rows != M.cols:
         raise PreconditionError("characteristic polynomial of a non-square matrix")
     n = M.rows
-    if n == 0:
-        return PolyQ.one()
     ints = _charpoly_int(M.num)
     d = M.den
-    return PolyQ(tuple(Fraction(ints[i], d ** (n - i)) for i in range(n + 1)))
+    return tuple(Fraction(ints[i], d ** (n - i)) for i in range(n + 1))
 
 
 def inverse(M: MatQ) -> MatQ:

@@ -11,6 +11,25 @@ every Y_{i-1} splits as B_i + Y_i, alpha acts on B_i with all eigenvalues of
 exact order d_{i-1}, and Y_s = 0.  The pieces B_i are exactly the nonzero
 isotypical components of the cyclic action, which ``verify_roan_matching``
 checks subspace-by-subspace against the idempotent-based decomposition.
+
+``roan_decomposition`` finds the d_i without a characteristic polynomial, by
+a walk over every divisor e of d in ascending order.  With A = alpha
+restricted to the current Y, in the coordinates of Y's basis, the kernel of
+1 - A^e is the part of Y where alpha has eigenvalue order e: the orders
+below e that divide it were split off by earlier steps.  An empty kernel
+means that e does not occur, and the step is skipped, as is every e with
+phi(e) > dim Y.  A nonempty step makes e the next d_i, and A is restricted
+again, to the new Y.  So every power is a power of A, which shrinks with Y;
+it is the n x n operator only until the first piece splits off.
+
+Each piece is certified by Phi_e(alpha|B) = 0, the e-th cyclotomic
+polynomial evaluated by Horner's rule; for an operator of finite order this
+holds exactly when every eigenvalue on B has order e.  The pieces must be
+alpha-invariant, the last Y must be zero, and the stacked bases of the
+pieces must span the whole space (one elimination).  Together these imply
+alpha^d = 1, so the full d-th power is formed only when a certificate
+fails, to tell an operator that is not of order dividing d
+(PreconditionError) from a failed internal check (InternalCheckError).
 """
 
 from __future__ import annotations
@@ -24,10 +43,11 @@ from .action import (
     isotypical_decomposition,
 )
 from .errors import InternalCheckError, PreconditionError
-from .numtheory import divisors
+from .numtheory import divisors, totient
 from .ratlinalg import (
     MatQ,
     SubspaceQ,
+    _divmod_monic,
     char_poly,
     cyclotomic,
     image_space,  # unused; bench/tests/test_bench.py checks its traced binding
@@ -49,28 +69,27 @@ def eigenvalue_orders(m: MatQ, d: int) -> tuple[int, ...]:
 
     Factors the characteristic polynomial into cyclotomics by repeated exact
     division (the only possible factors when m**d = I), returning each order
-    that occurs at least once.
+    that occurs at least once.  ``roan_decomposition`` finds the same orders
+    without it, so this is an independent check of the filtration.
     """
     if m.rows != m.cols:
         raise PreconditionError("matrix must be square")
     if d < 1 or not (m ** d).is_identity():
         raise PreconditionError(f"matrix does not satisfy M^{d} = I")
-    if m.rows == 0:
-        return ()
     p = char_poly(m)
+    integral = all(c.denominator == 1 for c in p)
+    p = tuple(c.numerator for c in p)
     orders = []
     for e in divisors(d):
         phi = cyclotomic(e)
-        found = False
-        while True:
-            q, r = divmod(p, phi)
-            if not r.is_zero():
-                break
+        q, r = _divmod_monic(p, phi)
+        if any(r):
+            continue
+        orders.append(e)
+        while not any(r):
             p = q
-            found = True
-        if found:
-            orders.append(e)
-    if p.degree != 0:
+            q, r = _divmod_monic(p, phi)
+    if not integral or p != (1,):
         raise InternalCheckError(
             "characteristic polynomial did not factor into cyclotomics"
         )
@@ -103,39 +122,66 @@ class RoanReport:
 def roan_decomposition(m: MatQ, d: int) -> RoanReport:
     """Split a space under an order-d operator along the eigenvalue orders.
 
-    Verifies, exactly, every structural claim of the construction: each B_i
-    is alpha-invariant with all eigenvalues of exact order d_{i-1}, the
-    filtration is strictly compatible (dim Y_{i-1} = dim B_i + dim Y_i),
-    and the final term vanishes.
+    Every structural claim of the construction is certified exactly (see the
+    module docstring).  Raises PreconditionError if m is not square or
+    m**d != I, and InternalCheckError if a certificate fails although
+    m**d = I.
     """
-    orders = eigenvalue_orders(m, d)
+    if m.rows != m.cols:
+        raise PreconditionError("matrix must be square")
+    if d >= 1:
+        try:
+            return _divisor_walk(m, d)
+        except (InternalCheckError, PreconditionError) as exc:
+            # restrict_operator raises PreconditionError on a piece that is
+            # not invariant.  The certificates imply m**d = I, so that power
+            # is formed only here, to name the cause of a failure.
+            if (m ** d).is_identity():
+                raise InternalCheckError(str(exc)) from exc
+    raise PreconditionError(f"matrix does not satisfy M^{d} = I")
+
+
+def _divisor_walk(m: MatQ, d: int) -> RoanReport:
     n = m.rows
-    eye = MatQ.identity(n)
     y = SubspaceQ.full(n)
-    filtration = [y]
-    components = []
-    for d_i in orders:
-        t = eye - (m ** d_i)
-        b, y_next = kernel_and_image(t, y)
-        if b.dim + y_next.dim != y.dim:
-            raise InternalCheckError("filtration step is not a direct splitting")
-        if not y.contains_subspace(y_next):
-            raise InternalCheckError("filtration is not decreasing")
-        restricted = restrict_operator(m, b) if b.dim else None
-        if restricted is not None:
-            sub_orders = eigenvalue_orders(restricted, d)
-            if sub_orders != (d_i,):
-                raise InternalCheckError(
-                    f"kernel piece for order {d_i} has eigenvalue orders {sub_orders}"
-                )
-        components.append((d_i, b))
-        y = y_next
+    a = m  # alpha on y, in the coordinates of y's basis
+    orders, filtration, components = [], [y], []
+    for e in divisors(d):
+        k = y.dim
+        if totient(e) > k:
+            continue
+        b, rest = kernel_and_image(MatQ.identity(k) - a ** e, SubspaceQ.full(k))
+        if not b.dim:
+            continue
+        if not _vanishes_at(cyclotomic(e), restrict_operator(a, b)):
+            raise InternalCheckError(
+                f"kernel piece for order {e} has an eigenvalue of another order"
+            )
+        orders.append(e)
+        components.append((e, _lift(b, y)))
+        y = _lift(rest, y)
+        a = restrict_operator(m, y)
         filtration.append(y)
     if y.dim != 0:
         raise InternalCheckError("filtration does not terminate at zero")
-    if sum(b.dim for _, b in components) != n:
-        raise InternalCheckError("kernel pieces do not add up to the whole space")
-    return RoanReport(n, d, orders, tuple(filtration), tuple(components))
+    if SubspaceQ(n, [row for _, b in components for row in b.basis.num]).dim != n:
+        raise InternalCheckError("kernel pieces do not span the whole space")
+    return RoanReport(n, d, tuple(orders), tuple(filtration), tuple(components))
+
+
+def _lift(s: SubspaceQ, y: SubspaceQ) -> SubspaceQ:
+    """The subspace whose coordinates in y's basis span s."""
+    return SubspaceQ(y.ambient_dim, (s.basis @ y.basis).num)
+
+
+def _vanishes_at(monic: tuple[int, ...], a: MatQ) -> bool:
+    """Whether a monic integer polynomial (ascending coefficients, degree
+    >= 1) is zero at the square matrix a, by Horner's rule."""
+    eye = MatQ.identity(a.rows)
+    value = a + eye * monic[-2]
+    for c in reversed(monic[:-2]):
+        value = value @ a + eye * c
+    return value.is_zero()
 
 
 @dataclass(frozen=True)

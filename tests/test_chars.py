@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -9,7 +8,6 @@ from conftest import subgroup_element_set
 from isodec import (
     Character,
     FinAbGroup,
-    PolyQ,
     PreconditionError,
     char_kernel,
     companion_matrix,
@@ -145,15 +143,20 @@ def test_ramanujan_edge_values():
 def primitive_power_sum(n: int, k: int) -> int:
     """Independent oracle: sum of zeta^{jk} over gcd(j, n) = 1, computed as a
     polynomial in zeta reduced modulo the n-th cyclotomic polynomial."""
-    coeffs = [Fraction(0)] * n
+    coeffs = [0] * n
     for j in range(1, n + 1):
         if gcd(j, n) == 1:
             coeffs[(j * k) % n] += 1
-    rem = PolyQ(tuple(coeffs)) % cyclotomic(n)
-    assert rem.degree <= 0
-    value = rem.coeffs[0] if rem.coeffs else Fraction(0)
-    assert value.denominator == 1
-    return int(value)
+    # reduce modulo the monic integer Phi_n, from the top coefficient down
+    phi = cyclotomic(n)
+    deg = len(phi) - 1
+    for i in range(n - 1, deg - 1, -1):
+        c = coeffs[i]
+        if c:
+            for j, b in enumerate(phi):
+                coeffs[i - deg + j] -= c * b
+    assert not any(coeffs[1:])  # the remainder is a constant
+    return coeffs[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 9, 12, 15, 20])

@@ -1,18 +1,25 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import isodec.roan as roan_module
 from conftest import perm_matrix
 from isodec import (
     FinAbGroup,
     InternalCheckError,
     MatQ,
     PreconditionError,
+    SubspaceQ,
+    action_matrix,
     companion_matrix,
     cyclotomic,
     eigenvalue_orders,
     intersect_spaces,
     isotypical_decomposition,
     make_fixture,
+    rational_irreps,
     roan_decomposition,
+    sum_spaces,
     validate_action,
     verify_roan_matching,
 )
@@ -87,6 +94,56 @@ def test_filtration_skips_absent_orders():
     assert report.orders == (6,)
     assert [(d, s.dim) for d, s in report.components] == [(6, 2)]
     assert [y.dim for y in report.filtration] == [2, 0]
+
+
+@pytest.mark.parametrize(
+    "m, d",
+    [
+        (MatQ([[2]]), 4),  # infinite order
+        (MatQ([[1, 1], [0, 1]]), 2),  # a Jordan block: unipotent, not of order 2
+        (MatQ([[1, 2]]), 2),  # not square
+        (MatQ.identity(2), 0),  # no exponent
+    ],
+)
+def test_filtration_rejects_an_operator_without_m_d_equal_to_i(m, d):
+    with pytest.raises(PreconditionError):
+        roan_decomposition(m, d)
+
+
+def _overlapping(kernel, image):
+    return kernel, sum_spaces(kernel, image)
+
+
+def _all_in_the_kernel(kernel, image):
+    return sum_spaces(kernel, image), SubspaceQ.zero(kernel.ambient_dim)
+
+
+def _one_kernel_vector(kernel, image):
+    return SubspaceQ(kernel.ambient_dim, kernel.basis.num[:1]), image
+
+
+def _no_kernel(kernel, image):
+    return SubspaceQ.zero(kernel.ambient_dim), image
+
+
+@pytest.mark.parametrize(
+    "split, m, d, message",
+    [
+        (_overlapping, perm_matrix(6), 6, "another order"),
+        (_all_in_the_kernel, perm_matrix(6), 6, "another order"),
+        (_one_kernel_vector, MatQ.identity(3), 2, "span"),
+        # a single vector of an order-3 piece is not an invariant subspace
+        (_one_kernel_vector, perm_matrix(3), 3, "not invariant"),
+        (_no_kernel, perm_matrix(4), 4, "terminate"),
+    ],
+)
+def test_a_wrong_split_fails_a_certificate(monkeypatch, split, m, d, message):
+    real = roan_module.kernel_and_image
+    monkeypatch.setattr(
+        roan_module, "kernel_and_image", lambda t, y: split(*real(t, y))
+    )
+    with pytest.raises(InternalCheckError, match=message):
+        roan_decomposition(m, d)
 
 
 def test_filtration_on_conjugated_fixture_matches_ground_truth():
@@ -207,3 +264,36 @@ def test_matching_on_rationally_conjugated_actions(spec, tmp_path):
     assert code == 0, err
     assert "verify: OK" in out.splitlines()
     assert "ground truth: ok" in out.splitlines()
+
+
+@st.composite
+def cyclic_multiplicities(draw, max_dim=14):
+    """A cyclic group of order <= 30 and multiplicities of total dim <= max_dim."""
+    group = FinAbGroup((draw(st.integers(min_value=1, max_value=30)),))
+    irreps = rational_irreps(group)
+    mult = [0] * len(irreps)
+    room = max_dim
+    for i in draw(st.permutations(range(len(irreps)))):
+        mult[i] = draw(st.integers(min_value=0, max_value=min(2, room // irreps[i].degree)))
+        room -= mult[i] * irreps[i].degree
+    if not any(mult):
+        mult[0] = 1  # the trivial class
+    return group, tuple(mult)
+
+
+@given(cyclic_multiplicities(), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=30, deadline=None)
+def test_matching_on_random_rational_conjugates(group_mult, seed):
+    group, mult = group_mult
+    n = group.order
+    af = make_fixture(
+        FixtureSpec("semisimple", moduli=(n,), multiplicities=mult, seed=seed)
+    )
+    action = rationally_conjugated(af.action, seed)
+    match = verify_roan_matching(action)
+    assert [c.multiplicity for c in match.decomposition.components] == list(mult)
+    # the characteristic polynomial is an independent oracle for the walk
+    m = action_matrix(action, group.element((1,)))
+    orders = eigenvalue_orders(m, n)
+    assert roan_decomposition(m, n).orders == orders
+    assert match.roan.orders == orders
