@@ -30,15 +30,13 @@ not on all of G.
 No idempotent is summed over all of G.  For a subgroup H, p_H is the product
 of one cyclic factor per HNF row h of H, each the average of rho(j * h) over
 j < ord(h) (p_A p_B = p_{A+B} in an abelian group).  Route (1) takes images
-of these p_H and of differences p_K - p_H.  Route (2) writes
-e_W = p_K * (1/n) sum_{j<n} c_n(j) rho(j * x), for n = [G:K], x a generator
-of G/K and c_n the Ramanujan sum: n matrices and one dim^3 product beyond
-p_K.  When |G| <= n + |K| + dim (the regular representation, say) that
-product costs more than the |G|-term sum, and e_W is expanded as
-``algebra_matrix(A, central_idempotent(W))`` instead.  Both forms are the
-same element of Q[G], so both give the same matrix.  For the trivial class
-e_W is p_G, which route (1) already takes the image of; route (2) reads
-A^G as the intersection of the kernels of M_j - 1 instead.
+of these p_H and of differences p_K - p_H.  Route (2) writes e_W = p_K * F
+with F = (1/n) sum_{j<n} c_n(j) rho(j * x), for n = [G:K], x a generator of
+G/K and c_n the Ramanujan sum.  p_K and F commute, so the image of e_W is
+F(A^K): n matrices summed and one dim x dim x dim(A^K) product beyond p_K,
+never the |G|-term sum.  For the trivial class e_W is p_G, which route (1)
+already takes the image of; route (2) reads A^G as the intersection of the
+kernels of M_j - 1 instead.
 
 Decomposing along the candidates.  Roan's filtration, applied one generator
 at a time, shows which classes can be nonzero before any idempotent is
@@ -76,7 +74,7 @@ from .abgroup import (
 from .chars import RationalIrrep, ramanujan_sum, rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
 from .numtheory import factorint, prime_divisors
-from .qalgebra import GroupAlgebraElem, central_idempotent
+from .qalgebra import GroupAlgebraElem
 from .ratlinalg import (
     MatQ,
     SubspaceQ,
@@ -311,24 +309,6 @@ def _avg_matrix(action: GAction, h: Subgroup) -> MatQ:
     return m
 
 
-def _central_matrix(
-    action: GAction, k_sub: Subgroup, n: int, x: GroupElement
-) -> MatQ:
-    """e_W in factored form, for W with kernel K = k_sub, n = [G:K] and x
-    generating G/K.
-
-    Every g is j*x + k with k in K; m(j*x) = j * m(x) with m(x) a unit mod n,
-    and the Ramanujan sum c_n depends only on gcd(n, .), so
-
-        e_W = p_K * (1/n) * sum over j < n of c_n(j) * rho(j * x).
-
-    That is n matrices and one dim^3 product on top of p_K, which the first
-    route has already cached.
-    """
-    coeffs = [ramanujan_sum(n, j) for j in range(n)]
-    return _avg_matrix(action, k_sub) @ _cyclic_factor(action, x, coeffs, n)
-
-
 def fixed_subvariety(action: GAction, h: Subgroup) -> SubspaceQ:
     """A^H: the image of the averaging idempotent p_H."""
     if h.group != action.group:
@@ -351,18 +331,36 @@ def complementary_subvariety(action: GAction, k_sub: Subgroup, h: Subgroup) -> S
     return image_space(_avg_matrix(action, k_sub) - _avg_matrix(action, h))
 
 
+def _central_image(
+    action: GAction, k_sub: Subgroup, n: int, x: GroupElement
+) -> SubspaceQ:
+    """The image of e_W, for W with kernel K = k_sub, n = [G:K] and x
+    generating G/K.
+
+    Every g is j*x + k with k in K; m(j*x) = j * m(x) with m(x) a unit mod n,
+    and the Ramanujan sum c_n depends only on gcd(n, .), so
+
+        e_W = p_K * F,   F = (1/n) * sum over j < n of c_n(j) * rho(j * x).
+
+    p_K and F commute, so the image is F(A^K): n matrices summed and one
+    dim x dim x dim(A^K) product, with p_K the one the first route cached.
+    """
+    f = _cyclic_factor(action, x, [ramanujan_sum(n, j) for j in range(n)], n)
+    return image_space(f @ fixed_subvariety(action, k_sub).basis.transpose())
+
+
 def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     """The isotypical component of W, computed two ways and cross-checked.
 
     Route one is the defining intersection over minimal overgroups of the
     kernel (the fixed part itself when the kernel is all of G), from the
     images of p_K - p_H, with each p_H a product of cyclic factors.  Route
-    two is the image of the central idempotent e_W: p_K times one cyclic
-    factor of n = [G:K] terms in the generator x of G/K, or the |G|-term sum
-    when |G| <= n + |K| + dim.  For the trivial class, e_W = p_G, so route
-    two reads A^G off the generators instead, as the intersection of the
-    kernels of M_j - 1.  Disagreement raises InternalCheckError — it would
-    mean the algebra identity behind the construction failed.
+    two is the image of the central idempotent e_W = p_K * F, with F one
+    cyclic factor of n = [G:K] terms in the generator x of G/K, taken as F
+    applied to A^K.  For the trivial class, e_W = p_G, so route two reads
+    A^G off the generators instead, as the intersection of the kernels of
+    M_j - 1.  Disagreement raises InternalCheckError — it would mean the
+    algebra identity behind the construction failed.
     """
     if w.group != action.group:
         raise PreconditionError("representation of a different group")
@@ -386,13 +384,8 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
         eye = MatQ.identity(action.dim)
         for m in action.gen_matrices:
             by_idempotent, _ = kernel_and_image(m - eye, by_idempotent)
-    elif action.group.order <= info.index + k_sub.order + action.dim:
-        # the dim^3 product would cost more than the |G|-term sum
-        by_idempotent = image_space(algebra_matrix(action, central_idempotent(w)))
     else:
-        by_idempotent = image_space(
-            _central_matrix(action, k_sub, info.index, info.generator)
-        )
+        by_idempotent = _central_image(action, k_sub, info.index, info.generator)
     if by_intersection != by_idempotent:
         raise InternalCheckError(
             "isotypical component mismatch: the intersection of complements "

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .abgroup import FinAbGroup
 from .action import GAction, validate_action
 from .errors import ValidationError
-from .ratlinalg import MatQ, MatZ, fraction_to_jsonable
+from .ratlinalg import MatQ, MatZ
 
 __all__ = [
     "ActionFile",
@@ -173,17 +173,10 @@ def load_action_file(text: str, max_order: int | None = None) -> ActionFile:
     return ActionFile(action, ground_truth)
 
 
-def _matrix_to_jsonable(m: MatQ) -> list:
-    out = []
-    for row in m.fraction_rows():
-        out.append([fraction_to_jsonable(v) for v in row])
-    return out
-
-
 def action_file_to_jsonable(af: ActionFile) -> dict:
     obj = {
         "group": list(af.action.group.moduli),
-        "generators": [_matrix_to_jsonable(m) for m in af.action.gen_matrices],
+        "generators": [m.to_jsonable() for m in af.action.gen_matrices],
     }
     if af.action.name is not None:
         obj["name"] = af.action.name

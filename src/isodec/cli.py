@@ -89,6 +89,8 @@ def _load_file(path: str, max_order: int) -> ActionFile:
             text = fh.read()
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"cannot read {path}: not UTF-8 ({e.reason})") from None
     return load_action_file(text, max_order)
 
 
@@ -380,8 +382,13 @@ def _cmd_fixture(args) -> int:
     af = make_fixture(spec, args.max_order)
     text = serialize_action_file(af)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValidationError(
+                f"cannot write {args.output}: {e.strerror or e}"
+            ) from None
     else:
         sys.stdout.write(text)
     return 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .abgroup import FinAbGroup
 from .actionfile import ActionFile, check_max_order
@@ -53,16 +53,18 @@ class FixtureSpec:
 
 
 def _block_diag(blocks: list[MatQ]) -> MatQ:
+    """The block-diagonal matrix, as integer rows over the lcm of the
+    blocks' denominators."""
     n = sum(b.rows for b in blocks)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    den = lcm(1, *(b.den for b in blocks))
+    rows = []
     off = 0
     for b in blocks:
-        fr = b.fraction_rows()
-        for i in range(b.rows):
-            for j in range(b.cols):
-                rows[off + i][off + j] = fr[i][j]
+        s = den // b.den
+        for r in b.num:
+            rows.append([0] * off + [s * v for v in r] + [0] * (n - off - b.cols))
         off += b.rows
-    return MatQ(rows)
+    return MatQ._raw(rows, den, ncols=n)
 
 
 def _semisimple_action(group: FinAbGroup, multiplicities, name: str):

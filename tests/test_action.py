@@ -16,6 +16,7 @@ from isodec import (
     algebra_matrix,
     complementary_subvariety,
     fixed_subvariety,
+    image_space,
     index_and_quotient,
     intersect_spaces,
     inverse,
@@ -37,14 +38,15 @@ from isodec.qalgebra import (
     identity,
 )
 import isodec.action as action_module
-from isodec.action import _avg_matrix, _central_matrix, _signature, _sylow_parts
+from isodec.action import _avg_matrix, _central_image, _signature, _sylow_parts
 
 from test_cli import run_cli
 
 
 def assert_factored_idempotents_match_expanded_sums(action):
-    """p_H from cyclic factors, for every subgroup H, and e_W from p_K and
-    one cyclic factor, for every irreducible W, equal the |G|-term sums."""
+    """p_H from cyclic factors, for every subgroup H, equals the |G|-term
+    sum, and so does the image of e_W, taken as one cyclic factor applied to
+    A^K, for every nontrivial irreducible W."""
     group = action.group
     for h in all_subgroups(group):
         assert _avg_matrix(action, h) == algebra_matrix(
@@ -52,9 +54,10 @@ def assert_factored_idempotents_match_expanded_sums(action):
         )
     for w in rational_irreps(group):
         info = index_and_quotient(group, w.kernel)
-        assert _central_matrix(
-            action, w.kernel, info.index, info.generator
-        ) == algebra_matrix(action, central_idempotent(w))
+        if info.index > 1:
+            assert _central_image(
+                action, w.kernel, info.index, info.generator
+            ) == image_space(algebra_matrix(action, central_idempotent(w)))
 
 
 def through_quotient(group, sub, budget):
@@ -398,14 +401,6 @@ def decomposition_multiplicities(action):
     return {c.irrep.kernel.hnf_basis.entries: c.multiplicity for c in rep.components}
 
 
-def uses_factored_central_idempotent(action):
-    group = action.group
-    return any(
-        group.order > w.kernel.index + w.kernel.order + action.dim
-        for w in rational_irreps(group)
-    )
-
-
 @pytest.mark.parametrize("moduli, seed", [((4, 6), 1), ((2, 2, 6), 2)])
 def test_factored_idempotents_on_rationally_conjugated_actions(moduli, seed):
     af = make_fixture(
@@ -413,7 +408,6 @@ def test_factored_idempotents_on_rationally_conjugated_actions(moduli, seed):
     )
     action = rationally_conjugated(af.action, seed)
     assert any(m.den > 1 for m in action.gen_matrices)
-    assert uses_factored_central_idempotent(action)
     assert_factored_idempotents_match_expanded_sums(action)
     assert decomposition_multiplicities(action) == {
         k.entries: m for k, m in af.ground_truth
@@ -435,11 +429,44 @@ def test_factored_idempotents_on_non_faithful_actions(moduli, kernel_gens):
     action = af.action
     assert not action.faithful
     assert s.is_contained_in(action.action_kernel)
-    assert uses_factored_central_idempotent(action)
     assert_factored_idempotents_match_expanded_sums(action)
     assert decomposition_multiplicities(action) == {
         k.entries: m for k, m in af.ground_truth
     }
+
+
+def test_factored_idempotents_on_the_regular_representation():
+    action = make_fixture(FixtureSpec("regular", n=12)).action
+    assert_factored_idempotents_match_expanded_sums(action)
+
+
+def test_factored_idempotents_where_a_fixed_part_is_zero():
+    # Z/6 acting through an element of order 3: the order-2 class has
+    # kernel 2Z/6, which fixes no nonzero vector
+    action = validate_action(FinAbGroup((6,)), [MatQ([[0, -1], [1, -1]])])
+    two = subgroup_from_generators(action.group, [(2,)])
+    assert fixed_subvariety(action, two).dim == 0
+    assert any(w.kernel == two for w in rational_irreps(action.group))
+    assert_factored_idempotents_match_expanded_sums(action)
+    assert decomposition_multiplicities(action) == {
+        w.kernel.hnf_basis.entries: int(w.order == 3)
+        for w in rational_irreps(action.group)
+    }
+
+
+def test_decomposition_never_expands_an_idempotent_over_g(monkeypatch):
+    def refuse(action, x):
+        raise AssertionError("algebra_matrix called")
+
+    regular = make_fixture(FixtureSpec("regular", n=12))
+    conjugated = make_fixture(
+        FixtureSpec("random-conjugated", moduli=(6, 6), seed=0, max_dim=24)
+    )
+    monkeypatch.setattr(action_module, "algebra_matrix", refuse)
+    for af in (regular, conjugated):
+        assert decomposition_multiplicities(af.action) == {
+            k.entries: m for k, m in af.ground_truth
+        }
 
 
 def test_plausibility_warnings():

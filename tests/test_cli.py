@@ -161,6 +161,26 @@ def test_missing_file_exits_2(tmp_path):
     assert "error:" in err and "cannot read" in err
 
 
+def test_file_that_is_not_utf8_exits_2(tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + '{"group":[2]}'.encode("utf-16-le"))
+    code, out, err = run_cli(["decompose", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: not UTF-8")
+    assert err.count("\n") == 1
+
+
+def test_fixture_output_in_a_missing_directory_exits_2(tmp_path):
+    target = tmp_path / "no" / "such" / "x.json"
+    code, out, err = run_cli(["fixture", "regular", "6", "-o", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}:")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_invalid_action_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"group":[2],"generators":[[[0,-1],[1,0]]]}')
