@@ -34,7 +34,6 @@ from .actionfile import (
     ActionFile,
     action_file_to_jsonable,
     load_action_file,
-    parse_action_file,
     serialize_action_file,
 )
 from .chars import (
@@ -60,7 +59,6 @@ from .ratlinalg import (
     char_poly,
     companion_matrix,
     cyclotomic,
-    det_int,
     hnf,
     image_space,
     intersect_spaces,
@@ -117,7 +115,6 @@ __all__ = [
     "RoanMatchReport",
     "ActionFile",
     "load_action_file",
-    "parse_action_file",
     "action_file_to_jsonable",
     "serialize_action_file",
     "FixtureSpec",
@@ -131,7 +128,6 @@ __all__ = [
     "intersect_spaces",
     "sum_spaces",
     "hnf",
-    "det_int",
     "snf_invariants",
     "smith_with_transforms",
     "char_poly",

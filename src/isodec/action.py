@@ -21,11 +21,11 @@ The three geometric constructions:
 How the matrices are formed.  Every rho(g) comes from one memo per action,
 element index -> rho(g), which starts out holding the identity; each new
 entry costs one product.  It is filled two ways: by a running product along
-a step, rho(g + s) = rho(g) @ rho(s) (validation and the cyclic factors
-below), and by ``action_matrix``, which walks back from g to an element
-already held and multiplies forward by generator matrices.  Validation forms
-rho only on the Sylow subgroups of G and on the walks to their generators,
-not on all of G.
+a step, rho(g + s) = rho(g) @ rho(s) (the cyclic factors below), and by
+``action_matrix``, which walks back from g to an element already held and
+multiplies forward by generator matrices.  Validation checks only the
+presentation (the relations M_j ** n_j = I and commutation) and leaves the
+memo holding the identity alone, so only code that reads the memo fills it.
 
 No idempotent is summed over all of G.  For a subgroup H, p_H is the product
 of one cyclic factor per HNF row h of H, each the average of rho(j * h) over
@@ -44,8 +44,8 @@ built.  ``isotypical_decomposition`` first splits V jointly under the Sylow
 parts of the generators: for each generator j and each p^a exactly dividing
 n_j, with s = (n_j / p^a) * e_j, every piece is peeled into the parts where
 rho(s) has eigenvalue order 1, p, ..., p^a (the kernel and image of
-rho(p^i * s) - 1, for i < a).  Those rho(p^i * s) are in the memo from
-validation.  A class W lies in the piece whose signature is, per (j, p), the
+rho(p^i * s) - 1, for i < a), each rho(p^i * s) taken through the memo.
+A class W lies in the piece whose signature is, per (j, p), the
 p-part of n_j / gcd(n_j, r_j) for its representative r.  Both routes run
 only on the classes whose piece is nonzero, the candidates; every other
 class gets the zero subspace.  The checks that the components add up
@@ -55,7 +55,10 @@ component is 0.  A split that wrongly left out a nonzero class would fail
 the span check.
 
 ``isotypical_decomposition`` assembles all components, checks that dimensions
-are additive and exhaust the space, and derives multiplicities.
+are additive and exhaust the space, and derives multiplicities.  The kernel
+of the action is the common kernel of the classes that occur, one lattice
+kernel over their representative characters; a nontrivial kernel is
+reported with a warning.
 """
 
 from __future__ import annotations
@@ -69,11 +72,10 @@ from .abgroup import (
     Subgroup,
     _minimal_overgroups_from_generator,
     index_and_quotient,
-    subgroup_from_generators,
 )
-from .chars import RationalIrrep, ramanujan_sum, rational_irreps
+from .chars import RationalIrrep, common_kernel, ramanujan_sum, rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
-from .numtheory import factorint, prime_divisors
+from .numtheory import factorint
 from .qalgebra import GroupAlgebraElem
 from .ratlinalg import (
     MatQ,
@@ -109,9 +111,6 @@ class GAction:
     group: FinAbGroup
     gen_matrices: tuple[MatQ, ...]
     dim: int
-    faithful: bool
-    action_kernel: Subgroup
-    warnings: tuple[str, ...] = ()
     name: str | None = None
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -129,14 +128,10 @@ def validate_action(group: FinAbGroup, matrices, name: str | None = None) -> GAc
 
     Raises ValidationError if the count is wrong, a matrix is not square of
     the common size, a generator relation M_j ** n_j != I fails, or two
-    generator matrices do not commute.  A non-faithful action is legal but
-    recorded with a warning (components for representations that the kernel
-    does not fix are forced to zero).
-
-    The action kernel K is the sum of its Sylow parts K & G_p, with G_p
-    generated by (n_j / p^v_p(n_j)) * e_j.  So rho is formed, into the
-    action's memo, only on each G_p and on the way to its generators, not on
-    all of G (unless G is a p-group).
+    generator matrices do not commute.  Only those checks form products;
+    the memo of rho starts out holding the identity alone.  A non-faithful
+    action is legal: its kernel is read off the decomposition
+    (``IsotypicalReport.action_kernel``).
     """
     mats = tuple(matrices)
     k = group.rank
@@ -160,29 +155,7 @@ def validate_action(group: FinAbGroup, matrices, name: str | None = None) -> GAc
             if mats[i] @ mats[j] != mats[j] @ mats[i]:
                 raise ValidationError(f"generators {i + 1} and {j + 1} do not commute")
 
-    rho = {0: MatQ.identity(dim)}
-    kernel_gens = []
-    for p in prime_divisors(group.order):
-        sylow = [((0,) * k, rho[0])]
-        for j, n in enumerate(group.moduli):
-            q = p ** dict(factorint(n)).get(p, 0)
-            if q == 1:
-                continue
-            s = _unit(group, j, n // q)
-            step = _walk(rho, group, mats, s)
-            sylow = [e for g, _ in sylow for e in _run(rho, group, g, s, step, q)]
-        kernel_gens += [g for g, m in sylow if m.is_identity()]
-    action_kernel = subgroup_from_generators(group, kernel_gens)
-    faithful = action_kernel.order == 1
-    warnings = ()
-    if not faithful:
-        warnings = (
-            "action is not faithful: a subgroup of order "
-            f"{action_kernel.order} acts trivially",
-        )
-    return GAction(
-        group, mats, dim, faithful, action_kernel, warnings, name, {"rho": rho}
-    )
+    return GAction(group, mats, dim, name)
 
 
 def _run(rho: dict, group: FinAbGroup, g, s, step: MatQ, count: int):
@@ -413,7 +386,12 @@ class IsotypicalReport:
 
     action: GAction
     components: tuple[IsotypicalComponent, ...]
+    action_kernel: Subgroup
     warnings: tuple[str, ...]
+
+    @property
+    def faithful(self) -> bool:
+        return self.action_kernel.order == 1
 
     @property
     def nonzero_components(self) -> tuple[IsotypicalComponent, ...]:
@@ -424,7 +402,7 @@ class IsotypicalReport:
             "group": list(self.action.group.moduli),
             "name": self.action.name,
             "dim": self.action.dim,
-            "faithful": self.action.faithful,
+            "faithful": self.faithful,
             "components": [
                 {
                     "kernel_hnf": c.irrep.kernel.hnf_basis.to_jsonable(),
@@ -464,8 +442,8 @@ def _sylow_split(action: GAction) -> dict[tuple[int, ...], SubspaceQ]:
     For s = (n_j / p^a) * e_j, each piece Y is peeled in order i < a: the
     kernel of rho(p^i * s) - 1 on Y is the part where rho(s) has eigenvalue
     order p^i, and the image is the rest, of order above p^i.  What remains
-    has order p^a.  Every rho(p^i * s) is one that ``validate_action``
-    formed for the Sylow subgroup of p.
+    has order p^a.  Every rho(p^i * s) is taken through the memo
+    (``_walk``), so each one not yet held costs one product.
     """
     group, rho = action.group, action._cache["rho"]
     eye = MatQ.identity(action.dim)
@@ -502,6 +480,8 @@ def isotypical_decomposition(action: GAction) -> IsotypicalReport:
     up without overlap, and the components must span the whole space.  The
     last one is what certifies the classes left out: the components form a
     direct sum, so once the candidates fill the space every other one is 0.
+    The action kernel is the common kernel of the classes that occur: g
+    acts trivially exactly when it does on every nonzero component.
     """
     irreps = rational_irreps(action.group)
     parts = _sylow_parts(action.group)
@@ -527,9 +507,16 @@ def isotypical_decomposition(action: GAction) -> IsotypicalReport:
         components.append(IsotypicalComponent(w, s, mult))
     if running.dim != action.dim:
         raise InternalCheckError("isotypical components do not span the space")
-    warnings = list(action.warnings)
+    kernel = common_kernel(
+        action.group, [c.irrep.representative for c in components if c.multiplicity]
+    )
+    warnings = []
+    if kernel.order > 1:
+        warnings.append(
+            f"action is not faithful: a subgroup of order {kernel.order} acts trivially"
+        )
     warnings.extend(_plausibility_warnings(action, components))
-    return IsotypicalReport(action, tuple(components), tuple(warnings))
+    return IsotypicalReport(action, tuple(components), kernel, tuple(warnings))
 
 
 def _plausibility_warnings(action: GAction, components) -> list[str]:

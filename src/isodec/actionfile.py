@@ -31,7 +31,6 @@ from .ratlinalg import MatQ, MatZ
 __all__ = [
     "ActionFile",
     "load_action_file",
-    "parse_action_file",
     "action_file_to_jsonable",
     "serialize_action_file",
 ]
@@ -92,10 +91,6 @@ def check_max_order(group: FinAbGroup, max_order: int | None) -> None:
         except ValueError:  # more digits than the interpreter converts
             order = f"of {group.order.bit_length()} bits"
         raise ValidationError(f"group order {order} exceeds --max-order {max_order}")
-
-
-def parse_action_file(text: str) -> GAction:
-    return load_action_file(text).action
 
 
 def load_action_file(text: str, max_order: int | None = None) -> ActionFile:

@@ -22,12 +22,13 @@ from math import gcd, lcm
 from .abgroup import FinAbGroup, GroupElement, Subgroup
 from .errors import InternalCheckError, PreconditionError
 from .numtheory import moebius, totient
-from .ratlinalg import MatQ, MatZ, _hermite, companion_matrix, cyclotomic
+from .ratlinalg import MatQ, _hermite, companion_matrix, cyclotomic
 
 __all__ = [
     "Character",
     "RationalIrrep",
     "char_kernel",
+    "common_kernel",
     "rational_irreps",
     "ramanujan_sum",
     "irrep_model",
@@ -105,24 +106,31 @@ class Character:
 
 
 def char_kernel(chi: Character) -> Subgroup:
-    """The kernel of a character, computed exactly as a lattice kernel.
+    """The kernel of a character: ``common_kernel`` of it alone."""
+    return common_kernel(chi.group, [chi])
 
-    g is in the kernel iff val(g) = sum_j c_j g_j = 0 mod N with
-    c_j = (N/n_j) a_j.  The integer solutions (g, t) of
-    sum c_j g_j + N t = 0 form a lattice whose projection to the g-part,
-    together with the relation rows, is the kernel subgroup.  The left kernel
-    of the column (c_1, ..., c_k, N)^T is read off the Hermite transform.
+
+def common_kernel(group: FinAbGroup, characters) -> Subgroup:
+    """The common kernel of characters of G, computed exactly as a lattice
+    kernel (all of G when there are none).
+
+    g is in the kernel of chi_i iff val_i(g) = sum_j c_ij g_j = 0 mod N with
+    c_ij = (N/n_j) a_ij.  The integer solutions (g, t) of
+    [g | t] [C; N*I] = 0, for C the matrix of the c_ij, form a lattice whose
+    projection to the g-part, together with the relation rows, is the common
+    kernel.  The left kernel of [C; N*I] is read off the Hermite transform.
     """
-    group = chi.group
-    n_all = chi.modulus
-    col = [
-        [((n_all // n) * a) % n_all]
-        for a, n in zip(chi.exps, group.moduli)
+    chars = tuple(characters)
+    if any(c.group != group for c in chars):
+        raise PreconditionError("character of a different group")
+    n_all = group.exponent
+    rows = [
+        [((n_all // n) * c.exps[j]) % n_all for c in chars]
+        for j, n in enumerate(group.moduli)
     ]
-    col.append([n_all])
-    hnf_rows, pivot_cols, u = _hermite(col, 1, with_transform=True)
-    rank = len(pivot_cols)
-    kernel_rows = [row[: group.rank] for row in u[rank:]]
+    rows += [[n_all * (i == t) for t in range(len(chars))] for i in range(len(chars))]
+    _, pivot_cols, u = _hermite(rows, len(chars), with_transform=True)
+    kernel_rows = [row[: group.rank] for row in u[len(pivot_cols) :]]
     return Subgroup.from_lattice_rows(group, kernel_rows)
 
 

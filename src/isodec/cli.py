@@ -107,7 +107,7 @@ def _cmd_decompose(args) -> int:
     lines = [
         f"group {_group_label(action.group.moduli)} (order {action.group.order})",
         f"action {action.name or '(unnamed)'}  dim {action.dim}  "
-        f"faithful {'yes' if action.faithful else 'no'}",
+        f"faithful {'yes' if report.faithful else 'no'}",
         "",
     ]
     rows = []
@@ -371,10 +371,9 @@ def _cmd_fixture(args) -> int:
             )
         if not args.group:
             raise ValidationError(f"{kind} fixture requires --group")
-        moduli = _parse_int_list(args.group, "--group")
         spec = FixtureSpec(
             kind,
-            moduli=moduli,
+            moduli=_parse_group_arg(args.group, args.max_order).moduli,
             multiplicities=mult,
             seed=args.seed,
             max_dim=args.max_dim,

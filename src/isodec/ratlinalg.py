@@ -42,7 +42,6 @@ __all__ = [
     "kernel_and_image",
     "sum_spaces",
     "hnf",
-    "det_int",
     "snf_invariants",
     "smith_with_transforms",
     "char_poly",
@@ -647,29 +646,6 @@ def hnf(M: MatZ) -> MatZ:
             f"rank-deficient input: lattice rank {len(rows)} < ambient {M.cols}"
         )
     return MatZ(tuple(tuple(r) for r in rows))
-
-
-def det_int(M: MatZ) -> int:
-    """Determinant of a square integer matrix (Bareiss fraction-free)."""
-    if M.rows != M.cols:
-        raise PreconditionError("determinant of a non-square matrix")
-    a = [list(r) for r in M.entries]
-    n = M.rows
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pr is None:
-                return 0
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _smith(entries, with_transforms: bool = False):

@@ -13,14 +13,14 @@ isotypical components of the cyclic action, which ``verify_roan_matching``
 checks subspace-by-subspace against the idempotent-based decomposition.
 
 ``roan_decomposition`` finds the d_i without a characteristic polynomial, by
-a walk over every divisor e of d in ascending order.  With A = alpha
-restricted to the current Y, in the coordinates of Y's basis, the kernel of
-1 - A^e is the part of Y where alpha has eigenvalue order e: the orders
-below e that divide it were split off by earlier steps.  An empty kernel
-means that e does not occur, and the step is skipped, as is every e with
-phi(e) > dim Y.  A nonempty step makes e the next d_i, and A is restricted
-again, to the new Y.  So every power is a power of A, which shrinks with Y;
-it is the n x n operator only until the first piece splits off.
+a walk over every divisor e of d in ascending order.  On the current Y, a
+subspace of Q^n, the kernel of 1 - alpha^e is the part of Y where alpha has
+eigenvalue order e: the orders below e that divide it were split off by
+earlier steps.  Kernel and image come out of one ``kernel_and_image`` on Y,
+each row-reduced once in Q^n.  An empty kernel means that e does not occur,
+and the step is skipped, as is every e with phi(e) > dim Y.  A nonempty step
+makes e the next d_i, and its image is the new Y.  alpha is restricted only
+to the pieces, for their certificates.
 
 Each piece is certified by Phi_e(alpha|B) = 0, the e-th cyclotomic
 polynomial evaluated by Horner's rule; for an operator of finite order this
@@ -143,35 +143,28 @@ def roan_decomposition(m: MatQ, d: int) -> RoanReport:
 
 def _divisor_walk(m: MatQ, d: int) -> RoanReport:
     n = m.rows
+    eye = MatQ.identity(n)
     y = SubspaceQ.full(n)
-    a = m  # alpha on y, in the coordinates of y's basis
     orders, filtration, components = [], [y], []
     for e in divisors(d):
-        k = y.dim
-        if totient(e) > k:
+        if totient(e) > y.dim:
             continue
-        b, rest = kernel_and_image(MatQ.identity(k) - a ** e, SubspaceQ.full(k))
+        b, rest = kernel_and_image(eye - m ** e, y)
         if not b.dim:
             continue
-        if not _vanishes_at(cyclotomic(e), restrict_operator(a, b)):
+        if not _vanishes_at(cyclotomic(e), restrict_operator(m, b)):
             raise InternalCheckError(
                 f"kernel piece for order {e} has an eigenvalue of another order"
             )
         orders.append(e)
-        components.append((e, _lift(b, y)))
-        y = _lift(rest, y)
-        a = restrict_operator(m, y)
+        components.append((e, b))
+        y = rest
         filtration.append(y)
     if y.dim != 0:
         raise InternalCheckError("filtration does not terminate at zero")
     if SubspaceQ(n, [row for _, b in components for row in b.basis.num]).dim != n:
         raise InternalCheckError("kernel pieces do not span the whole space")
     return RoanReport(n, d, tuple(orders), tuple(filtration), tuple(components))
-
-
-def _lift(s: SubspaceQ, y: SubspaceQ) -> SubspaceQ:
-    """The subspace whose coordinates in y's basis span s."""
-    return SubspaceQ(y.ambient_dim, (s.basis @ y.basis).num)
 
 
 def _vanishes_at(monic: tuple[int, ...], a: MatQ) -> bool:

@@ -10,7 +10,6 @@ from isodec import (
     all_subgroups,
     MatQ,
     PreconditionError,
-    Subgroup,
     ValidationError,
     action_matrix,
     algebra_matrix,
@@ -30,7 +29,6 @@ from isodec import (
 from isodec.actionfile import serialize_action_file
 from isodec.errors import InternalCheckError
 from isodec.fixtures import FixtureSpec
-from isodec.numtheory import totient
 from isodec.qalgebra import (
     averaging_idempotent,
     central_idempotent,
@@ -99,8 +97,9 @@ def rationally_conjugated(action, seed):
 def test_validate_accepts_involution():
     a = validate_action(FinAbGroup((2,)), [MatQ([[1, 0], [0, -1]])])
     assert a.dim == 2
-    assert a.faithful
-    assert a.warnings == ()
+    report = isotypical_decomposition(a)
+    assert report.faithful
+    assert not any("not faithful" in w for w in report.warnings)
 
 
 def test_validate_rejects_wrong_count():
@@ -130,11 +129,40 @@ def test_validate_rejects_noncommuting():
         )
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FixtureSpec("regular", n=48),
+        FixtureSpec("random-conjugated", moduli=(100, 100), seed=0, max_dim=8),
+        FixtureSpec("random-conjugated", moduli=(2, 4, 6), seed=1, max_dim=10),
+    ],
+)
+def test_validation_checks_only_the_presentation(spec, monkeypatch):
+    # M_j ** n_j by repeated squaring, plus two products per pair of
+    # generators; the memo of rho is left holding the identity alone
+    made = make_fixture(spec).action
+    group, mats = made.group, made.gen_matrices
+    products = 0
+    matmul = MatQ.__matmul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(MatQ, "__matmul__", counted)
+    action = validate_action(group, mats)
+    k = group.rank
+    assert products <= sum(2 * n.bit_length() for n in group.moduli) + k * (k - 1)
+    assert set(action._cache["rho"]) == {0}
+
+
 def test_non_faithful_action_warns():
     a = validate_action(FinAbGroup((4,)), [MatQ([[-1]])])
-    assert not a.faithful
-    assert a.action_kernel.order == 2
-    assert "not faithful" in a.warnings[0]
+    report = isotypical_decomposition(a)
+    assert not report.faithful
+    assert report.action_kernel.order == 2
+    assert "not faithful" in report.warnings[0]
 
 
 # ------------------------------------------------------------------ symbols
@@ -175,13 +203,7 @@ def test_action_matrix_from_a_cold_memo(monkeypatch):
         validated = make_fixture(
             FixtureSpec("random-conjugated", moduli=moduli, seed=2, max_dim=12)
         ).action
-        action = GAction(
-            group,
-            validated.gen_matrices,
-            validated.dim,
-            validated.faithful,
-            validated.action_kernel,
-        )
+        action = GAction(group, validated.gen_matrices, validated.dim)
         elements = list(group.elements())
         random.Random(5).shuffle(elements)
         with monkeypatch.context() as m:
@@ -228,9 +250,10 @@ def test_action_kernel_equals_brute_force_kernel(moduli, trivial_on):
             if rho_by_powers(action, g).is_identity()
         }
         assert {g.exps for g in forced.elements()} <= kernel
-        assert {g.exps for g in action.action_kernel.elements()} == kernel
-        assert not action.faithful
-        assert "not faithful" in action.warnings[0]
+        report = isotypical_decomposition(action)
+        assert {g.exps for g in report.action_kernel.elements()} == kernel
+        assert not report.faithful
+        assert "not faithful" in report.warnings[0]
 
 
 def test_algebra_matrix_is_linear_and_multiplicative():
@@ -389,7 +412,7 @@ def test_non_faithful_components_vanish_off_the_kernel():
         )
     )
     rep = isotypical_decomposition(af.action)
-    kernel = af.action.action_kernel
+    kernel = rep.action_kernel
     assert kernel.hnf_basis.entries == ((2, 0), (0, 3))
     for c in rep.components:
         if not kernel.is_contained_in(c.irrep.kernel):
@@ -427,8 +450,9 @@ def test_factored_idempotents_on_non_faithful_actions(moduli, kernel_gens):
         )
     )
     action = af.action
-    assert not action.faithful
-    assert s.is_contained_in(action.action_kernel)
+    report = isotypical_decomposition(action)
+    assert not report.faithful
+    assert s.is_contained_in(report.action_kernel)
     assert_factored_idempotents_match_expanded_sums(action)
     assert decomposition_multiplicities(action) == {
         k.entries: m for k, m in af.ground_truth
@@ -515,7 +539,7 @@ def candidate_actions(moduli, kernel_gens):
             seed=8,
         )
     ).action
-    assert not non_faithful.faithful
+    assert not isotypical_decomposition(non_faithful).faithful
     return [integral, rationally_conjugated(integral, seed=9), non_faithful]
 
 

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -7,24 +6,23 @@ from isodec import (
     MatQ,
     ValidationError,
     inverse,
+    isotypical_decomposition,
     load_action_file,
-    parse_action_file,
     serialize_action_file,
 )
-from isodec.actionfile import ActionFile
 from isodec.fixtures import FixtureSpec, make_fixture
 
 
 def test_minimal_valid_file():
-    action = parse_action_file('{"group":[2],"generators":[[[1,0],[0,-1]]]}')
+    action = load_action_file('{"group":[2],"generators":[[[1,0],[0,-1]]]}').action
     assert action.group.moduli == (2,)
     assert action.dim == 2
-    assert action.faithful
+    assert isotypical_decomposition(action).faithful
 
 
 def test_relation_failure_is_reported_with_position():
     with pytest.raises(ValidationError, match=r"generator 1: M\^2 != I"):
-        parse_action_file('{"group":[2],"generators":[[[0,-1],[1,0]]]}')
+        load_action_file('{"group":[2],"generators":[[[0,-1],[1,0]]]}')
 
 
 def test_companion_power_file_is_valid():
@@ -41,9 +39,9 @@ def test_companion_power_file_is_valid():
             ],
         }
     )
-    action = parse_action_file(text)
-    assert not action.faithful
-    assert action.action_kernel.hnf_basis.entries == ((2, 0), (0, 3))
+    report = isotypical_decomposition(load_action_file(text).action)
+    assert not report.faithful
+    assert report.action_kernel.hnf_basis.entries == ((2, 0), (0, 3))
 
 
 def test_fraction_entries_accepted():
@@ -55,7 +53,7 @@ def test_fraction_entries_accepted():
         [str(v) if v.denominator != 1 else int(v) for v in row]
         for row in m.fraction_rows()
     ]
-    action = parse_action_file(json.dumps({"group": [3], "generators": [rows]}))
+    action = load_action_file(json.dumps({"group": [3], "generators": [rows]})).action
     assert action.gen_matrices[0] == m
 
 
@@ -105,10 +103,10 @@ def test_malformed_ground_truth(gt, message):
 
 
 def test_unknown_keys_are_ignored():
-    action = parse_action_file(
+    af = load_action_file(
         '{"group":[2],"generators":[[[1]]],"comment":"hi","extra":[1,2]}'
     )
-    assert action.dim == 1
+    assert af.action.dim == 1
 
 
 def test_name_is_preserved():
@@ -147,19 +145,17 @@ def test_fractions_survive_round_trip():
     c3 = MatQ([[0, -1], [1, -1]])
     d = MatQ([[3, 0], [0, 1]])
     m = d @ c3 @ inverse(d)
-    af = ActionFile(
-        parse_action_file(
-            json.dumps(
-                {
-                    "group": [3],
-                    "generators": [
-                        [
-                            [str(v) if v.denominator != 1 else int(v) for v in row]
-                            for row in m.fraction_rows()
-                        ]
-                    ],
-                }
-            )
+    af = load_action_file(
+        json.dumps(
+            {
+                "group": [3],
+                "generators": [
+                    [
+                        [str(v) if v.denominator != 1 else int(v) for v in row]
+                        for row in m.fraction_rows()
+                    ]
+                ],
+            }
         )
     )
     text = serialize_action_file(af)

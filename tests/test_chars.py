@@ -17,6 +17,7 @@ from isodec import (
     ramanujan_sum,
     rational_irreps,
 )
+from isodec.chars import common_kernel
 from isodec.numtheory import divisors, moebius, totient
 
 SMALL_MODULI = [(6,), (8,), (12,), (2, 2), (2, 4), (3, 3), (8, 9), (2, 2, 2)]
@@ -62,6 +63,32 @@ def test_kernel_matches_brute_force(gc):
     }
     assert subgroup_element_set(kernel) == expected
     assert kernel.index == chi.order()
+
+
+@st.composite
+def group_and_characters(draw):
+    group = FinAbGroup(draw(st.sampled_from(SMALL_MODULI)))
+    exps = st.tuples(*(st.integers(min_value=0, max_value=n - 1) for n in group.moduli))
+    return group, [Character(group, e) for e in draw(st.lists(exps, max_size=5))]
+
+
+@given(group_and_characters())
+@settings(max_examples=80)
+def test_common_kernel_matches_brute_force(gc):
+    group, chars = gc
+    kernel = common_kernel(group, chars)
+    expected = {
+        g.exps
+        for g in group.elements()
+        if not any(chi.value_exponent(g) for chi in chars)
+    }
+    assert subgroup_element_set(kernel) == expected
+
+
+def test_common_kernel_refuses_a_character_of_another_group():
+    chi = Character(FinAbGroup((6,)), (1,))
+    with pytest.raises(PreconditionError):
+        common_kernel(FinAbGroup((2, 3)), [chi])
 
 
 @given(group_and_character())

@@ -369,6 +369,14 @@ def test_fixture_parameter_validation_exits_2():
     assert code == 2 and "expected 4 multiplicities" in err
 
 
+@pytest.mark.parametrize("group", ["0", "6,-2", "6;7"])
+def test_fixture_group_is_parsed_like_the_other_commands(group):
+    # --group means the same to fixture as to characters
+    code, _, err = run_cli(["fixture", "semisimple", "--group", group])
+    assert (code, err) == run_cli(["characters", "--group", group])[::2]
+    assert code == 2 and err.startswith("error: ")
+
+
 # ------------------------------------------------------------------- pieces
 
 
