@@ -65,7 +65,6 @@ from .ratlinalg import (
     inverse,
     kernel_space,
     restrict_operator,
-    smith_with_transforms,
     snf_invariants,
     sum_spaces,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "sum_spaces",
     "hnf",
     "snf_invariants",
-    "smith_with_transforms",
     "char_poly",
     "cyclotomic",
     "companion_matrix",

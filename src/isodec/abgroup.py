@@ -7,8 +7,10 @@ the Hermite normal form of its preimage lattice L in Z^k, where
     R  =  the relation lattice generated by n_j * e_j,   R ⊆ L ⊆ Z^k,
 
 so H = L/R, [G : H] = det(L) and membership is exact back-substitution.
-Quotient structure (invariant factors, a generator of a cyclic quotient)
-comes from the Smith normal form of the same basis matrix.
+The invariant factors of G/H are the Smith invariants of the same basis
+matrix.  When G/H is cyclic of order n, its subgroups are the images of the
+multiples m * G, so the overgroup of index n/p over H is H + (n/p) * G, and a
+generator is read by membership tests alone.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import gcd, lcm, prod
 
 from .errors import PreconditionError
 from .numtheory import divisors, prime_divisors
-from .ratlinalg import MatZ, _hermite, smith_with_transforms, snf_invariants
+from .ratlinalg import MatZ, _hermite, snf_invariants
 
 __all__ = [
     "FinAbGroup",
@@ -101,7 +103,12 @@ class FinAbGroup:
         return _group_invariants(self.moduli)
 
     def is_cyclic(self) -> bool:
-        return sum(1 for d in self.invariants() if d > 1) <= 1
+        return _is_cyclic(self.invariants())
+
+
+def _is_cyclic(invariants) -> bool:
+    """At most one invariant factor above 1."""
+    return sum(1 for d in invariants if d > 1) <= 1
 
 
 @lru_cache(maxsize=None)
@@ -336,23 +343,24 @@ class QuotientInfo:
 def index_and_quotient(group: FinAbGroup, h: Subgroup) -> QuotientInfo:
     """Index and invariant factors of G/H; a generator coset when cyclic.
 
-    The Smith normal form U B V = D of the subgroup basis B gives the quotient
-    coordinates x -> x V mod diag(D); the generator of a cyclic quotient is the
-    preimage of the last coordinate vector, i.e. the last row of V^{-1}.
+    The invariants are the Smith invariants of the subgroup basis.  When G/H
+    is cyclic of order n, the generator is the first element in index order
+    whose order in G/H is n, that is, with (n/p) * x outside H for every
+    prime p | n (the identity when n = 1).
     """
     if h.group != group:
         raise PreconditionError("subgroup of a different group")
-    d, _, _, vinv = smith_with_transforms(h.hnf_basis)
-    k = group.rank
-    invariants = tuple(d.entries[i][i] for i in range(k))
-    nontrivial = [i for i in range(k) if invariants[i] > 1]
-    is_cyclic = len(nontrivial) <= 1
+    invariants = snf_invariants(h.hnf_basis)
+    is_cyclic = _is_cyclic(invariants)
     generator = None
     if is_cyclic:
-        if nontrivial:
-            generator = GroupElement(group, vinv.entries[nontrivial[0]])
-        else:
-            generator = group.identity()
+        n = h.index
+        cofactors = [n // p for p in prime_divisors(n)]
+        generator = next(
+            GroupElement(group, x)
+            for x in group.exponent_tuples()
+            if not any(h.contains_exps([c * e for e in x]) for c in cofactors)
+        )
     return QuotientInfo(h.index, invariants, is_cyclic, generator)
 
 
@@ -410,25 +418,26 @@ def all_subgroups(
 def minimal_overgroups(group: FinAbGroup, k_sub: Subgroup) -> tuple[Subgroup, ...]:
     """The overgroups H ⊇ K with [H : K] prime, for K with cyclic quotient.
 
-    For cyclic G/K of order n generated by the coset of x, there is exactly one
-    such H per prime p | n, namely H_p = <K, (n/p) x>; so the number of minimal
-    overgroups equals the number of distinct primes dividing [G : K].
+    For cyclic G/K of order n there is exactly one such H per prime p | n,
+    the preimage of the subgroup of order p of G/K, namely H_p = K + (n/p) G;
+    so the number of minimal overgroups equals the number of distinct primes
+    dividing [G : K].
     """
-    info = index_and_quotient(group, k_sub)
-    if not info.is_cyclic:
+    if k_sub.group != group:
+        raise PreconditionError("subgroup of a different group")
+    if not _is_cyclic(snf_invariants(k_sub.hnf_basis)):
         raise PreconditionError("minimal overgroups require a cyclic quotient G/K")
-    return _minimal_overgroups_from_generator(group, k_sub, info.index, info.generator)
+    return _cyclic_overgroups(group, k_sub)
 
 
-def _minimal_overgroups_from_generator(
-    group: FinAbGroup, k_sub: Subgroup, n: int, x: GroupElement
-) -> tuple[Subgroup, ...]:
-    if n == 1:
-        return ()
-    base = [row for row in k_sub.hnf_basis.entries]
-    out = []
-    for p in prime_divisors(n):
-        out.append(
-            Subgroup.from_lattice_rows(group, base + [((n // p) * x).exps])
+def _cyclic_overgroups(group: FinAbGroup, k_sub: Subgroup) -> tuple[Subgroup, ...]:
+    """H_p = K + (n/p) G for each prime p | n = [G : K], for cyclic G/K."""
+    n = k_sub.index
+    base = list(k_sub.hnf_basis.entries)
+    out = [
+        Subgroup.from_lattice_rows(
+            group, base + list(MatZ.diagonal((n // p,) * group.rank).entries)
         )
+        for p in prime_divisors(n)
+    ]
     return tuple(sorted(out, key=lambda s: s.sort_key))

@@ -70,7 +70,7 @@ from .abgroup import (
     FinAbGroup,
     GroupElement,
     Subgroup,
-    _minimal_overgroups_from_generator,
+    _cyclic_overgroups,
     index_and_quotient,
 )
 from .chars import RationalIrrep, common_kernel, ramanujan_sum, rational_irreps
@@ -158,14 +158,14 @@ def validate_action(group: FinAbGroup, matrices, name: str | None = None) -> GAc
     return GAction(group, mats, dim, name)
 
 
-def _run(rho: dict, group: FinAbGroup, g, s, step: MatQ, count: int):
-    """(exps, rho) of g + j * s for j < count, for exponent tuples g and s
-    with rho(g) in the memo and step = rho(s).
+def _run(rho: dict, group: FinAbGroup, s, step: MatQ, count: int):
+    """rho of j * s for j < count, for the exponent tuple s with step = rho(s).
 
-    A running product: each entry not yet in the memo costs one product
-    rho(g + (j-1) s) @ step, and is stored.
+    A running product from the identity: each entry not yet in the memo costs
+    one product rho((j-1) s) @ step, and is stored.
     """
-    cur = rho[group.index_of(g)]
+    g = (0,) * group.rank
+    cur = rho[0]
     for j in range(count):
         if j:
             g = tuple((a + e) % n for a, e, n in zip(g, s, group.moduli))
@@ -174,7 +174,7 @@ def _run(rho: dict, group: FinAbGroup, g, s, step: MatQ, count: int):
             if m is None:
                 m = rho[i] = cur @ step
             cur = m
-        yield g, cur
+        yield cur
 
 
 def _walk(rho: dict, group: FinAbGroup, mats, exps) -> MatQ:
@@ -255,9 +255,8 @@ def _cyclic_factor(action: GAction, g: GroupElement, coeffs, den: int) -> MatQ:
     """(1/den) * sum over j < len(coeffs) of coeffs[j] * rho(j * g), with
     rho(j * g) a running product along g through the memo."""
     step = action_matrix(action, g)
-    zero = (0,) * action.group.rank
-    run = _run(action._cache["rho"], action.group, zero, g.exps, step, len(coeffs))
-    terms = ((c, m) for c, (_, m) in zip(coeffs, run) if c)
+    run = _run(action._cache["rho"], action.group, g.exps, step, len(coeffs))
+    terms = ((c, m) for c, m in zip(coeffs, run) if c)
     return _combination(action.dim, terms, den)
 
 
@@ -341,9 +340,7 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     info = index_and_quotient(action.group, k_sub)
     if not info.is_cyclic:
         raise PreconditionError("minimal overgroups require a cyclic quotient G/K")
-    over = _minimal_overgroups_from_generator(
-        action.group, k_sub, info.index, info.generator
-    )
+    over = _cyclic_overgroups(action.group, k_sub)
     if not over:
         by_intersection = fixed_subvariety(action, k_sub)
     else:

@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 
-from .abgroup import FinAbGroup, Subgroup, all_subgroups, index_and_quotient
+from .abgroup import FinAbGroup, all_subgroups
 from .action import IsotypicalReport, isotypical_decomposition
 from .actionfile import (
     ActionFile,
@@ -38,7 +38,7 @@ from .chars import rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
 from .fixtures import FIXTURE_KINDS, FixtureSpec, make_fixture
 from .ratlinalg import snf_invariants
-from .roan import verify_roan_matching
+from .roan import _cyclic_roan, verify_roan_matching
 
 __all__ = ["main"]
 
@@ -67,13 +67,7 @@ def _print_json(obj) -> None:
 
 
 def _parse_group_arg(text: str, max_order: int) -> FinAbGroup:
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        moduli = tuple(int(p) for p in parts if p != "")
-    except ValueError:
-        raise ValidationError(
-            f"cannot parse group {text!r}: expected comma-separated integers"
-        ) from None
+    moduli = _parse_int_list(text, "group")
     if not moduli:
         raise ValidationError("group must have at least one modulus")
     if any(n < 1 for n in moduli):
@@ -148,14 +142,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_roan(args) -> int:
     af = _load_file(args.file, args.max_order)
     group = af.action.group
-    if not group.is_cyclic():
-        raise PreconditionError("Roan's decomposition requires a cyclic group")
-    from .action import action_matrix
-    from .roan import roan_decomposition
-
-    info = index_and_quotient(group, Subgroup.trivial(group))
-    alpha = action_matrix(af.action, info.generator)
-    report = roan_decomposition(alpha, group.order)
+    report = _cyclic_roan(af.action)
     if args.json:
         _print_json(report.to_jsonable())
         return 0

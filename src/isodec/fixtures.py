@@ -111,10 +111,13 @@ def _regular(n: int, max_order: int | None) -> ActionFile:
 
 
 def _paper_example(p: int, q: int, multiplicities, max_order: int | None) -> ActionFile:
-    if p is None or q is None or not is_prime(p) or not is_prime(q):
+    if p is None or q is None or p < 2 or q < 2:
         raise ValidationError("paper-example fixture needs two primes p, q")
+    # the order first: trial division of a huge p would take minutes
     group = FinAbGroup((p ** 3, q ** 2))
     check_max_order(group, max_order)
+    if not is_prime(p) or not is_prime(q):
+        raise ValidationError("paper-example fixture needs two primes p, q")
     irreps = rational_irreps(group)
     index_of = {w.kernel: i for i, w in enumerate(irreps)}
     # The four distinguished classes, named by a character in each orbit.

@@ -43,7 +43,6 @@ __all__ = [
     "sum_spaces",
     "hnf",
     "snf_invariants",
-    "smith_with_transforms",
     "char_poly",
     "cyclotomic",
     "companion_matrix",
@@ -648,52 +647,31 @@ def hnf(M: MatZ) -> MatZ:
     return MatZ(tuple(tuple(r) for r in rows))
 
 
-def _smith(entries, with_transforms: bool = False):
-    """Smith elimination of an integer matrix: returns (a, U, V, Vinv).
+def _smith(entries):
+    """Smith elimination of an integer matrix: the diagonal of its normal form.
 
-    a is the diagonal form, as mutable rows, with nonnegative entries in
-    divisibility order d1 | d2 | ...  If requested, U @ M @ V = a with U, V
-    unimodular, and Vinv is V's exact inverse; otherwise all three are None.
-    The pivots and operations do not depend on ``with_transforms``.
+    The entries are nonnegative and in divisibility order d1 | d2 | ...  Only
+    the diagonal is returned, so the unimodular transforms are not kept.
     """
     a = [list(r) for r in entries]
     nr, nc = len(a), len(a[0])
-    U = V = Vi = None
-    if with_transforms:
-        U = [[int(i == j) for j in range(nr)] for i in range(nr)]
-        V = [[int(i == j) for j in range(nc)] for i in range(nc)]
-        Vi = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def row_addmul(dst, src, q):  # row_dst -= q * row_src
         a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        if U is not None:
-            U[dst] = [x - q * y for x, y in zip(U[dst], U[src])]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
 
     def col_addmul(dst, src, q):  # col_dst -= q * col_src
         for row in a:
             row[dst] -= q * row[src]
-        if V is not None:
-            for row in V:
-                row[dst] -= q * row[src]
-            Vi[src] = [x + q * y for x, y in zip(Vi[src], Vi[dst])]
 
     def col_swap(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-            Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def diagonalize():
         for t in range(min(nr, nc)):
@@ -755,34 +733,18 @@ def _smith(entries, with_transforms: bool = False):
             break
         row_addmul(bad, bad + 1, -1)  # row_bad += row_{bad+1}
         diagonalize()
-    for t in range(k):
-        if a[t][t] < 0:
-            row_neg(t)
-    return a, U, V, Vi
-
-
-def smith_with_transforms(M: MatZ):
-    """Smith normal form with transforms: returns (D, U, V, Vinv).
-
-    U @ M @ V = D with U, V unimodular; D diagonal with nonnegative entries
-    in divisibility order d1 | d2 | ...  Vinv is V's exact inverse, so row t
-    of Vinv is the preimage of the t-th coordinate vector.
-    """
-    a, U, V, Vi = _smith(M.entries, with_transforms=True)
-    return tuple(MatZ(tuple(map(tuple, m))) for m in (a, U, V, Vi))
+    return tuple(abs(a[t][t]) for t in range(k))
 
 
 def snf_invariants(M: MatZ) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... of a square nonsingular integer matrix.
 
-    The same elimination as `smith_with_transforms`, without building the
-    transforms, so the diagonal is equal to that of its D.  This is how the
-    quotient G/H of a subgroup lattice is read when no generator is needed.
+    The diagonal of the Smith normal form, by `_smith`.  This is how the
+    quotient G/H of a subgroup lattice and a group's own invariants are read.
     """
     if M.rows != M.cols:
         raise PreconditionError("Smith invariants of a non-square matrix")
-    a, _, _, _ = _smith(M.entries)
-    diag = tuple(a[i][i] for i in range(M.rows))
+    diag = _smith(M.entries)
     if any(d == 0 for d in diag):
         raise PreconditionError("singular input: zero invariant factor")
     return diag

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .abgroup import Subgroup, index_and_quotient
 from .action import (
     GAction,
     IsotypicalReport,
@@ -204,6 +205,15 @@ class RoanMatchReport:
         }
 
 
+def _cyclic_roan(action: GAction) -> RoanReport:
+    """Roan's decomposition of alpha = rho(x), x a generator of the cyclic G."""
+    group = action.group
+    if not group.is_cyclic():
+        raise PreconditionError("Roan's decomposition requires a cyclic group")
+    info = index_and_quotient(group, Subgroup.trivial(group))
+    return roan_decomposition(action_matrix(action, info.generator), group.order)
+
+
 def verify_roan_matching(action: GAction) -> RoanMatchReport:
     """For a cyclic group action: check that the filtration pieces are
     exactly the nonzero isotypical components, as equal subspaces.
@@ -212,14 +222,7 @@ def verify_roan_matching(action: GAction) -> RoanMatchReport:
     unique irreducible whose quotient has order d_i and which is nonzero;
     all other components must vanish.  Any failure raises InternalCheckError.
     """
-    from .abgroup import Subgroup, index_and_quotient
-
-    group = action.group
-    if not group.is_cyclic():
-        raise PreconditionError("Roan's decomposition requires a cyclic group")
-    info = index_and_quotient(group, Subgroup.trivial(group))
-    alpha = action_matrix(action, info.generator)
-    roan = roan_decomposition(alpha, group.order)
+    roan = _cyclic_roan(action)
     decomposition = isotypical_decomposition(action)
 
     matches = []

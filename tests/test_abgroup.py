@@ -1,8 +1,9 @@
 import itertools
+import time
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import closure, closure_subgroups, quotient_order_counts, subgroup_element_set
@@ -14,9 +15,10 @@ from isodec import (
     all_subgroups,
     index_and_quotient,
     minimal_overgroups,
+    rational_irreps,
     subgroup_from_generators,
 )
-from isodec.abgroup import _lattice_contains, _minimal_overgroups_from_generator
+from isodec.abgroup import _lattice_contains
 from isodec.numtheory import divisors, prime_divisors
 
 SMALL_MODULI = [(6,), (8,), (12,), (2, 2), (2, 4), (3, 3), (8, 9), (2, 2, 2), (2, 6)]
@@ -265,14 +267,51 @@ def test_minimal_overgroups_independent_of_generator_choice(gg):
         return
     canonical = minimal_overgroups(group, sub)
     n = info.index
-    # every coset generator of G/sub must give the same overgroups
-    members = subgroup_element_set(sub)
+    # H_p = <K, (n/p) g> for every coset generator g of G/K is the same list
     for g in group.elements():
         orders = [m for m in range(1, n + 1) if sub.contains(m * g)]
         if orders[0] != n:
             continue
-        alt = _minimal_overgroups_from_generator(group, sub, n, g)
-        assert alt == canonical
+        alt = sorted(
+            (
+                subgroup_from_generators(group, list(sub.generators()) + [(n // p) * g])
+                for p in prime_divisors(n)
+            ),
+            key=lambda h: h.sort_key,
+        )
+        assert tuple(alt) == canonical
+
+
+@given(group_and_generators())
+@example((FinAbGroup((8, 9)), [(2, 0)]))
+@example((FinAbGroup((8, 9)), [(0, 3)]))
+@example((FinAbGroup((9, 3)), [(3, 2)]))
+@settings(max_examples=40)
+def test_quotient_generator_is_the_first_element_of_full_order(gg):
+    group, gens = gg
+    sub = subgroup_from_generators(group, gens)
+    info = index_and_quotient(group, sub)
+    if not info.is_cyclic:
+        assert info.generator is None
+        return
+    n = info.index
+    first = next(
+        g
+        for g in group.elements()
+        if min(m for m in range(1, n + 1) if sub.contains(m * g)) == n
+    )
+    assert info.generator == first
+
+
+def test_quotient_generator_scan_is_fast_on_every_kernel():
+    # Z/2 x Z/5000: the scan for a generator runs furthest on these kernels
+    group = FinAbGroup((2, 5000))
+    kernels = [w.kernel for w in rational_irreps(group)]
+    start = time.perf_counter()
+    for k in kernels:
+        info = index_and_quotient(group, k)
+        assert info.is_cyclic
+    assert time.perf_counter() - start < 1
 
 
 # ------------------------------------------------------------ all subgroups

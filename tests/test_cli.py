@@ -240,6 +240,15 @@ def test_max_order_exits_2():
     assert run_cli(["characters", "--group", "101", "--max-order", "101"])[0] == 0
 
 
+def test_paper_example_max_order_checked_before_primality():
+    # trial division of a 17-digit prime takes seconds; the order is known at once
+    start = time.perf_counter()
+    code, _, err = run_cli(["fixture", "paper-example", "10000000000000061", "2"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert "exceeds --max-order 10000" in err
+
+
 def test_max_order_checked_before_building_the_action(tmp_path):
     # a generator table for |G| = 3e6 would take minutes to build
     big = tmp_path / "big.json"
