@@ -19,6 +19,14 @@ order: integers for cyclotomic polynomials, Fractions for `char_poly`.
 `fractions.Fraction` appears only at the public face (`entry`,
 `fraction_rows`, `basis_rows`, `coordinates_of`, `mul_vector`, `char_poly`).
 No floating point appears anywhere.
+
+Sparse rows.  Permutation and monomial matrices, such as those of the
+regular representation, have one nonzero per row.  A row counts as sparse
+when at most a quarter of its entries are nonzero, a test made at C speed
+(`_is_sparse`).  Products (`_dot_rows`) and eliminations (`_row_reduce`)
+then work only at the nonzeros of sparse rows and keep the full dot product
+or row update for the others.  Both add up the same integer terms, so every
+result is the same exact integer matrix as the dense computation gives.
 """
 
 from __future__ import annotations
@@ -26,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import PreconditionError
 from .numtheory import divisors
@@ -74,10 +83,44 @@ def fraction_from_jsonable(v) -> Fraction:
     return Fraction(v)
 
 
+def _is_sparse(row) -> bool:
+    """Whether at most a quarter of the row's entries are nonzero; counted at
+    C speed, so a dense row pays almost nothing for the test."""
+    return 4 * (len(row) - row.count(0)) <= len(row)
+
+
+def _nonzero_cols(row) -> list[int]:
+    return list(compress(range(len(row)), row))
+
+
 def _dot_rows(a, bt) -> list[list[int]]:
     """The integer product a @ bt^T: entry (i, j) is row i of a dotted with
-    row j of bt.  The one dot-product kernel behind every integer product."""
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    row j of bt.  The one dot-product kernel behind every integer product.
+
+    A row of a is sparse when at most a quarter of its entries are nonzero
+    (see ``_is_sparse``).  A sparse row is formed as a combination of the
+    rows of b (the columns of bt): one plain copy for an entry 1 and one
+    scaled copy for any other nonzero entry.  A dense row takes the full
+    dot product with every column.  Both add the same integer products, so
+    the result is the same exact integer matrix.
+    """
+    if not bt:  # no columns: b would have no rows for a sparse row to take
+        return [[] for _ in a]
+    b = None  # the rows of b, formed for the first sparse row of a
+    out = []
+    for row in a:
+        if not _is_sparse(row):
+            out.append([sum(map(mul, row, col)) for col in bt])
+            continue
+        if b is None:
+            b = list(zip(*bt))
+        acc = None
+        for t in _nonzero_cols(row):
+            v = row[t]
+            term = b[t] if v == 1 else map(mul, b[t], repeat(v))
+            acc = list(term) if acc is None else list(map(add, acc, term))
+        out.append([0] * len(bt) if acc is None else acc)
+    return out
 
 
 def _content(rows, start: int) -> int:
@@ -341,6 +384,12 @@ def _row_reduce(int_rows, ncols: int):
     every pivot.  Dividing a row by its pivot entry gives the canonical RREF
     row.  Row scaling is irrelevant to the row space, so callers may clear
     denominators per row before calling.
+
+    A row update is a * p - b * v, with b the pivot row, p its pivot entry
+    and v the entry to clear.  When the pivot row is sparse (at most a
+    quarter nonzero, see ``_is_sparse``), the update scales the row by p and
+    subtracts only at the pivot row's nonzero columns; the result is the
+    same integer row as the full update.
     """
     # rows are replaced, never mutated, so the caller's rows are safe
     rows = [_reduce_row_content(r) for r in int_rows if any(r)]
@@ -355,12 +404,18 @@ def _row_reduce(int_rows, ncols: int):
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
         p = prow[c]
+        nz = _nonzero_cols(prow) if _is_sparse(prow) else None
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 v = rows[i][c]
-                rows[i] = _reduce_row_content(
-                    [a * p - b * v for a, b in zip(rows[i], prow)]
-                )
+                if nz is None:
+                    new = [a * p - b * v for a, b in zip(rows[i], prow)]
+                else:
+                    # a * p - b * v, where b = 0 outside the pivot row's nonzeros
+                    new = list(rows[i] if p == 1 else map(mul, rows[i], repeat(p)))
+                    for t in nz:
+                        new[t] -= prow[t] * v
+                rows[i] = _reduce_row_content(new)
         piv.append(c)
         r += 1
     return piv, rows[:r]

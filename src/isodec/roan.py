@@ -20,7 +20,9 @@ earlier steps.  Kernel and image come out of one ``kernel_and_image`` on Y,
 each row-reduced once in Q^n.  An empty kernel means that e does not occur,
 and the step is skipped, as is every e with phi(e) > dim Y.  A nonempty step
 makes e the next d_i, and its image is the new Y.  alpha is restricted only
-to the pieces, for their certificates.
+to the pieces, for their certificates.  Each power is built from an earlier
+one: alpha^e = (alpha^e')^(e/e'), with e' the largest divisor of e that the
+walk has already formed.
 
 Each piece is certified by Phi_e(alpha|B) = 0, the e-th cyclotomic
 polynomial evaluated by Horner's rule; for an operator of finite order this
@@ -147,10 +149,13 @@ def _divisor_walk(m: MatQ, d: int) -> RoanReport:
     eye = MatQ.identity(n)
     y = SubspaceQ.full(n)
     orders, filtration, components = [], [y], []
+    powers = {1: m}  # e -> m ** e, for the divisors e this walk has formed
     for e in divisors(d):
         if totient(e) > y.dim:
             continue
-        b, rest = kernel_and_image(eye - m ** e, y)
+        base = max(k for k in powers if e % k == 0)
+        powers[e] = powers[base] ** (e // base)
+        b, rest = kernel_and_image(eye - powers[e], y)
         if not b.dim:
             continue
         if not _vanishes_at(cyclotomic(e), restrict_operator(m, b)):

@@ -543,22 +543,28 @@ def test_rational_contains_subspace_matches_oracle_rank(rows_u, rows_w):
             assert rebuilt == [Fraction(x) for x in row]
 
 
-@given(frac_matrix(3, 3), frac_matrix(1, 3), frac_matrix(2, 3))
-def test_rational_restrict_operator_matches_oracle(m_rows, seed, other):
-    m = MatQ(m_rows)
-    # the Krylov space of a vector is invariant
-    krylov = [seed[0]]
-    for _ in range(3):
+def assert_restriction_to_the_orbit_matches_the_oracle(m_rows, vec):
+    """restrict_operator on the span of vec, M vec, M^2 vec, ... (the Krylov
+    space, which is invariant) against Fraction elimination."""
+    n = len(m_rows)
+    krylov = [vec]
+    for _ in range(n):
         krylov.append(oracle_apply(m_rows, krylov[-1]))
-    s = SubspaceQ(3, krylov)
-    _, basis = oracle_rref(krylov, 3)
+    s = SubspaceQ(n, krylov)
+    _, basis = oracle_rref(krylov, n)
     expected = [[Fraction(0)] * len(basis) for _ in basis]
     for j, b in enumerate(basis):
         image = oracle_apply(m_rows, b)
         for i, c in enumerate(s.pivot_cols):
             expected[i][j] = image[c]
-    r = restrict_operator(m, s)
+    r = restrict_operator(MatQ(m_rows), s)
     assert r == (MatQ(expected) if basis else MatQ.zeros(0, 0))
+
+
+@given(frac_matrix(3, 3), frac_matrix(1, 3), frac_matrix(2, 3))
+def test_rational_restrict_operator_matches_oracle(m_rows, seed, other):
+    m = MatQ(m_rows)
+    assert_restriction_to_the_orbit_matches_the_oracle(m_rows, seed[0])
     # any subspace: invariant iff its images stay inside it
     t = SubspaceQ(3, other)
     _, tb = oracle_rref(other, 3)
@@ -571,20 +577,27 @@ def test_rational_restrict_operator_matches_oracle(m_rows, seed, other):
             restrict_operator(m, t)
 
 
+def assert_kernel_and_image_match_the_oracle(t: MatQ, t_rows, y_rows, n):
+    """kernel_and_image(t, Y) against Fraction elimination; returns Y and
+    the kernel."""
+    y = SubspaceQ(n, y_rows)
+    kernel, image = kernel_and_image(t, y)
+    _, yb = oracle_rref(y_rows, n)
+    images = [oracle_apply(t_rows, b) for b in yb]
+    assert_basis_is(image, oracle_basis(images, n))
+    # sum c_j b_j lies in ker T iff sum c_j T b_j = 0
+    coeffs = oracle_kernel([list(col) for col in zip(*images)], len(yb)) if yb else []
+    meet = [oracle_apply(list(zip(*yb)), c) for c in coeffs]
+    assert_basis_is(kernel, oracle_basis(meet, n))
+    return y, kernel
+
+
 @given(frac_matrix(4, 4), frac_matrix(3, 4))
 @settings(max_examples=60)
 def test_kernel_and_image_on_a_subspace_match_the_oracle(t_rows, y_rows):
     # Y need not be invariant: ker T ∩ Y and T(Y) are defined for any Y
     t = MatQ(t_rows)
-    y = SubspaceQ(4, y_rows)
-    kernel, image = kernel_and_image(t, y)
-    _, yb = oracle_rref(y_rows, 4)
-    images = [oracle_apply(t_rows, b) for b in yb]
-    assert_basis_is(image, oracle_basis(images, 4))
-    # sum c_j b_j lies in ker T iff sum c_j T b_j = 0
-    coeffs = oracle_kernel([list(col) for col in zip(*images)], len(yb)) if yb else []
-    meet = [oracle_apply(list(zip(*yb)), c) for c in coeffs]
-    assert_basis_is(kernel, oracle_basis(meet, 4))
+    y, kernel = assert_kernel_and_image_match_the_oracle(t, t_rows, y_rows, 4)
     assert kernel == intersect_spaces(y, kernel_space(t))
 
 
@@ -614,3 +627,152 @@ def test_rational_mul_vector_matches_oracle(rows, vec):
     result = MatQ(rows).mul_vector(vec)
     assert all(type(x) is Fraction for x in result)
     assert list(result) == oracle_apply(rows, [Fraction(x) for x in vec])
+
+
+# ------------------------------------------------- sparse rows in the kernel
+#
+# Products and eliminations take a shortcut for rows with at most a quarter
+# of their entries nonzero.  These tests feed them permutation and monomial
+# matrices, rows at exactly that density, zero rows, dense rows and empty
+# shapes, and compare against dense Fraction arithmetic.
+
+nonzero_entries = st.sampled_from([1, -1]) | st.integers(-7, 7).filter(bool)
+
+
+@st.composite
+def mixed_rows(draw, nrows, ncols):
+    """Integer rows, each all zero, with one nonzero, with exactly a quarter
+    of its entries nonzero, or with every entry nonzero."""
+    out = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["zero", "one", "quarter", "dense"]))
+        count = {"zero": 0, "one": min(1, ncols), "quarter": ncols // 4}
+        where = draw(st.permutations(range(ncols)))[: count.get(kind, ncols)]
+        row = [0] * ncols
+        for t in where:
+            row[t] = draw(nonzero_entries)
+        out.append(row)
+    return out
+
+
+@st.composite
+def monomial_rows(draw, n):
+    """A signed monomial matrix: one nonzero per row and column, each ±1 or
+    ±k; with every entry 1 it is a permutation matrix."""
+    perm = draw(st.permutations(range(n)))
+    unit = draw(st.booleans())
+    entry = st.just(1) if unit else nonzero_entries
+    scale = draw(st.lists(entry, min_size=n, max_size=n))
+    return [[scale[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+
+
+def sparse_matrix(nrows, ncols):
+    if nrows == ncols:
+        return monomial_rows(nrows) | mixed_rows(nrows, ncols)
+    return mixed_rows(nrows, ncols)
+
+
+def as_matq(rows, ncols, den=1) -> MatQ:
+    m = MatQ(rows) if rows else MatQ.zeros(0, ncols)
+    return m * Fraction(1, den)
+
+
+def oracle_product(a, b, inner, ncols):
+    return [
+        [sum((Fraction(row[t]) * b[t][j] for t in range(inner)), Fraction(0))
+         for j in range(ncols)]
+        for row in a
+    ]
+
+
+@st.composite
+def product_case(draw):
+    r, k, m = (draw(st.integers(0, 8)) for _ in range(3))
+    return r, k, m, draw(sparse_matrix(r, k)), draw(sparse_matrix(k, m))
+
+
+@given(product_case(), st.integers(1, 4), st.integers(1, 4))
+@example((2, 8, 3, [[0, 3, 0, 0, 0, 0, -1, 0], [1] * 8], [[1, 0, 2]] * 8), 1, 1)
+@example((3, 3, 0, [[0, 1, 0], [1, 0, 0], [0, 0, -5]], [[], [], []]), 1, 2)
+@example((0, 4, 2, [], [[1, 0], [0, 0], [0, 2], [0, 0]]), 1, 1)
+@settings(max_examples=150)
+def test_products_with_sparse_rows_match_the_oracle(case, den_a, den_b):
+    r, k, m, a, b = case
+    product = as_matq(a, k, den_a) @ as_matq(b, m, den_b)
+    expected = [
+        [v / (den_a * den_b) for v in row] for row in oracle_product(a, b, k, m)
+    ]
+    assert product.shape == (r, m)
+    assert [list(row) for row in product.fraction_rows()] == expected
+    if m:
+        vec = [Fraction(row[0], den_b) for row in b]
+        expected_vec = [row[0] for row in expected]
+        assert list(as_matq(a, k, den_a).mul_vector(vec)) == expected_vec
+
+
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.tuples(st.just(n), sparse_matrix(n, n), mixed_rows(n // 2 + 1, n))
+    )
+)
+@settings(max_examples=100)
+def test_kernel_and_image_on_sparse_inputs_match_the_oracle(case):
+    n, t_rows, y_rows = case
+    assert_kernel_and_image_match_the_oracle(as_matq(t_rows, n), t_rows, y_rows, n)
+
+
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(monomial_rows(n), mixed_rows(1, n)))
+)
+@settings(max_examples=100)
+def test_restrict_operator_on_monomial_actions_matches_the_oracle(case):
+    m_rows, seed = case
+    assert_restriction_to_the_orbit_matches_the_oracle(m_rows, seed[0])
+
+
+def dense_row_reduce(int_rows, ncols):
+    """`_row_reduce` with every row update taken over the whole row."""
+
+    def content_reduced(row):
+        g = 0
+        for v in row:
+            g = gcd(g, v)
+        return [v // g for v in row] if g > 1 else list(row)
+
+    rows = [content_reduced(r) for r in int_rows if any(r)]
+    piv = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r][c]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                v = rows[i][c]
+                new = [a * p - b * v for a, b in zip(rows[i], rows[r])]
+                rows[i] = content_reduced(new)
+        piv.append(c)
+        r += 1
+    return piv, rows[:r]
+
+
+@given(
+    st.integers(0, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n), mixed_rows(n, n) | monomial_rows(n), st.booleans()
+        )
+    )
+)
+@example(
+    (8, [[2, 0, 0, 0, 0, 0, 0, 4], [0, 1, 0, 0, 0, 0, 3, 0]] + [[1] * 8] * 6, True)
+)
+@settings(max_examples=150)
+def test_row_reduce_matches_the_dense_update_and_keeps_the_input(case):
+    n, rows, as_tuples = case
+    given_rows = [tuple(r) for r in rows] if as_tuples else [list(r) for r in rows]
+    before = [tuple(r) for r in given_rows]
+    piv, reduced = ratlinalg._row_reduce(given_rows, n)
+    assert (piv, [list(r) for r in reduced]) == dense_row_reduce(rows, n)
+    assert [tuple(r) for r in given_rows] == before

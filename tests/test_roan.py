@@ -79,6 +79,22 @@ def test_filtration_of_regular_shift():
     ]
 
 
+def test_filtration_builds_each_power_from_an_earlier_one(monkeypatch):
+    # alpha^e = (alpha^e')^(e/e'), e' the largest divisor of e formed so far
+    exponents = []
+    power = MatQ.__pow__
+
+    def recording(m, n):
+        exponents.append(n)
+        return power(m, n)
+
+    monkeypatch.setattr(MatQ, "__pow__", recording)
+    report = roan_decomposition(perm_matrix(12), 12)
+    assert report.orders == (1, 2, 3, 4, 6, 12)
+    # e = 1, 2, 3, then 4 = 2 * 2, 6 = 3 * 2, 12 = 6 * 2
+    assert exponents == [1, 2, 3, 2, 2, 2]
+
+
 def test_filtration_pieces_are_independent():
     report = roan_decomposition(perm_matrix(10), 10)
     pieces = [s for _, s in report.components]
