@@ -80,7 +80,6 @@ from .qalgebra import GroupAlgebraElem
 from .ratlinalg import (
     MatQ,
     SubspaceQ,
-    _dot_rows,
     image_space,
     intersect_spaces,
     kernel_and_image,
@@ -283,15 +282,10 @@ def _avg_matrix(action: GAction, h: Subgroup) -> MatQ:
 
 
 def fixed_subvariety(action: GAction, h: Subgroup) -> SubspaceQ:
-    """A^H: the image of the averaging idempotent p_H, cached per subgroup
-    beside p_H."""
+    """A^H: the image of the averaging idempotent p_H."""
     if h.group != action.group:
         raise PreconditionError("subgroup of a different group")
-    cache = action._cache.setdefault("fixed", {})
-    s = cache.get(h)
-    if s is None:
-        s = cache[h] = image_space(_avg_matrix(action, h))
-    return s
+    return image_space(_avg_matrix(action, h))
 
 
 def complementary_subvariety(action: GAction, k_sub: Subgroup, h: Subgroup) -> SubspaceQ:
@@ -320,13 +314,11 @@ def _central_image(
 
         e_W = p_K * F,   F = (1/n) * sum over j < n of c_n(j) * rho(j * x).
 
-    p_K and F commute, so the image is F(A^K), spanned by the rows F b_j
-    for the basis rows b_j of A^K: n matrices summed and one
-    dim(A^K) x dim x dim product, with A^K cached (``fixed_subvariety``).
+    p_K and F commute, so the image is F(A^K): n matrices summed and one
+    dim x dim x dim(A^K) product, with p_K the one the first route cached.
     """
     f = _cyclic_factor(action, x, [ramanujan_sum(n, j) for j in range(n)], n)
-    basis = fixed_subvariety(action, k_sub).basis
-    return SubspaceQ(action.dim, _dot_rows(basis.num, f.num))
+    return image_space(f @ fixed_subvariety(action, k_sub).basis.transpose())
 
 
 def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:

@@ -22,7 +22,8 @@ and the step is skipped, as is every e with phi(e) > dim Y.  A nonempty step
 makes e the next d_i, and its image is the new Y.  alpha is restricted only
 to the pieces, for their certificates.  Each power is built from an earlier
 one: alpha^e = (alpha^e')^(e/e'), with e' the largest divisor of e that the
-walk has already formed.
+walk has already formed, and a power is dropped once no later divisor would
+be built from it.
 
 Each piece is certified by Phi_e(alpha|B) = 0, the e-th cyclotomic
 polynomial evaluated by Horner's rule; for an operator of finite order this
@@ -149,13 +150,15 @@ def _divisor_walk(m: MatQ, d: int) -> RoanReport:
     eye = MatQ.identity(n)
     y = SubspaceQ.full(n)
     orders, filtration, components = [], [y], []
-    powers = {1: m}  # e -> m ** e, for the divisors e this walk has formed
-    for e in divisors(d):
+    divs = divisors(d)
+    powers = {1: m}  # k -> m ** k, while a later divisor is built from it
+    for i, e in enumerate(divs):
         if totient(e) > y.dim:
             continue
-        base = max(k for k in powers if e % k == 0)
-        powers[e] = powers[base] ** (e // base)
-        b, rest = kernel_and_image(eye - powers[e], y)
+        base = _base(powers, e)
+        power = powers[e] = powers[base] ** (e // base)
+        powers = {k: powers[k] for k in {_base(powers, f) for f in divs[i + 1 :]}}
+        b, rest = kernel_and_image(eye - power, y)
         if not b.dim:
             continue
         if not _vanishes_at(cyclotomic(e), restrict_operator(m, b)):
@@ -171,6 +174,11 @@ def _divisor_walk(m: MatQ, d: int) -> RoanReport:
     if SubspaceQ(n, [row for _, b in components for row in b.basis.num]).dim != n:
         raise InternalCheckError("kernel pieces do not span the whole space")
     return RoanReport(n, d, tuple(orders), tuple(filtration), tuple(components))
+
+
+def _base(powers: dict[int, MatQ], e: int) -> int:
+    """The largest k with a formed power m ** k that divides e."""
+    return max(k for k in powers if e % k == 0)
 
 
 def _vanishes_at(monic: tuple[int, ...], a: MatQ) -> bool:

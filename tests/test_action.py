@@ -294,19 +294,6 @@ def test_fixed_subvariety_dimensions_in_regular_representation():
         assert fixed_subvariety(action, h).dim == h.index
 
 
-def test_fixed_subvariety_is_cached_per_subgroup(monkeypatch):
-    group = FinAbGroup((12,))
-    action = validate_action(group, [perm_matrix(12)])
-    h = subgroup_from_generators(group, [(4,)])
-    first = fixed_subvariety(action, h)
-
-    def refuse(m):
-        raise AssertionError("p_H row-reduced again")
-
-    monkeypatch.setattr(action_module, "image_space", refuse)
-    assert fixed_subvariety(action, h) is first
-
-
 def test_fixed_subvariety_dimension_oracle_on_semisimple_fixture():
     # dim A^H = sum over classes fixed by H of multiplicity * degree
     moduli = (2, 4)

@@ -80,19 +80,28 @@ def test_filtration_of_regular_shift():
 
 
 def test_filtration_builds_each_power_from_an_earlier_one(monkeypatch):
-    # alpha^e = (alpha^e')^(e/e'), e' the largest divisor of e formed so far
-    exponents = []
-    power = MatQ.__pow__
+    # alpha^e = (alpha^e')^(e/e'), e' the largest divisor of e formed so far;
+    # a power is dropped once no later divisor is built from it
+    exponents, held = [], {}
+    power, base = MatQ.__pow__, roan_module._base
 
-    def recording(m, n):
+    def recording_power(m, n):
         exponents.append(n)
         return power(m, n)
 
-    monkeypatch.setattr(MatQ, "__pow__", recording)
+    def recording_base(powers, e):
+        held[e] = set(powers)  # the last lookup for e is e's own step
+        return base(powers, e)
+
+    monkeypatch.setattr(MatQ, "__pow__", recording_power)
+    monkeypatch.setattr(roan_module, "_base", recording_base)
     report = roan_decomposition(perm_matrix(12), 12)
     assert report.orders == (1, 2, 3, 4, 6, 12)
     # e = 1, 2, 3, then 4 = 2 * 2, 6 = 3 * 2, 12 = 6 * 2
     assert exponents == [1, 2, 3, 2, 2, 2]
+    # by e = 4, alpha^1 is gone; 12 is built from alpha^6 alone
+    assert held[4] == {2, 3}
+    assert held[12] == {6}
 
 
 def test_filtration_pieces_are_independent():
