@@ -204,7 +204,7 @@ class Subgroup:
                         "subgroup basis is not in Hermite normal form"
                     )
         for row in self.group.relation_rows():
-            if not _lattice_contains(e, row):
+            if _solve_upper(e, row) is None:
                 raise PreconditionError(
                     "subgroup lattice does not contain the relation lattice"
                 )
@@ -236,7 +236,7 @@ class Subgroup:
         return self.group.order // self.index
 
     def contains_exps(self, exps) -> bool:
-        return _lattice_contains(self.hnf_basis.entries, exps)
+        return _solve_upper(self.hnf_basis.entries, exps) is not None
 
     def contains(self, g: GroupElement) -> bool:
         if g.group != self.group:
@@ -256,7 +256,7 @@ class Subgroup:
         if self.group != other.group:
             raise PreconditionError("subgroups of different groups")
         return all(
-            _lattice_contains(other.hnf_basis.entries, row)
+            _solve_upper(other.hnf_basis.entries, row) is not None
             for row in self.hnf_basis.entries
         )
 
@@ -286,36 +286,19 @@ class Subgroup:
         return f"Subgroup(index {self.index} of {self.group.moduli})"
 
 
-def _lattice_contains(basis_entries, vec) -> bool:
-    """Is vec an integer combination of the (upper-triangular) basis rows?"""
+def _solve_upper(basis_entries, vec) -> list[int] | None:
+    """Integer coordinates of vec in the upper-triangular basis rows, or None
+    when vec is not in their lattice."""
     v = list(vec)
-    k = len(basis_entries)
-    for i in range(k):
-        q, rem = divmod(v[i], basis_entries[i][i])
+    for i, row in enumerate(basis_entries):
+        q, rem = divmod(v[i], row[i])
         if rem:
-            return False
+            return None
+        v[i] = q  # entry i is now cleared: it keeps the coordinate
         if q:
-            row = basis_entries[i]
-            for j in range(i, k):
+            for j in range(i + 1, len(v)):
                 v[j] -= q * row[j]
-    return True
-
-
-def _solve_upper(basis_entries, vec) -> list[int]:
-    """Integer coordinates of vec in the upper-triangular basis (must exist)."""
-    v = list(vec)
-    k = len(basis_entries)
-    out = [0] * k
-    for i in range(k):
-        q, rem = divmod(v[i], basis_entries[i][i])
-        if rem:
-            raise PreconditionError("vector is not in the lattice")
-        out[i] = q
-        if q:
-            row = basis_entries[i]
-            for j in range(i, k):
-                v[j] -= q * row[j]
-    return out
+    return v
 
 
 def subgroup_from_generators(group: FinAbGroup, gens) -> Subgroup:
@@ -408,7 +391,7 @@ def all_subgroups(
             m = moduli[i] // d
             head = (0,) * i + (d,)
             for tail in tails:
-                if _lattice_contains(tail_basis, [m * a for a in tail]):
+                if _solve_upper(tail_basis, [m * a for a in tail]) is not None:
                     extend(i - 1, [head + tail] + below)
 
     extend(k - 1, [])

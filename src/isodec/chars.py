@@ -118,19 +118,23 @@ def common_kernel(group: FinAbGroup, characters) -> Subgroup:
     c_ij = (N/n_j) a_ij.  The integer solutions (g, t) of
     [g | t] [C; N*I] = 0, for C the matrix of the c_ij, form a lattice whose
     projection to the g-part, together with the relation rows, is the common
-    kernel.  The left kernel of [C; N*I] is read off the Hermite transform.
+    kernel.  The Hermite elimination of [C; N*I] carries the identity on
+    its g rows (zeros on its t rows), so the carried parts of the rows it
+    leaves zero are the g-parts of a basis of its left kernel.
     """
     chars = tuple(characters)
     if any(c.group != group for c in chars):
         raise PreconditionError("character of a different group")
     n_all = group.exponent
+    m, k = len(chars), group.rank
     rows = [
         [((n_all // n) * c.exps[j]) % n_all for c in chars]
+        + [int(i == j) for i in range(k)]
         for j, n in enumerate(group.moduli)
     ]
-    rows += [[n_all * (i == t) for t in range(len(chars))] for i in range(len(chars))]
-    _, pivot_cols, u = _hermite(rows, len(chars), with_transform=True)
-    kernel_rows = [row[: group.rank] for row in u[len(pivot_cols) :]]
+    rows += [[n_all * (i == t) for t in range(m)] + [0] * k for i in range(m)]
+    _, _, rest = _hermite(rows, m)
+    kernel_rows = [row[m:] for row in rest]
     return Subgroup.from_lattice_rows(group, kernel_rows)
 
 

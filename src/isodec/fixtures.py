@@ -167,6 +167,11 @@ def _random_unimodular(dim: int, rng: random.Random) -> MatQ:
 
 
 def _random_multiplicities(group: FinAbGroup, rng: random.Random, max_dim: int):
+    # The trivial class has degree 1, so a budget of 1 or more admits a class.
+    if max_dim < 1:
+        raise ValidationError(
+            f"random-conjugated fixture needs --max-dim >= 1, got {max_dim}"
+        )
     irreps = rational_irreps(group)
     degrees = [w.degree for w in irreps]
     mult = [0] * len(irreps)
@@ -178,8 +183,6 @@ def _random_multiplicities(group: FinAbGroup, rng: random.Random, max_dim: int):
         mult[i] += 1
         budget -= degrees[i]
         candidates = [i for i, d in enumerate(degrees) if d <= budget]
-    if not any(mult):
-        mult[0] = 1
     return tuple(mult)
 
 

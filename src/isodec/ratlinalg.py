@@ -622,35 +622,25 @@ def kernel_and_image(t: MatQ, y: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
 
 
 # ---------------------------------------------------------------------------
-# Integer lattices: Hermite and Smith normal forms
+# Integer lattices: Hermite normal forms and Smith invariants
+#
+# No transform is kept beside an elimination: a caller that needs the row
+# transform of `_hermite` carries the identity in columns after the pivoted
+# ones, as `inverse` does on the rational side.
 
 
-def _hermite(rows_in, ncols: int, with_transform: bool = False):
-    """Row-style HNF of the lattice spanned by integer rows.
+def _hermite(rows_in, ncols: int):
+    """Row-style HNF of the lattice spanned by the first ncols entries of rows.
 
-    Returns (hnf_rows, pivot_cols, U) where hnf_rows are the nonzero canonical
-    rows and, if requested, U is unimodular with U @ rows_in = hnf_rows
-    followed by zero rows (so U's trailing rows span the left kernel).
+    Pivots only on the first ncols entries; any later entries are carried
+    through every row operation.  Returns (hnf_rows, pivot_cols, rest):
+    hnf_rows are the canonical rows with a pivot, rest the rows left zero in
+    the first ncols entries.  With the identity carried, the carried parts of
+    hnf_rows then rest form a unimodular U with U @ rows = hnf rows followed
+    by zero rows, so the carried parts of rest span the left kernel.
     """
     rows = [list(r) for r in rows_in]
     n = len(rows)
-    U = [[int(i == j) for j in range(n)] for i in range(n)] if with_transform else None
-
-    def addmul(dst, src, q):
-        rows[dst] = [a - q * b for a, b in zip(rows[dst], rows[src])]
-        if U is not None:
-            U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
-
-    def swap(i, j):
-        rows[i], rows[j] = rows[j], rows[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def negate(i):
-        rows[i] = [-v for v in rows[i]]
-        if U is not None:
-            U[i] = [-v for v in U[i]]
-
     r = 0
     piv: list[int] = []
     for c in range(ncols):
@@ -663,18 +653,18 @@ def _hermite(rows_in, ncols: int, with_transform: bool = False):
                 (i for i in range(r, n) if rows[i][c]),
                 key=lambda i: (abs(rows[i][c]), i),
             )
-            if i0 != r:
-                swap(r, i0)
+            rows[r], rows[i0] = rows[i0], rows[r]
             if rows[r][c] < 0:
-                negate(r)
-            p = rows[r][c]
+                rows[r] = [-v for v in rows[r]]
+            top = rows[r]
+            p = top[c]
             done = True
             for i in range(r + 1, n):
-                v = rows[i][c]
-                if v:
-                    addmul(i, r, v // p)
-                    if rows[i][c]:
-                        done = False
+                q = rows[i][c] // p
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], top)]
+                if rows[i][c]:
+                    done = False
             if done:
                 break
         piv.append(c)
@@ -684,8 +674,8 @@ def _hermite(rows_in, ncols: int, with_transform: bool = False):
         for j in range(k):
             q = rows[j][c] // p
             if q:
-                addmul(j, k, q)
-    return rows[:r], piv, U
+                rows[j] = [a - q * b for a, b in zip(rows[j], rows[k])]
+    return rows[:r], piv, rows[r:]
 
 
 def hnf(M: MatZ) -> MatZ:
@@ -702,107 +692,67 @@ def hnf(M: MatZ) -> MatZ:
     return MatZ(tuple(tuple(r) for r in rows))
 
 
-def _smith(entries):
-    """Smith elimination of an integer matrix: the diagonal of its normal form.
-
-    The entries are nonnegative and in divisibility order d1 | d2 | ...  Only
-    the diagonal is returned, so the unimodular transforms are not kept.
-    """
-    a = [list(r) for r in entries]
-    nr, nc = len(a), len(a[0])
-
-    def row_addmul(dst, src, q):  # row_dst -= q * row_src
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-
-    def col_addmul(dst, src, q):  # col_dst -= q * col_src
-        for row in a:
-            row[dst] -= q * row[src]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def diagonalize():
-        for t in range(min(nr, nc)):
-            cand = [
-                (abs(a[i][j]), i, j)
-                for i in range(t, nr)
-                for j in range(t, nc)
-                if a[i][j]
-            ]
-            if not cand:
-                return
-            _, pi, pj = min(cand)
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            while True:
-                if a[t][t] < 0:
-                    row_neg(t)
-                p = a[t][t]
-                dirty = False
-                for i in range(t + 1, nr):
-                    if a[i][t]:
-                        row_addmul(i, t, a[i][t] // p)
-                        if a[i][t]:
-                            dirty = True
-                for j in range(t + 1, nc):
-                    if a[t][j]:
-                        col_addmul(j, t, a[t][j] // p)
-                        if a[t][j]:
-                            dirty = True
-                if not dirty:
-                    break
-                cand = [
-                    (abs(a[i][j]), i, j)
-                    for i in range(t, nr)
-                    for j in range(t, nc)
-                    if a[i][j]
-                ]
-                _, pi, pj = min(cand)
-                if pi != t:
-                    row_swap(t, pi)
-                if pj != t:
-                    col_swap(t, pj)
-
-    diagonalize()
-    # enforce the divisibility chain d1 | d2 | ...
-    k = min(nr, nc)
-    while True:
-        bad = None
-        for i in range(k - 1):
-            if a[i][i] and a[i + 1][i + 1] % a[i][i]:
-                bad = i
-                break
-            if a[i][i] == 0 and a[i + 1][i + 1]:
-                bad = i
-                break
-        if bad is None:
-            break
-        row_addmul(bad, bad + 1, -1)  # row_bad += row_{bad+1}
-        diagonalize()
-    return tuple(abs(a[t][t]) for t in range(k))
+def _smallest_entry(a, t):
+    """(|v|, i, j) for a smallest nonzero entry v = a[i][j] with i, j >= t,
+    or None when there is none.  The search stops at the first unit."""
+    best = None
+    for i in range(t, len(a)):
+        for j, v in enumerate(a[i][t:], t):
+            if v and (best is None or abs(v) < best[0]):
+                best = (abs(v), i, j)
+                if best[0] == 1:
+                    return best
+    return best
 
 
 def snf_invariants(M: MatZ) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... of a square nonsingular integer matrix.
 
-    The diagonal of the Smith normal form, by `_smith`.  This is how the
-    quotient G/H of a subgroup lattice and a group's own invariants are read.
+    The diagonal of the Smith normal form, in one pass.  Each step moves a
+    smallest nonzero entry of the remaining block to the pivot and clears
+    its row and column, again until both are clean; then each pair of
+    diagonal entries becomes its gcd and lcm, which sorts every prime's
+    exponents into d1 | d2 | ...  This is how the quotient G/H of a subgroup
+    lattice and a group's own invariants are read.
     """
     if M.rows != M.cols:
         raise PreconditionError("Smith invariants of a non-square matrix")
-    diag = _smith(M.entries)
-    if any(d == 0 for d in diag):
-        raise PreconditionError("singular input: zero invariant factor")
-    return diag
+    a = [list(r) for r in M.entries]
+    k = M.rows
+    for t in range(k):
+        while True:
+            best = _smallest_entry(a, t)
+            if best is None:
+                raise PreconditionError("singular input: zero invariant factor")
+            _, i, j = best
+            a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+            top = a[t]
+            p = top[t]
+            # p is smallest, so q == 0 only for a zero entry
+            clean = True
+            for i in range(t + 1, k):
+                q = a[i][t] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+                    if a[i][t]:
+                        clean = False
+            for j in range(t + 1, k):
+                q = top[j] // p
+                if q:
+                    for row in a[t:]:
+                        row[j] -= q * row[t]
+                    if top[j]:
+                        clean = False
+            if clean:
+                break
+    d = [abs(a[t][t]) for t in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(d)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from isodec import (
     rational_irreps,
     subgroup_from_generators,
 )
-from isodec.abgroup import _lattice_contains
+from isodec.abgroup import _solve_upper
 from isodec.numtheory import divisors, prime_divisors
 
 SMALL_MODULI = [(6,), (8,), (12,), (2, 2), (2, 4), (3, 3), (8, 9), (2, 2, 2), (2, 6)]
@@ -351,7 +351,10 @@ def _all_subgroups_by_filtering(group):
             for (i, j), v in zip(cells, values):
                 rows[i][j] = v
             entries = tuple(tuple(r) for r in rows)
-            if all(_lattice_contains(entries, rel) for rel in group.relation_rows()):
+            if all(
+                _solve_upper(entries, rel) is not None
+                for rel in group.relation_rows()
+            ):
                 found.append(Subgroup(group, MatZ(entries)))
     return tuple(sorted(found, key=lambda s: s.sort_key))
 

@@ -376,6 +376,11 @@ def test_fixture_parameter_validation_exits_2():
         ["fixture", "semisimple", "--group", "6", "--multiplicities", "1"]
     )
     assert code == 2 and "expected 4 multiplicities" in err
+    for budget in ("0", "-1"):
+        code, out, err = run_cli(
+            ["fixture", "random-conjugated", "--group", "4", "--max-dim", budget]
+        )
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("group", ["0", "6,-2", "6;7"])

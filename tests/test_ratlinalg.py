@@ -243,6 +243,45 @@ def test_hnf_invariant_under_unimodular_row_ops(rows):
     assert hnf(m) == hnf(MatZ(tuple(tuple(r) for r in mixed)))
 
 
+@st.composite
+def int_row_sets(draw):
+    """(rows, ncols): integer rows, rank-deficient ones included, since some
+    rows are integer combinations of the others (zero rows among them)."""
+    ncols = draw(st.integers(min_value=1, max_value=4))
+    base = draw(int_matrix(draw(st.integers(min_value=0, max_value=3)), ncols))
+    coeffs = st.lists(
+        st.integers(min_value=-2, max_value=2), min_size=len(base), max_size=len(base)
+    )
+    rows = base + [
+        [sum(c * row[j] for c, row in zip(cs, base)) for j in range(ncols)]
+        for cs in draw(st.lists(coeffs, min_size=1, max_size=3))
+    ]
+    return draw(st.permutations(rows)), ncols
+
+
+@given(int_row_sets())
+@example(([[0, 0], [2, 4], [1, 2]], 2))
+@example(([[-3], [6], [0]], 1))
+def test_hermite_carries_the_row_transform(case):
+    rows, ncols = case
+    n = len(rows)
+    hnf_rows, piv, rest = ratlinalg._hermite(rows, ncols)
+    assert rest == [[0] * ncols] * (n - len(hnf_rows))
+    carried = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    c_hnf, c_piv, c_rest = ratlinalg._hermite(carried, ncols)
+    # the pivoted columns do not see the carried ones
+    assert ([r[:ncols] for r in c_hnf], c_piv) == (hnf_rows, piv)
+    assert [r[:ncols] for r in c_rest] == rest
+    # the carried block is the unimodular row transform
+    u = [r[ncols:] for r in c_hnf + c_rest]
+    assert abs(det_int_of(MatQ(u))) == 1
+    product = [
+        [sum(u[i][k] * rows[k][j] for k in range(n)) for j in range(ncols)]
+        for i in range(n)
+    ]
+    assert product == hnf_rows + rest
+
+
 def test_snf_known_example():
     assert snf_invariants(MatZ(((2, 2), (0, 4)))) == (2, 4)
     assert snf_invariants(MatZ.diagonal((8, 9))) == (1, 72)
@@ -280,9 +319,22 @@ def test_snf_invariants_equal_the_smith_diagonal(rows):
     assert snf_invariants(m) == tuple(divs[i] // divs[i - 1] for i in range(1, n + 1))
 
 
-def test_snf_requires_nonsingular():
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 2), (2, 4)),
+        ((0, 0), (3, 5)),
+        ((2, 0), (7, 0)),
+        ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+        ((0,),),
+    ],
+    ids=["rank-1", "zero-row", "zero-column", "rank-2-of-3", "zero-1x1"],
+)
+def test_snf_requires_nonsingular(rows):
+    # the pass divides by pivots and by gcds: a singular input must be
+    # refused as such, never reach a division by zero
     with pytest.raises(PreconditionError):
-        snf_invariants(MatZ(((1, 2), (2, 4))))
+        snf_invariants(MatZ(rows))
 
 
 # -------------------------------------------------------------- polynomials
