@@ -410,11 +410,6 @@ def minimal_overgroups(group: FinAbGroup, k_sub: Subgroup) -> tuple[Subgroup, ..
         raise PreconditionError("subgroup of a different group")
     if not _is_cyclic(snf_invariants(k_sub.hnf_basis)):
         raise PreconditionError("minimal overgroups require a cyclic quotient G/K")
-    return _cyclic_overgroups(group, k_sub)
-
-
-def _cyclic_overgroups(group: FinAbGroup, k_sub: Subgroup) -> tuple[Subgroup, ...]:
-    """H_p = K + (n/p) G for each prime p | n = [G : K], for cyclic G/K."""
     n = k_sub.index
     base = list(k_sub.hnf_basis.entries)
     out = [

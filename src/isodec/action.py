@@ -7,7 +7,7 @@ G-invariant rational subspaces.
 
 The three geometric constructions:
 
-* ``fixed_subvariety(A, H)``           the image of p_H (the fixed part A^H),
+* ``fixed_subvariety(A, H)``           the fixed part A^H, the image of p_H,
 * ``complementary_subvariety(A, K, H)`` the image of p_K - p_H, i.e. the
   complement of A^H inside A^K (defined for K contained in H),
 * ``isotypical_component(A, W)``       the component associated to the
@@ -27,16 +27,15 @@ multiplies forward by generator matrices.  Validation checks only the
 presentation (the relations M_j ** n_j = I and commutation) and leaves the
 memo holding the identity alone, so only code that reads the memo fills it.
 
-No idempotent is summed over all of G.  For a subgroup H, p_H is the product
-of one cyclic factor per HNF row h of H, each the average of rho(j * h) over
-j < ord(h) (p_A p_B = p_{A+B} in an abelian group).  Route (1) takes images
-of these p_H and of differences p_K - p_H.  Route (2) writes e_W = p_K * F
-with F = (1/n) sum_{j<n} c_n(j) rho(j * x), for n = [G:K], x a generator of
-G/K and c_n the Ramanujan sum.  p_K and F commute, so the image of e_W is
-F(A^K): n matrices summed and one dim x dim x dim(A^K) product beyond p_K,
-never the |G|-term sum.  For the trivial class e_W is p_G, which route (1)
-already takes the image of; route (2) reads A^G as the intersection of the
-kernels of M_j - 1 instead.
+Route (1) forms no idempotent: rho has finite order, so A^H is the common
+kernel of rho(h) - 1 over the HNF rows h of H, and the complement of A^H in
+the G-invariant A^K is the sum of the images (rho(h) - 1)(A^K).  Route (2)
+writes e_W = p_K * F with F = (1/n) sum_{j<n} c_n(j) rho(j * x), for
+n = [G:K], x a generator of G/K and c_n the Ramanujan sum (every g is
+j * x + k with k in K, and c_n depends only on gcd(n, .)).  p_K and F
+commute, so the image of e_W is F(A^K), never the |G|-term sum.  For the
+trivial class e_W is p_G, a product of averages of p terms over the Sylow
+parts of the generators.
 
 Decomposing along the candidates.  Roan's filtration, applied one generator
 at a time, shows which classes can be nonzero before any idempotent is
@@ -64,18 +63,18 @@ reported with a warning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from functools import reduce
+from math import gcd, lcm, prod
 
 from .abgroup import (
     FinAbGroup,
     GroupElement,
     Subgroup,
-    _cyclic_overgroups,
     index_and_quotient,
 )
 from .chars import RationalIrrep, common_kernel, ramanujan_sum, rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
-from .numtheory import factorint
+from .numtheory import factorint, prime_divisors
 from .qalgebra import GroupAlgebraElem
 from .ratlinalg import (
     MatQ,
@@ -83,6 +82,7 @@ from .ratlinalg import (
     image_space,
     intersect_spaces,
     kernel_and_image,
+    kernel_space,
     sum_spaces,
 )
 
@@ -260,39 +260,43 @@ def _cyclic_factor(action: GAction, g: GroupElement, coeffs, den: int) -> MatQ:
     return _combination(action.dim, terms, den)
 
 
-def _avg_matrix(action: GAction, h: Subgroup) -> MatQ:
-    """Matrix of the averaging idempotent p_H, cached per subgroup.
-
-    In an abelian group p_A p_B = p_{A+B}, so p_H is the product of the
-    cyclic factors p_<h> = (1/ord h) * sum over j < ord h of rho(j * h), one
-    per HNF row h of H: a sum of at most ord(h) matrices each, not |H|.
-    """
-    cache = action._cache.setdefault("avg", {})
-    m = cache.get(h)
-    if m is None:
-        for g in h.generators():
-            o = g.order()
-            if o > 1:
-                f = _cyclic_factor(action, g, (1,) * o, o)
-                m = f if m is None else m @ f
-        if m is None:
-            m = MatQ.identity(action.dim)
-        cache[h] = m
-    return m
-
-
 def fixed_subvariety(action: GAction, h: Subgroup) -> SubspaceQ:
-    """A^H: the image of the averaging idempotent p_H."""
+    """A^H: the common kernel of rho(h) - 1 over the non-identity HNF
+    generators h of H, one elimination of their stacked rows (the image of
+    the averaging idempotent p_H)."""
     if h.group != action.group:
         raise PreconditionError("subgroup of a different group")
-    return image_space(_avg_matrix(action, h))
+    eye = MatQ.identity(action.dim)
+    # each block's own denominator only scales its rows, not the kernel
+    rows = [
+        row
+        for g in h.generators()
+        if any(g.exps)
+        for row in (action_matrix(action, g) - eye).num
+    ]
+    return kernel_space(MatQ._raw(rows, 1, action.dim))
+
+
+def _images(action: GAction, y: SubspaceQ, gens) -> SubspaceQ:
+    """The sum of the images (rho(g) - 1)(Y) over the elements g: one
+    elimination of the stacked image vectors."""
+    eye = MatQ.identity(action.dim)
+    yt = y.basis.transpose()
+    cols = []
+    for g in gens:
+        cols.extend(zip(*((action_matrix(action, g) - eye) @ yt).num))
+    return SubspaceQ(action.dim, cols)
 
 
 def complementary_subvariety(action: GAction, k_sub: Subgroup, h: Subgroup) -> SubspaceQ:
     """P(A^K / A^H): the complement of A^H inside A^K, for K contained in H.
 
     This is the image of the idempotent p_K - p_H, the unique G-invariant
-    complement up to isogeny.
+    complement up to isogeny, taken as the sum of the images
+    (rho(h) - 1)(A^K) over the generators h of H.  A^K is G-invariant and
+    p_H (rho(h) - 1) = 0, so each image lies in the complement; a vector of
+    A^K orthogonal to all of them, for a G-invariant inner product, is fixed
+    by H, so together they fill it.
     """
     if k_sub.group != action.group or h.group != action.group:
         raise PreconditionError("subgroup of a different group")
@@ -300,39 +304,38 @@ def complementary_subvariety(action: GAction, k_sub: Subgroup, h: Subgroup) -> S
         raise PreconditionError(
             "the complement P(A^K/A^H) requires K to be contained in H"
         )
-    return image_space(_avg_matrix(action, k_sub) - _avg_matrix(action, h))
+    gens = [g for g in h.generators() if any(g.exps)]
+    return _images(action, fixed_subvariety(action, k_sub), gens)
 
 
-def _central_image(
-    action: GAction, k_sub: Subgroup, n: int, x: GroupElement
-) -> SubspaceQ:
-    """The image of e_W, for W with kernel K = k_sub, n = [G:K] and x
-    generating G/K.
-
-    Every g is j*x + k with k in K; m(j*x) = j * m(x) with m(x) a unit mod n,
-    and the Ramanujan sum c_n depends only on gcd(n, .), so
-
-        e_W = p_K * F,   F = (1/n) * sum over j < n of c_n(j) * rho(j * x).
-
-    p_K and F commute, so the image is F(A^K): n matrices summed and one
-    dim x dim x dim(A^K) product, with p_K the one the first route cached.
-    """
-    f = _cyclic_factor(action, x, [ramanujan_sum(n, j) for j in range(n)], n)
-    return image_space(f @ fixed_subvariety(action, k_sub).basis.transpose())
+def _average_over_g(action: GAction) -> MatQ:
+    """p_G as a product of averages of p terms, a of them per Sylow part
+    (j, p, a) of the generators.  p_A p_B = p_{A+B} in an abelian group, and
+    every m < p^a has base-p digits, so the average of rho over <s>, for
+    s = (n_j / p^a) e_j, is the product over t < a of the averages of
+    rho(d p^t s) over d < p: steps that ``_sylow_split`` holds."""
+    group = action.group
+    m = MatQ.identity(action.dim)
+    for j, p, a in _sylow_parts(group):
+        for t in range(1, a + 1):
+            s = group.element(_unit(group, j, group.moduli[j] // p**t))
+            m = m @ _cyclic_factor(action, s, (1,) * p, p)
+    return m
 
 
 def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     """The isotypical component of W, computed two ways and cross-checked.
 
-    Route one is the defining intersection over minimal overgroups of the
-    kernel (the fixed part itself when the kernel is all of G), from the
-    images of p_K - p_H, with each p_H a product of cyclic factors.  Route
+    Both routes start from A^K, K the kernel of W, with n = [G:K] and x a
+    generator of G/K.  Route one is the defining intersection of the
+    complements P(A^K / A^{H_p}) over the minimal overgroups
+    H_p = K + (n/p) x of K; K acts trivially on A^K, so each is the image
+    (rho((n/p) x) - 1)(A^K).  When K is all of G it is A^G itself.  Route
     two is the image of the central idempotent e_W = p_K * F, with F one
-    cyclic factor of n = [G:K] terms in the generator x of G/K, taken as F
-    applied to A^K.  For the trivial class, e_W = p_G, so route two reads
-    A^G off the generators instead, as the intersection of the kernels of
-    M_j - 1.  Disagreement raises InternalCheckError — it would mean the
-    algebra identity behind the construction failed.
+    cyclic factor in x, taken as F applied to A^K; for the trivial class
+    e_W = p_G, taken from its Sylow factors.  Disagreement raises
+    InternalCheckError — it would mean the algebra identity behind the
+    construction failed.
     """
     if w.group != action.group:
         raise PreconditionError("representation of a different group")
@@ -340,22 +343,19 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     info = index_and_quotient(action.group, k_sub)
     if not info.is_cyclic:
         raise PreconditionError("minimal overgroups require a cyclic quotient G/K")
-    over = _cyclic_overgroups(action.group, k_sub)
-    if not over:
-        by_intersection = fixed_subvariety(action, k_sub)
+    n, x = info.index, info.generator
+    primes = prime_divisors(n)
+    a_k = fixed_subvariety(action, k_sub)
+    parts = [_images(action, a_k, [(n // p) * x]) for p in primes] or [a_k]
+    by_intersection = reduce(intersect_spaces, parts)
+    if n == 1:
+        by_idempotent = image_space(_average_over_g(action))
     else:
-        parts = [complementary_subvariety(action, k_sub, h) for h in over]
-        by_intersection = parts[0]
-        for p in parts[1:]:
-            by_intersection = intersect_spaces(by_intersection, p)
-    if info.index == 1:
-        # e_W = p_G, which route one just used: A^G read off the generators
-        by_idempotent = SubspaceQ.full(action.dim)
-        eye = MatQ.identity(action.dim)
-        for m in action.gen_matrices:
-            by_idempotent, _ = kernel_and_image(m - eye, by_idempotent)
-    else:
-        by_idempotent = _central_image(action, k_sub, info.index, info.generator)
+        # c_n(j) = 0 unless s = n / rad(n) divides j: F has rad(n) terms, along s x
+        s = n // prod(primes)
+        coeffs = [ramanujan_sum(n, i * s) for i in range(n // s)]
+        f = _cyclic_factor(action, s * x, coeffs, n)
+        by_idempotent = image_space(f @ a_k.basis.transpose())
     if by_intersection != by_idempotent:
         raise InternalCheckError(
             "isotypical component mismatch: the intersection of complements "
@@ -439,19 +439,22 @@ def _sylow_split(action: GAction) -> dict[tuple[int, ...], SubspaceQ]:
     For s = (n_j / p^a) * e_j, each piece Y is peeled in order i < a: the
     kernel of rho(p^i * s) - 1 on Y is the part where rho(s) has eigenvalue
     order p^i, and the image is the rest, of order above p^i.  What remains
-    has order p^a.  Every rho(p^i * s) is taken through the memo
-    (``_walk``), so each one not yet held costs one product.
+    has order p^a.  rho(s) is taken through the memo (``_walk``), and
+    rho(p^(i+1) * s) = rho(p^i * s) ** p, stored in the memo.
     """
     group, rho = action.group, action._cache["rho"]
     eye = MatQ.identity(action.dim)
     pieces = {(): SubspaceQ.full(action.dim)}
     for j, p, a in _sylow_parts(group):
         step = group.moduli[j] // p**a
-        ts = [
-            _walk(rho, group, action.gen_matrices, _unit(group, j, step * p**i))
-            - eye
-            for i in range(a)
-        ]
+        m = _walk(rho, group, action.gen_matrices, _unit(group, j, step))
+        ts = [m - eye]
+        for i in range(1, a):
+            key = group.index_of(_unit(group, j, step * p**i))
+            if key not in rho:
+                rho[key] = m**p
+            m = rho[key]
+            ts.append(m - eye)
         split = {}
         for sig, y in pieces.items():
             for i, t in enumerate(ts):

@@ -16,7 +16,6 @@ from isodec import (
     complementary_subvariety,
     fixed_subvariety,
     image_space,
-    index_and_quotient,
     intersect_spaces,
     inverse,
     isotypical_component,
@@ -36,26 +35,31 @@ from isodec.qalgebra import (
     identity,
 )
 import isodec.action as action_module
-from isodec.action import _avg_matrix, _central_image, _signature, _sylow_parts
+from isodec.action import _signature, _sylow_parts
 
 from test_cli import run_cli
 
 
-def assert_factored_idempotents_match_expanded_sums(action):
-    """p_H from cyclic factors, for every subgroup H, equals the |G|-term
-    sum, and so does the image of e_W, taken as one cyclic factor applied to
-    A^K, for every nontrivial irreducible W."""
+def assert_routes_match_expanded_sums(action):
+    """Against the |G|-term sums: fixed_subvariety(H) is the image of p_H
+    for every subgroup H, complementary_subvariety(K, H) the image of
+    p_K - p_H for every pair K contained in H, and every isotypical
+    component the image of e_W."""
     group = action.group
-    for h in all_subgroups(group):
-        assert _avg_matrix(action, h) == algebra_matrix(
-            action, averaging_idempotent(h)
-        )
+    subgroups = all_subgroups(group)
+    avg = {h: algebra_matrix(action, averaging_idempotent(h)) for h in subgroups}
+    for h in subgroups:
+        assert fixed_subvariety(action, h) == image_space(avg[h])
+    for k in subgroups:
+        for h in subgroups:
+            if k.is_contained_in(h):
+                assert complementary_subvariety(action, k, h) == image_space(
+                    avg[k] - avg[h]
+                )
     for w in rational_irreps(group):
-        info = index_and_quotient(group, w.kernel)
-        if info.index > 1:
-            assert _central_image(
-                action, w.kernel, info.index, info.generator
-            ) == image_space(algebra_matrix(action, central_idempotent(w)))
+        assert isotypical_component(action, w) == image_space(
+            algebra_matrix(action, central_idempotent(w))
+        )
 
 
 def through_quotient(group, sub, budget):
@@ -216,7 +220,7 @@ def test_action_matrix_from_a_cold_memo(monkeypatch):
         rep = isotypical_decomposition(action)
         assert sum(c.dim for c in rep.components) == action.dim
         assert rep.components == isotypical_decomposition(validated).components
-        assert_factored_idempotents_match_expanded_sums(action)
+        assert_routes_match_expanded_sums(action)
 
 
 @pytest.mark.parametrize(
@@ -431,7 +435,7 @@ def test_factored_idempotents_on_rationally_conjugated_actions(moduli, seed):
     )
     action = rationally_conjugated(af.action, seed)
     assert any(m.den > 1 for m in action.gen_matrices)
-    assert_factored_idempotents_match_expanded_sums(action)
+    assert_routes_match_expanded_sums(action)
     assert decomposition_multiplicities(action) == {
         k.entries: m for k, m in af.ground_truth
     }
@@ -453,7 +457,7 @@ def test_factored_idempotents_on_non_faithful_actions(moduli, kernel_gens):
     report = isotypical_decomposition(action)
     assert not report.faithful
     assert s.is_contained_in(report.action_kernel)
-    assert_factored_idempotents_match_expanded_sums(action)
+    assert_routes_match_expanded_sums(action)
     assert decomposition_multiplicities(action) == {
         k.entries: m for k, m in af.ground_truth
     }
@@ -461,7 +465,7 @@ def test_factored_idempotents_on_non_faithful_actions(moduli, kernel_gens):
 
 def test_factored_idempotents_on_the_regular_representation():
     action = make_fixture(FixtureSpec("regular", n=12)).action
-    assert_factored_idempotents_match_expanded_sums(action)
+    assert_routes_match_expanded_sums(action)
 
 
 def test_factored_idempotents_where_a_fixed_part_is_zero():
@@ -471,7 +475,7 @@ def test_factored_idempotents_where_a_fixed_part_is_zero():
     two = subgroup_from_generators(action.group, [(2,)])
     assert fixed_subvariety(action, two).dim == 0
     assert any(w.kernel == two for w in rational_irreps(action.group))
-    assert_factored_idempotents_match_expanded_sums(action)
+    assert_routes_match_expanded_sums(action)
     assert decomposition_multiplicities(action) == {
         w.kernel.hnf_basis.entries: int(w.order == 3)
         for w in rational_irreps(action.group)
@@ -604,3 +608,19 @@ def test_decomposition_with_a_trivial_class_forms_rho_on_part_of_g():
         k.entries: m for k, m in af.ground_truth
     }
     assert len(action._cache["rho"]) < group.order
+
+
+def test_a_cyclic_decomposition_forms_rho_on_a_small_part_of_g():
+    # route one of the trivial class used to average rho over all of G, and
+    # the Sylow split walked one product per element up to rho(p^i s)
+    af = make_fixture(
+        FixtureSpec("random-conjugated", moduli=(2000,), seed=0, max_dim=24)
+    )
+    action = af.action
+    rep = isotypical_decomposition(action)
+    assert rep.components[0].irrep.order == 1 and rep.components[0].multiplicity
+    assert max(c.irrep.order for c in rep.nonzero_components) == 16
+    assert decomposition_multiplicities(action) == {
+        k.entries: m for k, m in af.ground_truth
+    }
+    assert len(action._cache["rho"]) < action.group.order // 4
