@@ -11,8 +11,10 @@ The format::
       ]
     }
 
-Matrix entries are integers or strings like ``"3/4"``.  Unknown keys are
-ignored so files can carry extra annotations.  Serialization is canonical:
+Matrix entries are JSON integers or strings of exactly the form ``"p"`` or
+``"p/q"`` (optional sign on p, digits only, q nonzero), such as ``"-3/4"``;
+decimal, exponent and padded strings are refused.  Unknown keys are ignored
+so files can carry extra annotations.  Serialization is canonical:
 two-space indentation, sorted keys, trailing newline — byte-identical output
 for equal inputs.
 """
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abgroup import FinAbGroup
 from .action import GAction, validate_action
@@ -44,30 +45,18 @@ class ActionFile:
     ground_truth: tuple[tuple[MatZ, int], ...] | None = None
 
 
-def _entry_to_fraction(v, where: str) -> Fraction:
-    if isinstance(v, bool):
-        raise ValidationError(f"{where}: matrix entry must be an integer or 'p/q'")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(
-                f"{where}: cannot parse {v!r} as a rational number"
-            ) from None
-    raise ValidationError(f"{where}: matrix entry must be an integer or 'p/q'")
-
-
 def _parse_matrix(obj, where: str) -> MatQ:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ValidationError(f"{where}: matrix must be a non-empty list of rows")
     width = len(obj[0])
     if width == 0 or any(len(r) != width for r in obj):
         raise ValidationError(f"{where}: matrix rows must be non-empty and equal length")
-    return MatQ(
-        [[_entry_to_fraction(v, where) for v in row] for row in obj]
-    )
+    try:
+        return MatQ(obj)
+    except TypeError:
+        raise ValidationError(f"{where}: matrix entry must be an integer or 'p/q'") from None
+    except ValueError as e:  # "cannot parse ..." from the entry grammar
+        raise ValidationError(f"{where}: {e}") from None
 
 
 def _parse_moduli(obj) -> FinAbGroup:

@@ -22,7 +22,7 @@ from math import gcd
 from .abgroup import FinAbGroup, GroupElement, Subgroup
 from .chars import RationalIrrep, ramanujan_sum
 from .errors import PreconditionError
-from .ratlinalg import fraction_from_jsonable, fraction_to_jsonable
+from .ratlinalg import _parse_rational, _rational_to_jsonable
 
 __all__ = [
     "GroupAlgebraElem",
@@ -151,10 +151,13 @@ class GroupAlgebraElem:
         return hash((self.group, self.nums, self.den))
 
     def to_jsonable(self) -> dict:
+        den, element = self.den, self.group.element_of_index
         return {
             "group": list(self.group.moduli),
             "coeffs": [
-                [fraction_to_jsonable(c), list(g.exps)] for g, c in self.terms()
+                [_rational_to_jsonable(v, den), list(element(i).exps)]
+                for i, v in enumerate(self.nums)
+                if v
             ],
         }
 
@@ -164,7 +167,7 @@ class GroupAlgebraElem:
         return from_terms(
             group,
             {
-                group.element(exps): fraction_from_jsonable(c)
+                group.element(exps): _parse_rational(c)
                 for c, exps in obj["coeffs"]
             },
         )

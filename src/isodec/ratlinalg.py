@@ -14,11 +14,18 @@ Conventions, fixed once and relied on throughout the package:
 
 Matrices, subspace bases included, keep integer numerators over a single
 positive denominator, and elimination, products and containment checks run
-on those integers.  Polynomials are tuples of coefficients in ascending
-order: integers for cyclotomic polynomials, Fractions for `char_poly`.
-`fractions.Fraction` appears only at the public face (`entry`,
-`fraction_rows`, `basis_rows`, `coordinates_of`, `mul_vector`, `char_poly`).
-No floating point appears anywhere.
+on those integers.  Polynomials are tuples of integer coefficients in
+ascending order.
+
+One grammar reads a rational entry, and one writer writes it.
+`_parse_rational` accepts an int (not a bool), a Fraction, or a string of
+exactly the form `[+-]digits` or `[+-]digits/digits` with a nonzero
+denominator; ints come back unchanged, since they already carry
+`.numerator` and `.denominator`.  `_rational_to_jsonable` writes v/den as a
+plain int or `"p/q"` in lowest terms with one gcd.  So an all-integer matrix
+is read and written without a Fraction.  `fractions.Fraction` remains only
+where a rational crosses the public face: `entry`, `mul_vector`, and the
+parsed value of a `"p/q"` string.  No floating point appears anywhere.
 
 Sparse rows.  Permutation and monomial matrices, such as those of the
 regular representation, have one nonzero per row.  A row counts as sparse
@@ -31,6 +38,7 @@ result is the same exact integer matrix as the dense computation gives.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,35 +60,45 @@ __all__ = [
     "sum_spaces",
     "hnf",
     "snf_invariants",
-    "char_poly",
     "cyclotomic",
     "companion_matrix",
     "inverse",
     "restrict_operator",
-    "fraction_to_jsonable",
-    "fraction_from_jsonable",
 ]
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(v):
+    """The one reader of a rational entry.
+
+    An int (not a bool) comes back unchanged and a Fraction as it is; a
+    string must be exactly `[+-]digits` or `[+-]digits/digits` with a
+    nonzero denominator.  Anything else raises: TypeError for a value of
+    another type, ValueError ("cannot parse ...") for a string outside the
+    grammar.  No exponent or decimal form is read, so no entry string can
+    stand for a number much longer than itself.
+    """
+    if (isinstance(v, int) and not isinstance(v, bool)) or isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise TypeError(f"expected an integer, Fraction, or 'p/q' string, got {v!r}")
+    if not isinstance(v, str):
+        raise TypeError(f"expected an integer, Fraction, or 'p/q' string, got {v!r}")
+    m = _RATIONAL.fullmatch(v)
+    if m is not None:
+        p, q = m.groups()
+        try:
+            # int() refuses more digits than the interpreter converts
+            return int(p) if q is None else Fraction(int(p), int(q))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"cannot parse {v!r} as a rational number")
 
 
-def fraction_to_jsonable(q: Fraction):
-    """A rational as wire data: a plain integer, or `\"p/q\"` in lowest terms."""
-    return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def fraction_from_jsonable(v) -> Fraction:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise TypeError(f"expected an integer or 'p/q' string, got {v!r}")
-    return Fraction(v)
+def _rational_to_jsonable(v: int, den: int):
+    """v/den (den >= 1) as wire data: a plain int, or `"p/q"` in lowest terms."""
+    g = gcd(v, den)
+    return v // g if g == den else f"{v // g}/{den // g}"
 
 
 def _is_sparse(row) -> bool:
@@ -139,24 +157,21 @@ class MatQ:
     """Immutable dense rational matrix.
 
     Stored as integer numerators over one positive denominator, normalized so
-    gcd(denominator, all numerators) = 1.  Construct from any nesting of
-    integers, Fractions, or "p/q" strings.
+    gcd(denominator, all numerators) = 1.  Construct from rows of integers,
+    Fractions, or "p"/"p/q" strings (the grammar of `_parse_rational`).
     """
 
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries):
-        frac = [[_as_fraction(v) for v in row] for row in entries]
-        if frac and any(len(r) != len(frac[0]) for r in frac):
+        vals = [[_parse_rational(v) for v in row] for row in entries]
+        if vals and any(len(r) != len(vals[0]) for r in vals):
             raise ValueError("ragged matrix")
-        den = 1
-        for row in frac:
-            for v in row:
-                den = lcm(den, v.denominator)
+        den = lcm(1, *(v.denominator for row in vals for v in row))
         num, den = _normalize_int_rows(
-            [[v.numerator * (den // v.denominator) for v in row] for row in frac], den
+            [[v.numerator * (den // v.denominator) for v in row] for row in vals], den
         )
-        ncols = len(frac[0]) if frac else 0
+        ncols = len(vals[0]) if vals else 0
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", len(num))
@@ -188,10 +203,6 @@ class MatQ:
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.num[i][j], self.den)
 
-    def fraction_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        d = self.den
-        return tuple(tuple(Fraction(v, d) for v in row) for row in self.num)
-
     def transpose(self) -> "MatQ":
         cols = zip(*self.num) if self.num else [()] * self.cols
         return MatQ._raw([list(col) for col in cols], self.den, ncols=self.rows)
@@ -206,7 +217,7 @@ class MatQ:
 
     def mul_vector(self, vec) -> tuple[Fraction, ...]:
         """M v for a column vector v (any sequence of rationals)."""
-        v = [_as_fraction(x) for x in vec]
+        v = [_parse_rational(x) for x in vec]
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         vden = lcm(1, *(x.denominator for x in v))
@@ -232,7 +243,7 @@ class MatQ:
         return MatQ._raw([[-v for v in row] for row in self.num], self.den, ncols=self.cols)
 
     def __mul__(self, scalar) -> "MatQ":
-        q = _as_fraction(scalar)
+        q = _parse_rational(scalar)
         num = [[v * q.numerator for v in row] for row in self.num]
         return MatQ._raw(num, self.den * q.denominator, ncols=self.cols)
 
@@ -256,11 +267,6 @@ class MatQ:
                 base = base @ base
         return acc
 
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return Fraction(sum(self.num[i][i] for i in range(self.rows)), self.den)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -281,11 +287,11 @@ class MatQ:
 
     def to_jsonable(self) -> list:
         d = self.den
-        return [[fraction_to_jsonable(Fraction(v, d)) for v in row] for row in self.num]
+        return [[_rational_to_jsonable(v, d) for v in row] for row in self.num]
 
     @classmethod
     def from_jsonable(cls, obj) -> "MatQ":
-        return cls([[fraction_from_jsonable(v) for v in row] for row in obj])
+        return cls(obj)
 
     def __eq__(self, other) -> bool:
         return (
@@ -441,16 +447,16 @@ def _fraction_rows_to_int(rows):
         if all(type(v) is int for v in row):
             out.append(row)
             continue
-        frac = [_as_fraction(v) for v in row]
-        d = lcm(1, *(v.denominator for v in frac))
-        out.append([v.numerator * (d // v.denominator) for v in frac])
+        vals = [_parse_rational(v) for v in row]
+        d = lcm(1, *(v.denominator for v in vals))
+        out.append([v.numerator * (d // v.denominator) for v in vals])
     return out
 
 
 class SubspaceQ:
     """A linear subspace of Q^n, canonicalized as a reduced row-echelon basis.
 
-    The basis rows span the subspace; `contains_vector` and equality are exact.
+    The basis rows span the subspace; containment and equality are exact.
     Any spanning set passed to the constructor yields the same object.  The
     basis is stored as integer rows over one denominator, so the canonical
     form and every containment check stay in integer arithmetic; rows of
@@ -488,9 +494,6 @@ class SubspaceQ:
     def dim(self) -> int:
         return self.basis.rows
 
-    def basis_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.basis.fraction_rows()
-
     def _pivot_coords(self, rows):
         """Coordinates of integer rows in the canonical basis, or None if some
         row lies outside the subspace.
@@ -505,21 +508,6 @@ class SubspaceQ:
         if _dot_rows(coords, bt) != [[v * b.den for v in row] for row in rows]:
             return None
         return coords
-
-    def coordinates_of(self, vec):
-        """Coordinates of vec in the canonical basis, or None if not contained."""
-        v = [_as_fraction(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise PreconditionError("ambient dimension mismatch")
-        den = lcm(1, *(x.denominator for x in v))
-        row = [x.numerator * (den // x.denominator) for x in v]
-        coords = self._pivot_coords([row])
-        if coords is None:
-            return None
-        return tuple(Fraction(c, den) for c in coords[0])
-
-    def contains_vector(self, vec) -> bool:
-        return self.coordinates_of(vec) is not None
 
     def contains_subspace(self, other: "SubspaceQ") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -811,41 +799,6 @@ def companion_matrix(coeffs) -> MatQ:
     return MatQ(
         [[int(i == j + 1) for j in range(d - 1)] + [-coeffs[i]] for i in range(d)]
     )
-
-
-def _charpoly_int(num_rows) -> list[int]:
-    """Monic characteristic polynomial of an integer matrix, ascending coefficients.
-
-    Faddeev–LeVerrier: every division by k is exact over Z.
-    """
-    n = len(num_rows)
-    A = [list(r) for r in num_rows]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        AM = _dot_rows(A, list(zip(*Mk)))
-        tr = sum(AM[i][i] for i in range(n))
-        c, rem = divmod(-tr, k)
-        if rem:
-            raise AssertionError("Faddeev-LeVerrier division must be exact")
-        coeffs[n - k] = c
-        if k < n:
-            Mk = [
-                [AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)
-            ]
-    return coeffs
-
-
-def char_poly(M: MatQ) -> tuple[Fraction, ...]:
-    """Exact monic characteristic polynomial det(x*I - M), as its
-    coefficients in ascending order."""
-    if M.rows != M.cols:
-        raise PreconditionError("characteristic polynomial of a non-square matrix")
-    n = M.rows
-    ints = _charpoly_int(M.num)
-    d = M.den
-    return tuple(Fraction(ints[i], d ** (n - i)) for i in range(n + 1))
 
 
 def inverse(M: MatQ) -> MatQ:

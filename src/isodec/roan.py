@@ -51,8 +51,6 @@ from .numtheory import divisors, totient
 from .ratlinalg import (
     MatQ,
     SubspaceQ,
-    _divmod_monic,
-    char_poly,
     cyclotomic,
     image_space,  # unused; bench/tests/test_bench.py checks its traced binding
     kernel_and_image,
@@ -60,44 +58,11 @@ from .ratlinalg import (
 )
 
 __all__ = [
-    "eigenvalue_orders",
     "roan_decomposition",
     "verify_roan_matching",
     "RoanReport",
     "RoanMatchReport",
 ]
-
-
-def eigenvalue_orders(m: MatQ, d: int) -> tuple[int, ...]:
-    """The orders of the eigenvalues of a matrix with m**d = I, ascending.
-
-    Factors the characteristic polynomial into cyclotomics by repeated exact
-    division (the only possible factors when m**d = I), returning each order
-    that occurs at least once.  ``roan_decomposition`` finds the same orders
-    without it, so this is an independent check of the filtration.
-    """
-    if m.rows != m.cols:
-        raise PreconditionError("matrix must be square")
-    if d < 1 or not (m ** d).is_identity():
-        raise PreconditionError(f"matrix does not satisfy M^{d} = I")
-    p = char_poly(m)
-    integral = all(c.denominator == 1 for c in p)
-    p = tuple(c.numerator for c in p)
-    orders = []
-    for e in divisors(d):
-        phi = cyclotomic(e)
-        q, r = _divmod_monic(p, phi)
-        if any(r):
-            continue
-        orders.append(e)
-        while not any(r):
-            p = q
-            q, r = _divmod_monic(p, phi)
-    if not integral or p != (1,):
-        raise InternalCheckError(
-            "characteristic polynomial did not factor into cyclotomics"
-        )
-    return tuple(orders)
 
 
 @dataclass(frozen=True)

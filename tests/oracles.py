@@ -1,0 +1,113 @@
+"""Test-local oracles that read the library's integer objects as Fractions.
+
+The package keeps matrices and subspaces as integer numerators over one
+denominator and never needs these views itself; the tests use them to
+compare against plain Fraction arithmetic.  ``char_poly`` and
+``eigenvalue_orders`` give the eigenvalue orders of a finite-order matrix by
+factoring its characteristic polynomial, a route independent of Roan's
+divisor walk in ``isodec.roan``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from isodec import InternalCheckError, MatQ, PreconditionError, SubspaceQ, cyclotomic
+from isodec.numtheory import divisors
+from isodec.ratlinalg import _divmod_monic
+
+
+def fraction_rows(m: MatQ) -> tuple[tuple[Fraction, ...], ...]:
+    d = m.den
+    return tuple(tuple(Fraction(v, d) for v in row) for row in m.num)
+
+
+def trace(m: MatQ) -> Fraction:
+    if m.rows != m.cols:
+        raise ValueError("trace of a non-square matrix")
+    return Fraction(sum(m.num[i][i] for i in range(m.rows)), m.den)
+
+
+def basis_rows(s: SubspaceQ) -> tuple[tuple[Fraction, ...], ...]:
+    return fraction_rows(s.basis)
+
+
+def coordinates_of(s: SubspaceQ, vec):
+    """Coordinates of vec in the canonical basis, or None if not contained.
+
+    In an RREF basis the coordinates are vec's entries at the pivot columns;
+    the vector is in the subspace exactly when they rebuild it.
+    """
+    v = [Fraction(x) for x in vec]
+    if len(v) != s.ambient_dim:
+        raise PreconditionError("ambient dimension mismatch")
+    coords = tuple(v[c] for c in s.pivot_cols)
+    rebuilt = [Fraction(0)] * s.ambient_dim
+    for c, row in zip(coords, basis_rows(s)):
+        rebuilt = [x + c * y for x, y in zip(rebuilt, row)]
+    return coords if rebuilt == v else None
+
+
+def contains_vector(s: SubspaceQ, vec) -> bool:
+    return coordinates_of(s, vec) is not None
+
+
+def _charpoly_int(num_rows) -> list[int]:
+    """Monic characteristic polynomial of an integer matrix, ascending coefficients.
+
+    Faddeev–LeVerrier: every division by k is exact over Z.
+    """
+    n = len(num_rows)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [
+            [sum(a * mk[t][j] for t, a in enumerate(row)) for j in range(n)]
+            for row in num_rows
+        ]
+        c, rem = divmod(-sum(am[i][i] for i in range(n)), k)
+        if rem:
+            raise AssertionError("Faddeev-LeVerrier division must be exact")
+        coeffs[n - k] = c
+        mk = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def char_poly(m: MatQ) -> tuple[Fraction, ...]:
+    """Exact monic characteristic polynomial det(x*I - M), as its
+    coefficients in ascending order."""
+    if m.rows != m.cols:
+        raise PreconditionError("characteristic polynomial of a non-square matrix")
+    n = m.rows
+    ints = _charpoly_int(m.num)
+    return tuple(Fraction(ints[i], m.den ** (n - i)) for i in range(n + 1))
+
+
+def eigenvalue_orders(m: MatQ, d: int) -> tuple[int, ...]:
+    """The orders of the eigenvalues of a matrix with m**d = I, ascending.
+
+    Factors the characteristic polynomial into cyclotomics by repeated exact
+    division (the only possible factors when m**d = I), returning each order
+    that occurs at least once.
+    """
+    if m.rows != m.cols:
+        raise PreconditionError("matrix must be square")
+    if d < 1 or not (m**d).is_identity():
+        raise PreconditionError(f"matrix does not satisfy M^{d} = I")
+    p = char_poly(m)
+    integral = all(c.denominator == 1 for c in p)
+    p = tuple(c.numerator for c in p)
+    orders = []
+    for e in divisors(d):
+        phi = cyclotomic(e)
+        q, r = _divmod_monic(p, phi)
+        if any(r):
+            continue
+        orders.append(e)
+        while not any(r):
+            p = q
+            q, r = _divmod_monic(p, phi)
+    if not integral or p != (1,):
+        raise InternalCheckError("characteristic polynomial did not factor into cyclotomics")
+    return tuple(orders)

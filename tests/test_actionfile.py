@@ -1,8 +1,14 @@
 import json
+import pathlib
+import re
+import sys
+import time
+from fractions import Fraction
 
 import pytest
 
 from isodec import (
+    ActionFile,
     MatQ,
     ValidationError,
     inverse,
@@ -11,6 +17,8 @@ from isodec import (
     serialize_action_file,
 )
 from isodec.fixtures import FixtureSpec, make_fixture
+from oracles import fraction_rows
+from test_action import rationally_conjugated
 
 
 def test_minimal_valid_file():
@@ -34,8 +42,8 @@ def test_companion_power_file_is_valid():
         {
             "group": [8, 9],
             "generators": [
-                [[int(v) for v in row] for row in (c**3).fraction_rows()],
-                [[int(v) for v in row] for row in (c**2).fraction_rows()],
+                [[int(v) for v in row] for row in fraction_rows(c**3)],
+                [[int(v) for v in row] for row in fraction_rows(c**2)],
             ],
         }
     )
@@ -51,7 +59,7 @@ def test_fraction_entries_accepted():
     m = d @ c3 @ inverse(d)
     rows = [
         [str(v) if v.denominator != 1 else int(v) for v in row]
-        for row in m.fraction_rows()
+        for row in fraction_rows(m)
     ]
     action = load_action_file(json.dumps({"group": [3], "generators": [rows]})).action
     assert action.gen_matrices[0] == m
@@ -71,6 +79,7 @@ def test_fraction_entries_accepted():
         ('{"group":[2],"generators":[[[1,0]]]}', "generator 1: matrix is not square"),
         ('{"group":[2],"generators":[[[1,0],[1]]]}', "rows must be non-empty and equal"),
         ('{"group":[2],"generators":[[[true]]]}', "integer or 'p/q'"),
+        ('{"group":[2],"generators":[[[1.5]]]}', "integer or 'p/q'"),
         ('{"group":[2],"generators":[[["x"]]]}', "cannot parse 'x'"),
         ('{"group":[2],"generators":[[[1]]],"name":7}', "'name' must be a string"),
     ],
@@ -152,7 +161,7 @@ def test_fractions_survive_round_trip():
                 "generators": [
                     [
                         [str(v) if v.denominator != 1 else int(v) for v in row]
-                        for row in m.fraction_rows()
+                        for row in fraction_rows(m)
                     ]
                 ],
             }
@@ -161,3 +170,71 @@ def test_fractions_survive_round_trip():
     text = serialize_action_file(af)
     assert load_action_file(text).action.gen_matrices[0] == m
     assert '"-1/3"' in text or '"1/3"' in text
+
+
+# ------------------------------------------------------------- entry grammar
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def golden_action_files():
+    """The golden outputs that are action files themselves."""
+    out = []
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        obj = json.loads(path.read_text())
+        if isinstance(obj, dict) and "generators" in obj:
+            out.append(path)
+    return out
+
+
+@pytest.mark.parametrize("entry", ["1e100000000", "1.5", " 3/4", "3/-4", "1/0"])
+def test_entry_strings_outside_the_grammar_are_refused_at_once(entry):
+    # Fraction() also reads exponent forms, and expanding one takes time that
+    # grows faster than its exponent; the grammar refuses them unread
+    text = json.dumps({"group": [2], "generators": [[[1, 0], [0, entry]]]})
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as info:
+        load_action_file(text)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == f"generator 1: cannot parse {entry!r} as a rational number"
+
+
+def test_golden_action_files_round_trip_byte_identically():
+    paths = golden_action_files()
+    assert len(paths) == 4
+    for path in paths:
+        text = path.read_text()
+        once = serialize_action_file(load_action_file(text))
+        assert once == text, path.name
+        assert serialize_action_file(load_action_file(once)) == once, path.name
+
+
+def test_non_integral_action_round_trips_byte_identically():
+    af = make_fixture(FixtureSpec("semisimple", moduli=(6,), seed=0))
+    action = rationally_conjugated(af.action, 5)
+    once = serialize_action_file(ActionFile(action))
+    assert re.search(r'"-?[0-9]+/[0-9]+"', once)
+    again = serialize_action_file(load_action_file(once))
+    assert again == once
+    assert load_action_file(again).action.gen_matrices == action.gen_matrices
+
+
+def test_integer_action_file_loads_and_writes_without_a_fraction(monkeypatch):
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built on the integer path")
+
+    patched = [
+        name
+        for name, module in list(sys.modules.items())
+        if name.startswith("isodec.") and hasattr(module, "Fraction")
+    ]
+    assert {"isodec.ratlinalg"} <= set(patched)
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "Fraction", NoFraction)
+    # the patch bites wherever a Fraction would be built
+    with pytest.raises(AssertionError, match="integer path"):
+        MatQ([["1/2"]])
+    for path in golden_action_files():  # every one is all-integer
+        text = path.read_text()
+        assert serialize_action_file(load_action_file(text)) == text, path.name

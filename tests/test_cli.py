@@ -189,6 +189,26 @@ def test_invalid_action_exits_2(tmp_path):
     assert "M^2 != I" in err
 
 
+@pytest.mark.parametrize("entry", ["1e100000000", "1.5", " 3/4", "3/-4", "1/0"])
+def test_entry_strings_outside_the_grammar_exit_2_at_once(tmp_path, entry):
+    hostile = tmp_path / "hostile.json"
+    hostile.write_text(json.dumps({"group": [1], "generators": [[[entry]]]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["decompose", str(hostile)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: generator 1: cannot parse {entry!r} as a rational number\n"
+
+
+@pytest.mark.parametrize("entry", ["true", "1.5"])
+def test_non_integer_json_entries_exit_2(tmp_path, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"group": [1], "generators": [[[%s]]]}' % entry)
+    code, out, err = run_cli(["decompose", str(bad)])
+    assert (code, out) == (2, "")
+    assert err == "error: generator 1: matrix entry must be an integer or 'p/q'\n"
+
+
 def test_deeply_nested_json_exits_2(tmp_path):
     deep = tmp_path / "deep.json"
     depth = 100_000

@@ -1,5 +1,6 @@
 import doctest
 import itertools
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -12,7 +13,6 @@ from isodec import (
     MatZ,
     PreconditionError,
     SubspaceQ,
-    char_poly,
     companion_matrix,
     cyclotomic,
     hnf,
@@ -25,6 +25,7 @@ from isodec import (
     sum_spaces,
 )
 from isodec.ratlinalg import _divmod_monic, kernel_and_image
+from oracles import basis_rows, char_poly, contains_vector, coordinates_of, fraction_rows
 
 import pytest
 
@@ -103,7 +104,7 @@ def test_matq_inverse(a):
 def det_int_of(a: MatQ) -> Fraction:
     n = a.rows
     total = Fraction(0)
-    rows = a.fraction_rows()
+    rows = fraction_rows(a)
     for perm in itertools.permutations(range(n)):
         sign = 1
         for i in range(n):
@@ -151,9 +152,64 @@ def test_matq_power_spends_no_product_on_the_identity(monkeypatch):
         assert products == max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
 
 
-def test_matq_jsonable_round_trip():
-    a = MatQ([[Fraction(1, 3), Fraction(-2)], [Fraction(0), Fraction(5, 7)]])
-    assert MatQ.from_jsonable(a.to_jsonable()) == a
+
+
+# ------------------------------------------------------ entry grammar and writer
+
+
+def test_entry_parser_reads_exactly_ints_and_p_over_q():
+    big = 10**40
+    assert ratlinalg._parse_rational(big) is big
+    half = Fraction(1, 2)
+    assert ratlinalg._parse_rational(half) is half
+    assert ratlinalg._parse_rational("-12") == -12
+    assert type(ratlinalg._parse_rational("+12")) is int
+    assert ratlinalg._parse_rational("007/010") == Fraction(7, 10)
+    assert ratlinalg._parse_rational("-0/5") == 0
+    for bad in ("1e5", "1.5", " 3/4", "3/4 ", "3/-4", "3/+4", "1/0", "1_000", "", "/2", "½"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            ratlinalg._parse_rational(bad)
+    for bad in (True, 1.5, None, [1]):
+        with pytest.raises(TypeError):
+            ratlinalg._parse_rational(bad)
+
+
+def test_matq_refuses_entry_strings_outside_the_grammar_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cannot parse '1e5'"):
+        MatQ([["1e5"]])
+    with pytest.raises(ValueError, match="cannot parse '1e100000000'"):
+        MatQ([[1, "1e100000000"]])
+    with pytest.raises(ValueError, match="cannot parse '1/0'"):
+        MatQ.from_jsonable([["1/0"]])
+    with pytest.raises(TypeError):
+        MatQ.from_jsonable([[True]])
+    assert time.perf_counter() - start < 1
+
+
+def fraction_to_jsonable(q: Fraction):
+    """The entry writer as it was when it went through Fraction: the oracle."""
+    return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 1)
+@example(0, 12)
+@example(-6, 4)
+@example(-8, 4)
+@example(10**30, 3 * 10**29)
+def test_entry_writer_matches_the_fraction_writer(v, den):
+    out = ratlinalg._rational_to_jsonable(v, den)
+    expected = fraction_to_jsonable(Fraction(v, den))
+    assert type(out) is type(expected) and out == expected
+
+
+@given(square_matq(3))
+@example(MatQ([[Fraction(1, 3), Fraction(-2)], [Fraction(0), Fraction(5, 7)]]))
+def test_matq_jsonable_round_trip(a):
+    data = a.to_jsonable()
+    assert data == [[fraction_to_jsonable(v) for v in row] for row in fraction_rows(a)]
+    assert MatQ.from_jsonable(data) == a
 
 
 # --------------------------------------------------------------- subspaces
@@ -196,10 +252,10 @@ def test_subspace_canonical_under_row_mixing(rows):
 def test_coordinates_reconstruct_vectors(rows):
     s = SubspaceQ(5, rows)
     for r in rows:
-        coords = s.coordinates_of(r)
+        coords = coordinates_of(s, r)
         assert coords is not None
         rebuilt = [Fraction(0)] * 5
-        for c, b in zip(coords, s.basis_rows()):
+        for c, b in zip(coords, basis_rows(s)):
             rebuilt = [x + c * y for x, y in zip(rebuilt, b)]
         assert rebuilt == [Fraction(v) for v in r]
 
@@ -208,7 +264,7 @@ def test_kernel_image_on_known_matrix():
     m = MatQ([[1, 1, 0], [0, 0, 0], [1, 1, 0]])
     assert kernel_space(m).dim == 2
     assert image_space(m).dim == 1
-    assert image_space(m).contains_vector([1, 0, 1])
+    assert contains_vector(image_space(m), [1, 0, 1])
 
 
 def test_subspace_jsonable_round_trip():
@@ -408,7 +464,7 @@ def test_cyclotomic_product_recovers_x_n_minus_1():
 
 def test_companion_matrix_of_known_polynomial():
     c = companion_matrix(cyclotomic(6))
-    assert c.fraction_rows() == (
+    assert fraction_rows(c) == (
         (Fraction(0), Fraction(-1)),
         (Fraction(1), Fraction(1)),
     )
@@ -463,7 +519,7 @@ def test_restrict_operator_on_invariant_subspace():
     rot = MatQ([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
     s = SubspaceQ(3, [[1, 0, 0], [0, 1, 0]])
     r = restrict_operator(rot, s)
-    assert r.fraction_rows() == ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
+    assert fraction_rows(r) == ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
 
 
 def test_restrict_operator_rejects_noninvariant_subspace():
@@ -582,12 +638,12 @@ def test_rational_contains_subspace_matches_oracle_rank(rows_u, rows_w):
     assert u.contains_subspace(w) == contained
     assert sum_spaces(u, w).contains_subspace(w)
     for row in rows_w:
-        coords = u.coordinates_of(row)
+        coords = coordinates_of(u, row)
         assert (coords is not None) == (
             len(oracle_rref(rows_u + [row], 4)[1]) == rank_u
         )
         if coords is not None:
-            basis = u.basis_rows()
+            basis = basis_rows(u)
             rebuilt = [
                 sum((c * b[k] for c, b in zip(coords, basis)), Fraction(0))
                 for k in range(4)
@@ -662,7 +718,7 @@ def test_kernel_and_image_rejects_mismatched_dimensions():
 
 @given(square_matq(3))
 def test_rational_inverse_matches_oracle(a):
-    rows = a.fraction_rows()
+    rows = fraction_rows(a)
     aug = [
         list(r) + [Fraction(int(i == j)) for j in range(3)] for i, r in enumerate(rows)
     ]
@@ -755,7 +811,7 @@ def test_products_with_sparse_rows_match_the_oracle(case, den_a, den_b):
         [v / (den_a * den_b) for v in row] for row in oracle_product(a, b, k, m)
     ]
     assert product.shape == (r, m)
-    assert [list(row) for row in product.fraction_rows()] == expected
+    assert [list(row) for row in fraction_rows(product)] == expected
     if m:
         vec = [Fraction(row[0], den_b) for row in b]
         expected_vec = [row[0] for row in expected]

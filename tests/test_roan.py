@@ -13,7 +13,6 @@ from isodec import (
     action_matrix,
     companion_matrix,
     cyclotomic,
-    eigenvalue_orders,
     intersect_spaces,
     isotypical_decomposition,
     make_fixture,
@@ -26,6 +25,7 @@ from isodec import (
 from isodec.actionfile import ActionFile, serialize_action_file
 from isodec.fixtures import FixtureSpec
 from isodec.numtheory import divisors, totient
+from oracles import eigenvalue_orders
 
 from test_action import rationally_conjugated
 from test_cli import run_cli
