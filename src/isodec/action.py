@@ -19,11 +19,12 @@ The three geometric constructions:
     (2) as the image of the central idempotent e_W.
 
 How the matrices are formed.  Every rho(g) comes from one memo per action,
-element index -> rho(g), which starts out holding the identity; each new
-entry costs one product.  It is filled two ways: by a running product along
-a step, rho(g + s) = rho(g) @ rho(s) (the cyclic factors below), and by
-``action_matrix``, which walks back from g to an element already held and
-multiplies forward by generator matrices.  Validation checks only the
+element index -> rho(g), which starts out holding the identity.  It is
+filled three ways: by a running product along a step,
+rho(g + s) = rho(g) @ rho(s) (the cyclic factors below), one product per
+entry; by ``action_matrix``, which walks back from g to an element already
+held and multiplies forward by generator matrices, one product per entry;
+and by the Sylow split's powers (below).  Validation checks only the
 presentation (the relations M_j ** n_j = I and commutation) and leaves the
 memo holding the identity alone, so only code that reads the memo fills it.
 
@@ -43,15 +44,23 @@ built.  ``isotypical_decomposition`` first splits V jointly under the Sylow
 parts of the generators: for each generator j and each p^a exactly dividing
 n_j, with s = (n_j / p^a) * e_j, every piece is peeled into the parts where
 rho(s) has eigenvalue order 1, p, ..., p^a (the kernel and image of
-rho(p^i * s) - 1, for i < a), each rho(p^i * s) taken through the memo.
-A class W lies in the piece whose signature is, per (j, p), the
-p-part of n_j / gcd(n_j, r_j) for its representative r.  Both routes run
-only on the classes whose piece is nonzero, the candidates; every other
-class gets the zero subspace.  The checks that the components add up
-without overlap and span the space certify those zeros: the isotypical
-components form a direct sum, so once the candidates fill V every other
-component is 0.  A split that wrongly left out a nonzero class would fail
-the span check.
+rho(p^i * s) - 1, for i < a); rho(s) and its p-th powers are formed by
+repeated squaring and kept in the memo, where the averages behind p_G find
+them too.  A class W lies in the piece whose signature is, per (j, p), the
+p-part of n_j / gcd(n_j, r_j) for its representative r.  The candidates are
+the classes whose piece Y is nonzero; every other class gets the zero
+subspace.  Each nonzero piece is then restricted once: every generator's
+matrix on Y, in the coordinates of Y's RREF basis, makes a ``GAction`` of
+dimension dim Y with a memo of its own.  Both routes run on that restricted
+action for every candidate of Y's signature, at dimension dim Y rather than
+dim V, and the component is lifted back through Y's basis.  The restriction
+certifies that Y is invariant (a piece that is not is an
+``InternalCheckError``), and the W-component of an invariant Y lies inside
+the W-component of V.  The checks that the components add up without
+overlap and span the space then force equality, and certify the zeros: the
+isotypical components form a direct sum, so once the lifted candidates fill
+V each is the whole W-component and every other component is 0.  A split
+that wrongly left out a nonzero class would fail the span check.
 
 ``isotypical_decomposition`` assembles all components, checks that dimensions
 are additive and exhaust the space, and derives multiplicities.  The kernel
@@ -79,10 +88,12 @@ from .qalgebra import GroupAlgebraElem
 from .ratlinalg import (
     MatQ,
     SubspaceQ,
+    _dot_rows,
     image_space,
     intersect_spaces,
     kernel_and_image,
     kernel_space,
+    restrict_operator,
     sum_spaces,
 )
 
@@ -313,13 +324,13 @@ def _average_over_g(action: GAction) -> MatQ:
     (j, p, a) of the generators.  p_A p_B = p_{A+B} in an abelian group, and
     every m < p^a has base-p digits, so the average of rho over <s>, for
     s = (n_j / p^a) e_j, is the product over t < a of the averages of
-    rho(d p^t s) over d < p: steps that ``_sylow_split`` holds."""
+    rho(d p^t s) over d < p, each run starting from rho(p^t s) as
+    ``_sylow_powers`` puts it in the memo."""
     group = action.group
     m = MatQ.identity(action.dim)
     for j, p, a in _sylow_parts(group):
-        for t in range(1, a + 1):
-            s = group.element(_unit(group, j, group.moduli[j] // p**t))
-            m = m @ _cyclic_factor(action, s, (1,) * p, p)
+        for exps, _ in _sylow_powers(action, j, p, a):
+            m = m @ _cyclic_factor(action, group.element(exps), (1,) * p, p)
     return m
 
 
@@ -346,8 +357,6 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     n, x = info.index, info.generator
     primes = prime_divisors(n)
     a_k = fixed_subvariety(action, k_sub)
-    parts = [_images(action, a_k, [(n // p) * x]) for p in primes] or [a_k]
-    by_intersection = reduce(intersect_spaces, parts)
     if n == 1:
         by_idempotent = image_space(_average_over_g(action))
     else:
@@ -356,6 +365,9 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
         coeffs = [ramanujan_sum(n, i * s) for i in range(n // s)]
         f = _cyclic_factor(action, s * x, coeffs, n)
         by_idempotent = image_space(f @ a_k.basis.transpose())
+    # each (n/p) x is (rad(n)/p) s x, so F's run has put its rho in the memo
+    parts = [_images(action, a_k, [(n // p) * x]) for p in primes] or [a_k]
+    by_intersection = reduce(intersect_spaces, parts)
     if by_intersection != by_idempotent:
         raise InternalCheckError(
             "isotypical component mismatch: the intersection of complements "
@@ -432,6 +444,26 @@ def _signature(w: RationalIrrep, parts) -> tuple[int, ...]:
     return tuple(p**a // gcd(p**a, r[j]) for j, p, a in parts)
 
 
+def _sylow_powers(action: GAction, j: int, p: int, a: int):
+    """(exponents, rho) of p^i * s for i < a, s = (n_j / p^a) * e_j.
+
+    rho(s) = M_j ** (n_j / p^a) and rho(p^(i+1) * s) = rho(p^i * s) ** p,
+    each by repeated squaring and stored in the memo; no other element's
+    rho is formed.
+    """
+    group, rho = action.group, action._cache["rho"]
+    step = group.moduli[j] // p**a
+    m, out = action.gen_matrices[j], []
+    for i in range(a):
+        exps = _unit(group, j, step * p**i)
+        key = group.index_of(exps)
+        if key not in rho:
+            rho[key] = m ** (p if i else step)
+        m = rho[key]
+        out.append((exps, m))
+    return out
+
+
 def _sylow_split(action: GAction) -> dict[tuple[int, ...], SubspaceQ]:
     """The nonzero joint pieces of V under the Sylow parts of the
     generators, by signature (see ``_signature``).
@@ -439,22 +471,12 @@ def _sylow_split(action: GAction) -> dict[tuple[int, ...], SubspaceQ]:
     For s = (n_j / p^a) * e_j, each piece Y is peeled in order i < a: the
     kernel of rho(p^i * s) - 1 on Y is the part where rho(s) has eigenvalue
     order p^i, and the image is the rest, of order above p^i.  What remains
-    has order p^a.  rho(s) is taken through the memo (``_walk``), and
-    rho(p^(i+1) * s) = rho(p^i * s) ** p, stored in the memo.
+    has order p^a.  The rho(p^i * s) come from ``_sylow_powers``.
     """
-    group, rho = action.group, action._cache["rho"]
     eye = MatQ.identity(action.dim)
     pieces = {(): SubspaceQ.full(action.dim)}
-    for j, p, a in _sylow_parts(group):
-        step = group.moduli[j] // p**a
-        m = _walk(rho, group, action.gen_matrices, _unit(group, j, step))
-        ts = [m - eye]
-        for i in range(1, a):
-            key = group.index_of(_unit(group, j, step * p**i))
-            if key not in rho:
-                rho[key] = m**p
-            m = rho[key]
-            ts.append(m - eye)
+    for j, p, a in _sylow_parts(action.group):
+        ts = [m - eye for _, m in _sylow_powers(action, j, p, a)]
         split = {}
         for sig, y in pieces.items():
             for i, t in enumerate(ts):
@@ -469,31 +491,54 @@ def _sylow_split(action: GAction) -> dict[tuple[int, ...], SubspaceQ]:
     return pieces
 
 
+def _restricted(action: GAction, y: SubspaceQ) -> GAction:
+    """The action on the G-invariant subspace Y, in the coordinates of its
+    RREF basis: one ``restrict_operator`` per generator, and a memo of rho of
+    its own at dimension dim Y.  A piece that some generator does not
+    preserve is an internal fault, not bad input."""
+    try:
+        mats = tuple(restrict_operator(m, y) for m in action.gen_matrices)
+    except PreconditionError as e:
+        raise InternalCheckError(f"a Sylow piece is not G-invariant: {e}") from None
+    return GAction(action.group, mats, y.dim)
+
+
 def isotypical_decomposition(action: GAction) -> IsotypicalReport:
     """Decompose the action space into isotypical components.
 
     Components appear in the canonical order of the irreducibles (kernel
-    index ascending).  Both routes run only on the candidates, the classes
-    whose signature names a nonzero piece of ``_sylow_split``; every other
-    class gets the zero subspace.  Internal checks: each component dimension
-    must be a multiple of the irreducible's degree, the dimensions must add
-    up without overlap, and the components must span the whole space.  The
-    last one is what certifies the classes left out: the components form a
-    direct sum, so once the candidates fill the space every other one is 0.
-    The action kernel is the common kernel of the classes that occur: g
-    acts trivially exactly when it does on every nonzero component.
+    index ascending).  Each nonzero piece Y of ``_sylow_split`` is restricted
+    once (``_restricted``); both routes run on that restricted action for
+    every candidate class, the classes whose signature names Y, and the
+    result is lifted back through Y's basis.  Every other class gets the
+    zero subspace.  Internal checks: each piece must be invariant under
+    every generator, each component dimension must be a multiple of the
+    irreducible's degree, the dimensions must add up without overlap, and
+    the components must span the whole space.  The W-component of an
+    invariant piece lies inside the W-component of V, and the components of
+    V form a direct sum, so once the lifted components fill the space each
+    one is the whole W-component and every class left out is 0.  The action
+    kernel is the common kernel of the classes that occur: g acts trivially
+    exactly when it does on every nonzero component.
     """
     irreps = rational_irreps(action.group)
     parts = _sylow_parts(action.group)
-    candidates = _sylow_split(action).keys()
+    pieces = {
+        sig: (list(zip(*y.basis.num)), _restricted(action, y))
+        for sig, y in _sylow_split(action).items()
+    }
     zero = SubspaceQ.zero(action.dim)
     components = []
     running = zero
     for w in irreps:
-        if _signature(w, parts) in candidates:
-            s = isotypical_component(action, w)
-        else:
+        piece = pieces.get(_signature(w, parts))
+        if piece is None:
             s = zero
+        else:
+            # lifted: the component's coordinate rows times Y's basis rows
+            yt, on_y = piece
+            coords = isotypical_component(on_y, w).basis.num
+            s = SubspaceQ(action.dim, _dot_rows(coords, yt))
         if s.dim % w.degree:
             raise InternalCheckError(
                 f"component dimension {s.dim} is not a multiple of degree {w.degree}"

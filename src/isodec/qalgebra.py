@@ -113,7 +113,8 @@ class GroupAlgebraElem:
         return GroupAlgebraElem(self.group, [-v for v in self.nums], self.den)
 
     def scale(self, q) -> "GroupAlgebraElem":
-        q = Fraction(q)
+        """q times the element, q read as in ``from_terms``."""
+        q = _parse_rational(q)
         return GroupAlgebraElem(
             self.group,
             [v * q.numerator for v in self.nums],
@@ -166,10 +167,7 @@ class GroupAlgebraElem:
         group = FinAbGroup(tuple(obj["group"]))
         return from_terms(
             group,
-            {
-                group.element(exps): _parse_rational(c)
-                for c, exps in obj["coeffs"]
-            },
+            {group.element(exps): c for c, exps in obj["coeffs"]},
         )
 
     def __repr__(self):
@@ -188,8 +186,11 @@ def identity(group: FinAbGroup) -> GroupAlgebraElem:
 
 
 def from_terms(group: FinAbGroup, coeffs: dict) -> GroupAlgebraElem:
-    """Build an element from {GroupElement: coefficient}."""
-    fracs = {g: Fraction(c) for g, c in coeffs.items()}
+    """Build an element from {GroupElement: coefficient}, each coefficient
+    read by the entry grammar (``ratlinalg._parse_rational``): an int, a
+    Fraction or a 'p/q' string.  A float raises TypeError, and an exponent
+    or decimal string ValueError, before any arithmetic."""
+    fracs = {g: _parse_rational(c) for g, c in coeffs.items()}
     den = 1
     for c in fracs.values():
         den = den * c.denominator // gcd(den, c.denominator)

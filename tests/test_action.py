@@ -10,6 +10,7 @@ from isodec import (
     all_subgroups,
     MatQ,
     PreconditionError,
+    SubspaceQ,
     ValidationError,
     action_matrix,
     algebra_matrix,
@@ -35,7 +36,7 @@ from isodec.qalgebra import (
     identity,
 )
 import isodec.action as action_module
-from isodec.action import _signature, _sylow_parts
+from isodec.action import _signature, _sylow_parts, _unit
 
 from test_cli import run_cli
 
@@ -589,6 +590,38 @@ def test_a_split_that_drops_a_nonzero_class_fails_the_span_check(
     assert "do not span" in err
 
 
+def test_a_split_with_a_non_invariant_piece_is_an_internal_fault(
+    monkeypatch, tmp_path
+):
+    # restricting the generators to a piece certifies that it is invariant
+    af = make_fixture(
+        FixtureSpec("random-conjugated", moduli=(4, 6), seed=1, max_dim=8)
+    )
+    split = action_module._sylow_split
+
+    def skewing(action):
+        pieces = split(action)
+        sig, y = next(iter(pieces.items()))
+        eye = MatQ.identity(action.dim).num
+        pieces[sig] = SubspaceQ(action.dim, [[1] * action.dim, *eye[1 : y.dim]])
+        assert any(
+            not pieces[sig].contains_subspace(
+                image_space(m @ pieces[sig].basis.transpose())
+            )
+            for m in action.gen_matrices
+        )
+        return pieces
+
+    path = tmp_path / "action.json"
+    path.write_text(serialize_action_file(af))
+    monkeypatch.setattr(action_module, "_sylow_split", skewing)
+    with pytest.raises(InternalCheckError, match="not G-invariant"):
+        isotypical_decomposition(af.action)
+    code, out, err = run_cli(["decompose", str(path)])
+    assert code == 4
+    assert err.startswith("internal check failed: a Sylow piece is not G-invariant")
+
+
 def test_decomposition_with_a_trivial_class_forms_rho_on_part_of_g():
     # the trivial class used to expand the |G|-term sum p_G
     group = FinAbGroup((30, 30))
@@ -607,7 +640,14 @@ def test_decomposition_with_a_trivial_class_forms_rho_on_part_of_g():
     assert decomposition_multiplicities(action) == {
         k.entries: m for k, m in af.ground_truth
     }
-    assert len(action._cache["rho"]) < group.order
+    # rho(g) for the classes is formed on the restricted pieces: the full
+    # action's memo holds only the identity and the split's rho(p^i s)
+    split_powers = {
+        group.index_of(_unit(group, j, group.moduli[j] // p**a * p**i))
+        for j, p, a in _sylow_parts(group)
+        for i in range(a)
+    }
+    assert set(action._cache["rho"]) == {0} | split_powers
 
 
 def test_a_cyclic_decomposition_forms_rho_on_a_small_part_of_g():

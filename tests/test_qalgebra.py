@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,25 @@ def test_terms_and_coeff():
         ((0, 1), Fraction(1, 2)),
         ((1, 1), Fraction(-3)),
     ]
+
+
+def test_coefficients_follow_the_entry_grammar():
+    group = FinAbGroup((2,))
+    g = group.element((1,))
+    x = from_terms(group, {g: "3/4"})
+    assert x == from_terms(group, {g: Fraction(3, 4)})
+    assert x.scale("4/3") == from_terms(group, {g: 1})
+    assert x.scale(2) == x.scale(Fraction(2))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cannot parse '1e3000000'"):
+        from_terms(group, {g: "1e3000000"})
+    with pytest.raises(ValueError, match="cannot parse '1e3000000'"):
+        x.scale("1e3000000")
+    assert time.perf_counter() - start < 1
+    with pytest.raises(TypeError):
+        from_terms(group, {g: 0.1})
+    with pytest.raises(TypeError):
+        x.scale(0.5)
 
 
 def test_jsonable_round_trip():
