@@ -62,8 +62,9 @@ isotypical components form a direct sum, so once the lifted candidates fill
 V each is the whole W-component and every other component is 0.  A split
 that wrongly left out a nonzero class would fail the span check.
 
-``isotypical_decomposition`` assembles all components, checks that dimensions
-are additive and exhaust the space, and derives multiplicities.  The kernel
+``isotypical_decomposition`` assembles all components, checks with one
+elimination of their stacked bases that dimensions are additive and exhaust
+the space, and derives multiplicities.  The kernel
 of the action is the common kernel of the classes that occur, one lattice
 kernel over their representative characters; a nontrivial kernel is
 reported with a warning.
@@ -94,7 +95,6 @@ from .ratlinalg import (
     kernel_and_image,
     kernel_space,
     restrict_operator,
-    sum_spaces,
 )
 
 __all__ = [
@@ -514,7 +514,9 @@ def isotypical_decomposition(action: GAction) -> IsotypicalReport:
     zero subspace.  Internal checks: each piece must be invariant under
     every generator, each component dimension must be a multiple of the
     irreducible's degree, the dimensions must add up without overlap, and
-    the components must span the whole space.  The W-component of an
+    the components must span the whole space.  The last two come from one
+    elimination of the stacked bases: a rank below the sum of the dimensions
+    is an overlap, and a rank below dim V a gap.  The W-component of an
     invariant piece lies inside the W-component of V, and the components of
     V form a direct sum, so once the lifted components fill the space each
     one is the whole W-component and every class left out is 0.  The action
@@ -529,7 +531,6 @@ def isotypical_decomposition(action: GAction) -> IsotypicalReport:
     }
     zero = SubspaceQ.zero(action.dim)
     components = []
-    running = zero
     for w in irreps:
         piece = pieces.get(_signature(w, parts))
         if piece is None:
@@ -543,14 +544,13 @@ def isotypical_decomposition(action: GAction) -> IsotypicalReport:
             raise InternalCheckError(
                 f"component dimension {s.dim} is not a multiple of degree {w.degree}"
             )
-        mult = s.dim // w.degree
-        if s.dim:
-            new_running = sum_spaces(running, s)
-            if new_running.dim != running.dim + s.dim:
-                raise InternalCheckError("isotypical components overlap")
-            running = new_running
-        components.append(IsotypicalComponent(w, s, mult))
-    if running.dim != action.dim:
+        components.append(IsotypicalComponent(w, s, s.dim // w.degree))
+    # one elimination of the stacked bases certifies both the sum and the span
+    stacked = [row for c in components for row in c.subspace.basis.num]
+    rank = SubspaceQ(action.dim, stacked).dim
+    if rank < len(stacked):
+        raise InternalCheckError("isotypical components overlap")
+    if rank < action.dim:
         raise InternalCheckError("isotypical components do not span the space")
     kernel = common_kernel(
         action.group, [c.irrep.representative for c in components if c.multiplicity]

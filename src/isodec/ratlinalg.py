@@ -34,6 +34,11 @@ when at most a quarter of its entries are nonzero, a test made at C speed
 then work only at the nonzeros of sparse rows and keep the full dot product
 or row update for the others.  Both add up the same integer terms, so every
 result is the same exact integer matrix as the dense computation gives.
+An elimination also pivots, in each column, on the candidate row with the
+fewest nonzeros (ties to the smallest |pivot|), a Markowitz-style choice
+that keeps sparse rows sparse and intermediate entries small.  The reduced
+row-echelon form does not depend on which row is the pivot, so every
+subspace comes out the same.
 """
 
 from __future__ import annotations
@@ -391,11 +396,15 @@ def _row_reduce(int_rows, ncols: int):
     row.  Row scaling is irrelevant to the row space, so callers may clear
     denominators per row before calling.
 
-    A row update is a * p - b * v, with b the pivot row, p its pivot entry
-    and v the entry to clear.  When the pivot row is sparse (at most a
-    quarter nonzero, see ``_is_sparse``), the update scales the row by p and
-    subtracts only at the pivot row's nonzero columns; the result is the
-    same integer row as the full update.
+    The pivot of column c is, among the rows not yet used that are nonzero
+    at c, the one with the most zeros, then the smallest |entry at c|, then
+    the first.  A row update is a * p - b * v, with b the pivot row, p its
+    pivot entry and v the entry to clear, so a sparse pivot row fills in few
+    entries and a small pivot scales the others little.  When the pivot row
+    is sparse (at most a quarter nonzero, see ``_is_sparse``), the update
+    scales the row by p and subtracts only at the pivot row's nonzero
+    columns; the result is the same integer row as the full update.  The
+    pivot rule changes the rows returned, up to sign, but not their RREF.
     """
     # rows are replaced, never mutated, so the caller's rows are safe
     rows = [_reduce_row_content(r) for r in int_rows if any(r)]
@@ -404,9 +413,10 @@ def _row_reduce(int_rows, ncols: int):
     for c in range(ncols):
         if r == len(rows):
             break
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
+        cands = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not cands:
             continue
+        pr = max(cands, key=lambda i: (rows[i].count(0), -abs(rows[i][c])))
         rows[r], rows[pr] = rows[pr], rows[r]
         prow = rows[r]
         p = prow[c]
@@ -596,7 +606,11 @@ def kernel_and_image(t: MatQ, y: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
 
     One product gives the rows T b_j, for the basis rows b_j of Y: they span
     T(Y), and the coefficient rows c with sum c_j T b_j = 0 are the
-    coordinates of ker T ∩ Y.  Everything stays of size dim Y by dim T.  When
+    coordinates of ker T ∩ Y.  T(Y) is row-reduced first.  A vector of T(Y)
+    is fixed by its entries at the r pivot columns of that RREF, so the
+    coefficients solve the r by dim Y system of the images at those columns,
+    not the dim T by dim Y system of all their entries; with r = 0 every
+    coefficient row is free.  Everything stays of size dim Y by dim T.  When
     T is semisimple and Y is T-invariant (a power of a finite-order operator
     minus 1, on a piece it preserves), Y is the direct sum of the two.
     """
@@ -604,9 +618,12 @@ def kernel_and_image(t: MatQ, y: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
         raise PreconditionError("operator and subspace dimensions do not match")
     n = y.ambient_dim
     images = _dot_rows(y.basis.num, t.num)  # images[j] = T b_j
-    coeffs = _kernel_rows(list(zip(*images)), y.dim)
+    image = SubspaceQ(n, images)
+    # a vector of T(Y) is fixed by its entries at the pivot columns of T(Y)
+    at_pivots = [[row[c] for row in images] for c in image.pivot_cols]
+    coeffs = _kernel_rows(at_pivots, y.dim)
     kernel = SubspaceQ(n, _dot_rows(coeffs, list(zip(*y.basis.num))))
-    return kernel, SubspaceQ(n, images)
+    return kernel, image
 
 
 # ---------------------------------------------------------------------------

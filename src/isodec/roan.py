@@ -16,14 +16,16 @@ checks subspace-by-subspace against the idempotent-based decomposition.
 a walk over every divisor e of d in ascending order.  On the current Y, a
 subspace of Q^n, the kernel of 1 - alpha^e is the part of Y where alpha has
 eigenvalue order e: the orders below e that divide it were split off by
-earlier steps.  Kernel and image come out of one ``kernel_and_image`` on Y,
-each row-reduced once in Q^n.  An empty kernel means that e does not occur,
-and the step is skipped, as is every e with phi(e) > dim Y.  A nonempty step
-makes e the next d_i, and its image is the new Y.  alpha is restricted only
-to the pieces, for their certificates.  Each power is built from an earlier
-one: alpha^e = (alpha^e')^(e/e'), with e' the largest divisor of e that the
-walk has already formed, and a power is dropped once no later divisor would
-be built from it.
+earlier steps.  Kernel and image come out of one ``kernel_and_image`` on Y.
+The image is row-reduced once in Q^n; the kernel's coefficients solve the
+images at the image's r pivot columns, an r by dim Y system, and the kernel
+is then row-reduced once in Q^n.  An empty kernel means that e does not
+occur, and the step is skipped, as is every e with phi(e) > dim Y.  A
+nonempty step makes e the next d_i, and its image is the new Y.  alpha is
+restricted only to the pieces, for their certificates.  Each power is built
+from an earlier one: alpha^e = (alpha^e')^(e/e'), with e' the largest
+divisor of e that the walk has already formed, and a power is dropped once
+no later divisor would be built from it.
 
 Each piece is certified by Phi_e(alpha|B) = 0, the e-th cyclotomic
 polynomial evaluated by Horner's rule; for an operator of finite order this

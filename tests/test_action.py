@@ -590,6 +590,31 @@ def test_a_split_that_drops_a_nonzero_class_fails_the_span_check(
     assert "do not span" in err
 
 
+def test_components_that_overlap_fail_the_overlap_check(monkeypatch, tmp_path):
+    # the two classes of signature (3, 3) share a piece; the patch hands the
+    # second one the first one's component
+    group = FinAbGroup((3, 3))
+    mult = (1,) * len(rational_irreps(group))
+    af = make_fixture(
+        FixtureSpec("random-conjugated", moduli=(3, 3), multiplicities=mult, seed=0)
+    )
+    component = action_module.isotypical_component
+    first = {}  # id of a restricted action -> its first component
+
+    def overlapping(action, w):
+        return first.setdefault(id(action), component(action, w))
+
+    path = tmp_path / "action.json"
+    path.write_text(serialize_action_file(af))
+    assert run_cli(["decompose", str(path)])[0] == 0
+    monkeypatch.setattr(action_module, "isotypical_component", overlapping)
+    with pytest.raises(InternalCheckError, match="overlap"):
+        isotypical_decomposition(af.action)
+    code, out, err = run_cli(["decompose", str(path)])
+    assert code == 4
+    assert err.startswith("internal check failed: isotypical components overlap")
+
+
 def test_a_split_with_a_non_invariant_piece_is_an_internal_fault(
     monkeypatch, tmp_path
 ):

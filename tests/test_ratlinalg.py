@@ -829,6 +829,62 @@ def test_kernel_and_image_on_sparse_inputs_match_the_oracle(case):
     assert_kernel_and_image_match_the_oracle(as_matq(t_rows, n), t_rows, y_rows, n)
 
 
+# kernel_and_image takes the kernel's coefficients from the images at the
+# pivot columns of T(Y); the oracle solves the full system of all n rows
+
+
+@st.composite
+def low_rank_case(draw):
+    """(n, T, Y rows): T = A B of rank at most r < k, Y spanned by k < n
+    rows, so T(Y) is smaller than Y and has fewer pivots than n."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    r = draw(st.integers(0, k - 1))
+    a, b = draw(frac_matrix(n, r)), draw(frac_matrix(r, n))
+    return n, oracle_product(a, b, r, n), draw(frac_matrix(k, n))
+
+
+@given(low_rank_case())
+@settings(max_examples=100)
+def test_kernel_and_image_of_a_rank_deficient_operator_match_the_oracle(case):
+    n, t_rows, y_rows = case
+    t = MatQ(t_rows)
+    y, kernel = assert_kernel_and_image_match_the_oracle(t, t_rows, y_rows, n)
+    image = kernel_and_image(t, y)[1]
+    assert kernel.dim + image.dim == y.dim
+    assert image.dim < len(y_rows)
+
+
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.tuples(st.just(n), mixed_rows(n // 2 + 1, n))
+    )
+)
+@settings(max_examples=50)
+def test_kernel_and_image_of_zero_are_y_and_zero(case):
+    # T(Y) = 0 has no pivot columns, so every coefficient row is free
+    n, y_rows = case
+    zero = [[0] * n for _ in range(n)]
+    y, kernel = assert_kernel_and_image_match_the_oracle(as_matq(zero, n), zero, y_rows, n)
+    assert kernel == y
+    assert kernel_and_image(as_matq(zero, n), y)[1] == SubspaceQ.zero(n)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.just(n), frac_matrix(n, n), mixed_rows(n // 2 + 1, n))
+    )
+)
+@settings(max_examples=50)
+def test_kernel_and_image_of_an_invertible_operator_keep_all_of_y(case):
+    n, t_rows, y_rows = case
+    assume(len(oracle_rref(t_rows, n)[0]) == n)
+    t = MatQ(t_rows)
+    y, kernel = assert_kernel_and_image_match_the_oracle(t, t_rows, y_rows, n)
+    assert kernel == SubspaceQ.zero(n)
+    assert kernel_and_image(t, y)[1].dim == y.dim
+
+
 @given(
     st.integers(1, 8).flatmap(lambda n: st.tuples(monomial_rows(n), mixed_rows(1, n)))
 )
@@ -838,8 +894,19 @@ def test_restrict_operator_on_monomial_actions_matches_the_oracle(case):
     assert_restriction_to_the_orbit_matches_the_oracle(m_rows, seed[0])
 
 
-def dense_row_reduce(int_rows, ncols):
-    """`_row_reduce` with every row update taken over the whole row."""
+def sparsest_row(rows, cands, c):
+    """`_row_reduce`'s pivot rule: the candidate with the most zeros, then
+    the smallest |pivot|, then the first."""
+    return max(cands, key=lambda i: (rows[i].count(0), -abs(rows[i][c])))
+
+
+def first_row(rows, cands, c):
+    return cands[0]
+
+
+def dense_row_reduce(int_rows, ncols, choose=sparsest_row):
+    """`_row_reduce` with every row update taken over the whole row, pivoting
+    on the candidate row that `choose` picks."""
 
     def content_reduced(row):
         g = 0
@@ -851,9 +918,10 @@ def dense_row_reduce(int_rows, ncols):
     piv = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
+        cands = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not cands:
             continue
+        pr = choose(rows, cands, c)
         rows[r], rows[pr] = rows[pr], rows[r]
         p = rows[r][c]
         for i in range(len(rows)):
@@ -884,3 +952,26 @@ def test_row_reduce_matches_the_dense_update_and_keeps_the_input(case):
     piv, reduced = ratlinalg._row_reduce(given_rows, n)
     assert (piv, [list(r) for r in reduced]) == dense_row_reduce(rows, n)
     assert [tuple(r) for r in given_rows] == before
+
+
+@given(
+    st.integers(0, 9).flatmap(
+        lambda n: st.tuples(st.just(n), mixed_rows(n, n) | monomial_rows(n))
+    )
+)
+# the first candidate is dense and a later one sparse
+@example((4, [[1, 1, 1, 1], [2, 0, 0, 0], [0, 3, 0, 1], [0, 0, 1, 0]]))
+# all candidates tie on zeros, and |pivot| picks the second
+@example((3, [[3, 1, 0], [1, 2, 0], [5, 0, 7]]))
+# a dense row above a signed permutation
+@example((4, [[2, 3, 1, 4], [0, 0, 0, -1], [0, 0, -1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]))
+@settings(max_examples=150)
+def test_row_reduce_gives_the_rref_of_the_first_nonzero_row_rule(case):
+    # the pivot rule changes the raw rows, never the canonical RREF
+    n, rows = case
+    piv, reduced = ratlinalg._row_reduce(rows, n)
+    first_piv, first_reduced = dense_row_reduce(rows, n, choose=first_row)
+    assert piv == first_piv
+    assert ratlinalg._rref_over_lcm(piv, reduced, n) == ratlinalg._rref_over_lcm(
+        first_piv, first_reduced, n
+    )
