@@ -7,10 +7,11 @@ rational representation and computes that decomposition in exact rational
 arithmetic: no floats, no numerical tolerance, every result certified by
 independent internal cross-checks.
 
-``char_poly``, ``eigenvalue_orders`` and the Fraction views ``MatQ.trace``,
-``MatQ.fraction_rows``, ``SubspaceQ.basis_rows``, ``coordinates_of`` and
-``contains_vector`` are no longer part of the API; the test suite keeps
-them as oracles in ``tests/oracles.py``.
+``char_poly``, ``eigenvalue_orders``, ``algebra_matrix`` and the Fraction
+views ``MatQ.trace``, ``MatQ.fraction_rows``, ``SubspaceQ.basis_rows``,
+``coordinates_of`` and ``contains_vector`` are no longer part of the API; the
+test suite keeps them as oracles in ``tests/oracles.py``.  ``sum_spaces`` is
+gone too: a sum of subspaces is one ``SubspaceQ`` of the stacked basis rows.
 """
 
 from .abgroup import (
@@ -28,7 +29,6 @@ from .action import (
     IsotypicalComponent,
     IsotypicalReport,
     action_matrix,
-    algebra_matrix,
     complementary_subvariety,
     fixed_subvariety,
     isotypical_component,
@@ -70,7 +70,6 @@ from .ratlinalg import (
     kernel_space,
     restrict_operator,
     snf_invariants,
-    sum_spaces,
 )
 from .roan import (
     RoanMatchReport,
@@ -103,7 +102,6 @@ __all__ = [
     "GAction",
     "validate_action",
     "action_matrix",
-    "algebra_matrix",
     "fixed_subvariety",
     "complementary_subvariety",
     "isotypical_component",
@@ -127,7 +125,6 @@ __all__ = [
     "kernel_space",
     "image_space",
     "intersect_spaces",
-    "sum_spaces",
     "hnf",
     "snf_invariants",
     "cyclotomic",

@@ -18,15 +18,14 @@ The three geometric constructions:
         minimal overgroups H of K (the defining formula), and
     (2) as the image of the central idempotent e_W.
 
-How the matrices are formed.  Every rho(g) comes from one memo per action,
-element index -> rho(g), which starts out holding the identity.  It is
-filled three ways: by a running product along a step,
-rho(g + s) = rho(g) @ rho(s) (the cyclic factors below), one product per
-entry; by ``action_matrix``, which walks back from g to an element already
-held and multiplies forward by generator matrices, one product per entry;
-and by the Sylow split's powers (below).  Validation checks only the
-presentation (the relations M_j ** n_j = I and commutation) and leaves the
-memo holding the identity alone, so only code that reads the memo fills it.
+How the matrices are formed.  An action is a plain value: nothing is
+memoized on it.  ``action_matrix`` forms rho(g) = prod_j M_j ** g_j, each
+power by repeated squaring, and the constructions ask for it only at a few
+elements: the HNF generators of a subgroup, the step of a cyclic factor
+and the Sylow powers below.  A run of powers of one element is applied to
+the basis it acts on, never formed as a run of square matrices.
+Validation checks only the presentation (the relations M_j ** n_j = I and
+commutation).
 
 Route (1) forms no idempotent: rho has finite order, so A^H is the common
 kernel of rho(h) - 1 over the HNF rows h of H, and the complement of A^H in
@@ -34,9 +33,13 @@ the G-invariant A^K is the sum of the images (rho(h) - 1)(A^K).  Route (2)
 writes e_W = p_K * F with F = (1/n) sum_{j<n} c_n(j) rho(j * x), for
 n = [G:K], x a generator of G/K and c_n the Ramanujan sum (every g is
 j * x + k with k in K, and c_n depends only on gcd(n, .)).  p_K and F
-commute, so the image of e_W is F(A^K), never the |G|-term sum.  For the
-trivial class e_W is p_G, a product of averages of p terms over the Sylow
-parts of the generators.
+commute, so the image of e_W is F(A^K), never the |G|-term sum.  Both
+routes read one run: with s = n / rad(n), v_i is rho(i * s * x) applied to
+the basis of A^K for i < rad(n), F(A^K) is the span of
+(1/n) sum_i c_n(i * s) v_i, and as (n/p) * x = (rad(n)/p) * s * x, the
+complement for the minimal overgroup K + (n/p) * x is the span of
+v_{rad(n)/p} - v_0.  For the trivial class e_W is p_G, a product of
+averages of p terms over the Sylow parts of the generators.
 
 Decomposing along the candidates.  Roan's filtration, applied one generator
 at a time, shows which classes can be nonzero before any idempotent is
@@ -45,15 +48,15 @@ parts of the generators: for each generator j and each p^a exactly dividing
 n_j, with s = (n_j / p^a) * e_j, every piece is peeled into the parts where
 rho(s) has eigenvalue order 1, p, ..., p^a (the kernel and image of
 rho(p^i * s) - 1, for i < a); rho(s) and its p-th powers are formed by
-repeated squaring and kept in the memo, where the averages behind p_G find
-them too.  A class W lies in the piece whose signature is, per (j, p), the
-p-part of n_j / gcd(n_j, r_j) for its representative r.  The candidates are
-the classes whose piece Y is nonzero; every other class gets the zero
+repeated squaring, the same chain the averages behind p_G start from.  A
+class W lies in the piece whose signature is, per (j, p), the p-part of
+n_j / gcd(n_j, r_j) for its representative r.  The candidates are the
+classes whose piece Y is nonzero; every other class gets the zero
 subspace.  Each nonzero piece is then restricted once: every generator's
 matrix on Y, in the coordinates of Y's RREF basis, makes a ``GAction`` of
-dimension dim Y with a memo of its own.  Both routes run on that restricted
-action for every candidate of Y's signature, at dimension dim Y rather than
-dim V, and the component is lifted back through Y's basis.  The restriction
+dimension dim Y.  Both routes run on that restricted action for every
+candidate of Y's signature, at dimension dim Y rather than dim V, and the
+component is lifted back through Y's basis.  The restriction
 certifies that Y is invariant (a piece that is not is an
 ``InternalCheckError``), and the W-component of an invariant Y lies inside
 the W-component of V.  The checks that the components add up without
@@ -72,7 +75,7 @@ reported with a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm, prod
 
@@ -85,7 +88,6 @@ from .abgroup import (
 from .chars import RationalIrrep, common_kernel, ramanujan_sum, rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
 from .numtheory import factorint, prime_divisors
-from .qalgebra import GroupAlgebraElem
 from .ratlinalg import (
     MatQ,
     SubspaceQ,
@@ -101,7 +103,6 @@ __all__ = [
     "GAction",
     "validate_action",
     "action_matrix",
-    "algebra_matrix",
     "fixed_subvariety",
     "complementary_subvariety",
     "isotypical_component",
@@ -123,11 +124,6 @@ class GAction:
     gen_matrices: tuple[MatQ, ...]
     dim: int
     name: str | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
-        # the memo of rho: element index -> rho(g), never without the identity
-        self._cache.setdefault("rho", {0: MatQ.identity(self.dim)})
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -139,9 +135,8 @@ def validate_action(group: FinAbGroup, matrices, name: str | None = None) -> GAc
 
     Raises ValidationError if the count is wrong, a matrix is not square of
     the common size, a generator relation M_j ** n_j != I fails, or two
-    generator matrices do not commute.  Only those checks form products;
-    the memo of rho starts out holding the identity alone.  A non-faithful
-    action is legal: its kernel is read off the decomposition
+    generator matrices do not commute.  Only those checks form products.
+    A non-faithful action is legal: its kernel is read off the decomposition
     (``IsotypicalReport.action_kernel``).
     """
     mats = tuple(matrices)
@@ -169,64 +164,37 @@ def validate_action(group: FinAbGroup, matrices, name: str | None = None) -> GAc
     return GAction(group, mats, dim, name)
 
 
-def _run(rho: dict, group: FinAbGroup, s, step: MatQ, count: int):
-    """rho of j * s for j < count, for the exponent tuple s with step = rho(s).
-
-    A running product from the identity: each entry not yet in the memo costs
-    one product rho((j-1) s) @ step, and is stored.
-    """
-    g = (0,) * group.rank
-    cur = rho[0]
-    for j in range(count):
-        if j:
-            g = tuple((a + e) % n for a, e, n in zip(g, s, group.moduli))
-            i = group.index_of(g)
-            m = rho.get(i)
-            if m is None:
-                m = rho[i] = cur @ step
-            cur = m
-        yield cur
-
-
-def _walk(rho: dict, group: FinAbGroup, mats, exps) -> MatQ:
-    """rho of the element with these exponents, through the memo.
-
-    Walks back from it, lowering its last nonzero coordinate, to an element
-    already held, then forward by generator matrices: one product per new
-    entry.
-    """
-    i, exps, path = group.index_of(exps), list(exps), []
-    while i not in rho:
-        j = max(t for t, e in enumerate(exps) if e)
-        path.append((i, j))
-        exps[j] -= 1
-        i = group.index_of(exps)
-    m = rho[i]
-    for i, j in reversed(path):
-        m = rho[i] = m @ mats[j]
-    return m
-
-
-def _unit(group: FinAbGroup, j: int, e: int) -> tuple[int, ...]:
-    """The exponents of e * e_j."""
-    return tuple(e if t == j else 0 for t in range(group.rank))
-
-
 def action_matrix(action: GAction, g: GroupElement) -> MatQ:
-    """rho(g), memoized per action (see ``_walk``)."""
+    """rho(g) = prod_j M_j ** g_j, each power by repeated squaring: at most
+    2 * bit_length(g_j) products per coordinate."""
     if g.group != action.group:
         raise PreconditionError("element of a different group")
-    return _walk(action._cache["rho"], action.group, action.gen_matrices, g.exps)
+    m = None
+    for e, gen in zip(g.exps, action.gen_matrices):
+        if e:
+            m = gen**e if m is None else m @ gen**e
+    return MatQ.identity(action.dim) if m is None else m
 
 
-def _combination(dim: int, terms, den: int) -> MatQ:
-    """(1/den) * the sum of c * M over (c, M) pairs, integer c, dim x dim M.
+def _orbit(step: MatQ, start: MatQ, count: int) -> list[MatQ]:
+    """start, step @ start, ..., step ** (count - 1) @ start: a running
+    product, one product per entry after the first."""
+    out = [start]
+    for _ in range(1, count):
+        out.append(step @ out[-1])
+    return out
+
+
+def _combination(shape: tuple[int, int], terms, den: int) -> MatQ:
+    """(1/den) * the sum of c * M over (c, M) pairs, integer c, M of this
+    shape.
 
     Accumulates integer numerators over a running common denominator (the
     lcm of the matrices' denominators), so the sum is exact and builds no
     Fractions.
     """
-    acc = [[0] * dim for _ in range(dim)]
+    rows, cols = shape
+    acc = [[0] * cols for _ in range(rows)]
     acc_den = 1
     for num, m in terms:
         new_den = lcm(acc_den, m.den)
@@ -239,36 +207,10 @@ def _combination(dim: int, terms, den: int) -> MatQ:
                         r[j] += t * v
         else:
             for r, mr in zip(acc, m.num):
-                for j in range(dim):
+                for j in range(cols):
                     r[j] = r[j] * s + t * mr[j]
         acc_den = new_den
-    return MatQ._raw(acc, acc_den * den, dim)
-
-
-def algebra_matrix(action: GAction, x: GroupAlgebraElem) -> MatQ:
-    """The matrix of a group-algebra element: sum of x(g) * rho(g).
-
-    One term per nonzero coefficient, so the cost grows with the support of
-    x (up to |G|) times dim^2.  Read in index order, each rho(g) not yet in
-    the memo costs one product.
-    """
-    if x.group != action.group:
-        raise PreconditionError("group algebra element of a different group")
-    terms = (
-        (num, action_matrix(action, g))
-        for g, num in zip(action.group.elements(), x.nums)
-        if num
-    )
-    return _combination(action.dim, terms, x.den)
-
-
-def _cyclic_factor(action: GAction, g: GroupElement, coeffs, den: int) -> MatQ:
-    """(1/den) * sum over j < len(coeffs) of coeffs[j] * rho(j * g), with
-    rho(j * g) a running product along g through the memo."""
-    step = action_matrix(action, g)
-    run = _run(action._cache["rho"], action.group, g.exps, step, len(coeffs))
-    terms = ((c, m) for c, m in zip(coeffs, run) if c)
-    return _combination(action.dim, terms, den)
+    return MatQ._raw(acc, acc_den * den, cols)
 
 
 def fixed_subvariety(action: GAction, h: Subgroup) -> SubspaceQ:
@@ -288,17 +230,6 @@ def fixed_subvariety(action: GAction, h: Subgroup) -> SubspaceQ:
     return kernel_space(MatQ._raw(rows, 1, action.dim))
 
 
-def _images(action: GAction, y: SubspaceQ, gens) -> SubspaceQ:
-    """The sum of the images (rho(g) - 1)(Y) over the elements g: one
-    elimination of the stacked image vectors."""
-    eye = MatQ.identity(action.dim)
-    yt = y.basis.transpose()
-    cols = []
-    for g in gens:
-        cols.extend(zip(*((action_matrix(action, g) - eye) @ yt).num))
-    return SubspaceQ(action.dim, cols)
-
-
 def complementary_subvariety(action: GAction, k_sub: Subgroup, h: Subgroup) -> SubspaceQ:
     """P(A^K / A^H): the complement of A^H inside A^K, for K contained in H.
 
@@ -307,7 +238,8 @@ def complementary_subvariety(action: GAction, k_sub: Subgroup, h: Subgroup) -> S
     (rho(h) - 1)(A^K) over the generators h of H.  A^K is G-invariant and
     p_H (rho(h) - 1) = 0, so each image lies in the complement; a vector of
     A^K orthogonal to all of them, for a G-invariant inner product, is fixed
-    by H, so together they fill it.
+    by H, so together they fill it.  One elimination of the stacked image
+    vectors.
     """
     if k_sub.group != action.group or h.group != action.group:
         raise PreconditionError("subgroup of a different group")
@@ -315,8 +247,13 @@ def complementary_subvariety(action: GAction, k_sub: Subgroup, h: Subgroup) -> S
         raise PreconditionError(
             "the complement P(A^K/A^H) requires K to be contained in H"
         )
-    gens = [g for g in h.generators() if any(g.exps)]
-    return _images(action, fixed_subvariety(action, k_sub), gens)
+    eye = MatQ.identity(action.dim)
+    yt = fixed_subvariety(action, k_sub).basis.transpose()
+    cols = []
+    for g in h.generators():
+        if any(g.exps):
+            cols.extend(zip(*((action_matrix(action, g) - eye) @ yt).num))
+    return SubspaceQ(action.dim, cols)
 
 
 def _average_over_g(action: GAction) -> MatQ:
@@ -324,13 +261,13 @@ def _average_over_g(action: GAction) -> MatQ:
     (j, p, a) of the generators.  p_A p_B = p_{A+B} in an abelian group, and
     every m < p^a has base-p digits, so the average of rho over <s>, for
     s = (n_j / p^a) e_j, is the product over t < a of the averages of
-    rho(d p^t s) over d < p, each run starting from rho(p^t s) as
-    ``_sylow_powers`` puts it in the memo."""
-    group = action.group
-    m = MatQ.identity(action.dim)
-    for j, p, a in _sylow_parts(group):
-        for exps, _ in _sylow_powers(action, j, p, a):
-            m = m @ _cyclic_factor(action, group.element(exps), (1,) * p, p)
+    rho(d p^t s) over d < p, a running product from rho(p^t s) as
+    ``_sylow_powers`` forms it."""
+    eye = m = MatQ.identity(action.dim)
+    for j, p, a in _sylow_parts(action.group):
+        for t in _sylow_powers(action, j, p, a):
+            powers = [eye, *_orbit(t, t, p - 1)]
+            m = m @ _combination(m.shape, ((1, r) for r in powers), p)
     return m
 
 
@@ -344,9 +281,10 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     (rho((n/p) x) - 1)(A^K).  When K is all of G it is A^G itself.  Route
     two is the image of the central idempotent e_W = p_K * F, with F one
     cyclic factor in x, taken as F applied to A^K; for the trivial class
-    e_W = p_G, taken from its Sylow factors.  Disagreement raises
-    InternalCheckError — it would mean the algebra identity behind the
-    construction failed.
+    e_W = p_G, taken from its Sylow factors.  Both routes read one running
+    product of rho(s x), s = n / rad(n), applied to the basis of A^K, so no
+    rho((n/p) x) is formed.  Disagreement raises InternalCheckError — it
+    would mean the algebra identity behind the construction failed.
     """
     if w.group != action.group:
         raise PreconditionError("representation of a different group")
@@ -359,15 +297,18 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     a_k = fixed_subvariety(action, k_sub)
     if n == 1:
         by_idempotent = image_space(_average_over_g(action))
+        by_intersection = a_k
     else:
-        # c_n(j) = 0 unless s = n / rad(n) divides j: F has rad(n) terms, along s x
-        s = n // prod(primes)
-        coeffs = [ramanujan_sum(n, i * s) for i in range(n // s)]
-        f = _cyclic_factor(action, s * x, coeffs, n)
-        by_idempotent = image_space(f @ a_k.basis.transpose())
-    # each (n/p) x is (rad(n)/p) s x, so F's run has put its rho in the memo
-    parts = [_images(action, a_k, [(n // p) * x]) for p in primes] or [a_k]
-    by_intersection = reduce(intersect_spaces, parts)
+        # c_n(j) = 0 unless s = n / rad(n) divides j: F has r = rad(n) terms,
+        # along s x; v[i] = rho(i s x) applied to A^K's basis as columns
+        r = prod(primes)
+        s = n // r
+        v = _orbit(action_matrix(action, s * x), a_k.basis.transpose(), r)
+        terms = ((ramanujan_sum(n, i * s), vi) for i, vi in enumerate(v))
+        by_idempotent = image_space(_combination(v[0].shape, terms, n))
+        # (n/p) x = (r/p) s x: rho((n/p) x) - 1 on A^K is v[r/p] - v[0]
+        parts = [image_space(v[r // p] - v[0]) for p in primes]
+        by_intersection = reduce(intersect_spaces, parts)
     if by_intersection != by_idempotent:
         raise InternalCheckError(
             "isotypical component mismatch: the intersection of complements "
@@ -444,23 +385,15 @@ def _signature(w: RationalIrrep, parts) -> tuple[int, ...]:
     return tuple(p**a // gcd(p**a, r[j]) for j, p, a in parts)
 
 
-def _sylow_powers(action: GAction, j: int, p: int, a: int):
-    """(exponents, rho) of p^i * s for i < a, s = (n_j / p^a) * e_j.
+def _sylow_powers(action: GAction, j: int, p: int, a: int) -> list[MatQ]:
+    """rho(p^i * s) for i < a, s = (n_j / p^a) * e_j.
 
     rho(s) = M_j ** (n_j / p^a) and rho(p^(i+1) * s) = rho(p^i * s) ** p,
-    each by repeated squaring and stored in the memo; no other element's
-    rho is formed.
+    each by repeated squaring; no other element's rho is formed.
     """
-    group, rho = action.group, action._cache["rho"]
-    step = group.moduli[j] // p**a
-    m, out = action.gen_matrices[j], []
-    for i in range(a):
-        exps = _unit(group, j, step * p**i)
-        key = group.index_of(exps)
-        if key not in rho:
-            rho[key] = m ** (p if i else step)
-        m = rho[key]
-        out.append((exps, m))
+    out = [action.gen_matrices[j] ** (action.group.moduli[j] // p**a)]
+    for _ in range(1, a):
+        out.append(out[-1] ** p)
     return out
 
 
@@ -476,7 +409,7 @@ def _sylow_split(action: GAction) -> dict[tuple[int, ...], SubspaceQ]:
     eye = MatQ.identity(action.dim)
     pieces = {(): SubspaceQ.full(action.dim)}
     for j, p, a in _sylow_parts(action.group):
-        ts = [m - eye for _, m in _sylow_powers(action, j, p, a)]
+        ts = [m - eye for m in _sylow_powers(action, j, p, a)]
         split = {}
         for sig, y in pieces.items():
             for i, t in enumerate(ts):
@@ -493,9 +426,9 @@ def _sylow_split(action: GAction) -> dict[tuple[int, ...], SubspaceQ]:
 
 def _restricted(action: GAction, y: SubspaceQ) -> GAction:
     """The action on the G-invariant subspace Y, in the coordinates of its
-    RREF basis: one ``restrict_operator`` per generator, and a memo of rho of
-    its own at dimension dim Y.  A piece that some generator does not
-    preserve is an internal fault, not bad input."""
+    RREF basis: one ``restrict_operator`` per generator, at dimension dim Y.
+    A piece that some generator does not preserve is an internal fault, not
+    bad input."""
     try:
         mats = tuple(restrict_operator(m, y) for m in action.gen_matrices)
     except PreconditionError as e:

@@ -137,6 +137,7 @@ def load_action_file(text: str, max_order: int | None = None) -> ActionFile:
                 or not k
                 or not all(
                     isinstance(r, list)
+                    and r
                     and all(isinstance(v, int) and not isinstance(v, bool) for v in r)
                     for r in k
                 )

@@ -62,7 +62,6 @@ __all__ = [
     "image_space",
     "intersect_spaces",
     "kernel_and_image",
-    "sum_spaces",
     "hnf",
     "snf_invariants",
     "cyclotomic",
@@ -573,12 +572,6 @@ def kernel_space(M: MatQ) -> SubspaceQ:
 def image_space(M: MatQ) -> SubspaceQ:
     """The column space of M as a canonical subspace of Q^rows."""
     return SubspaceQ(M.rows, list(zip(*M.num)))
-
-
-def sum_spaces(u: SubspaceQ, v: SubspaceQ) -> SubspaceQ:
-    if u.ambient_dim != v.ambient_dim:
-        raise PreconditionError("ambient dimension mismatch")
-    return SubspaceQ(u.ambient_dim, u.basis.num + v.basis.num)
 
 
 def intersect_spaces(u: SubspaceQ, v: SubspaceQ) -> SubspaceQ:

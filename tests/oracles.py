@@ -5,14 +5,18 @@ denominator and never needs these views itself; the tests use them to
 compare against plain Fraction arithmetic.  ``char_poly`` and
 ``eigenvalue_orders`` give the eigenvalue orders of a finite-order matrix by
 factoring its characteristic polynomial, a route independent of Roan's
-divisor walk in ``isodec.roan``.
+divisor walk in ``isodec.roan``.  ``algebra_matrix`` is the |G|-term
+matrix of a group-algebra element, the reference the factored idempotents
+of ``isodec.action`` are checked against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from isodec import InternalCheckError, MatQ, PreconditionError, SubspaceQ, cyclotomic
+from isodec.action import _combination
 from isodec.numtheory import divisors
 from isodec.ratlinalg import _divmod_monic
 
@@ -111,3 +115,32 @@ def eigenvalue_orders(m: MatQ, d: int) -> tuple[int, ...]:
     if not integral or p != (1,):
         raise InternalCheckError("characteristic polynomial did not factor into cyclotomics")
     return tuple(orders)
+
+
+@lru_cache(maxsize=8)
+def rho_table(action) -> tuple[MatQ, ...]:
+    """rho(g) for every g of the action's group, in index order.
+
+    Each entry is one product: rho(g) = rho(g - e_j) @ M_j for the last
+    nonzero coordinate j of g, and g - e_j comes earlier in index order.
+    """
+    group, table = action.group, []
+    for exps in group.exponent_tuples():
+        nonzero = [j for j, e in enumerate(exps) if e]
+        if not nonzero:
+            table.append(MatQ.identity(action.dim))
+            continue
+        j = nonzero[-1]
+        prev = group.index_of(exps[:j] + (exps[j] - 1,) + exps[j + 1 :])
+        table.append(table[prev] @ action.gen_matrices[j])
+    return tuple(table)
+
+
+def algebra_matrix(action, x) -> MatQ:
+    """The matrix of a group-algebra element: the sum of x(g) * rho(g) over
+    the support of x, up to |G| terms."""
+    if x.group != action.group:
+        raise PreconditionError("group algebra element of a different group")
+    table = rho_table(action)
+    terms = ((num, table[i]) for i, num in enumerate(x.nums) if num)
+    return _combination((action.dim, action.dim), terms, x.den)

@@ -25,7 +25,6 @@ from isodec import (
     FinAbGroup,
     FixtureSpec,
     Subgroup,
-    algebra_matrix,
     all_subgroups,
     averaging_idempotent,
     central_idempotent,
@@ -47,6 +46,7 @@ from isodec import (
 from isodec.numtheory import totient
 from isodec.qalgebra import identity as algebra_identity
 from isodec.qalgebra import zero as algebra_zero
+from oracles import algebra_matrix
 
 GROUPS_LE_100 = [
     # cyclic

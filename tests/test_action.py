@@ -1,19 +1,18 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import perm_matrix
 from isodec import (
     FinAbGroup,
-    GAction,
     all_subgroups,
     MatQ,
     PreconditionError,
     SubspaceQ,
     ValidationError,
     action_matrix,
-    algebra_matrix,
     complementary_subvariety,
     fixed_subvariety,
     image_space,
@@ -36,7 +35,8 @@ from isodec.qalgebra import (
     identity,
 )
 import isodec.action as action_module
-from isodec.action import _signature, _sylow_parts, _unit
+from isodec.action import _signature, _sylow_parts
+from oracles import algebra_matrix, rho_table
 
 from test_cli import run_cli
 
@@ -96,6 +96,21 @@ def rationally_conjugated(action, seed):
     )
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """Counts every MatQ product (powers included) in .n; set .n = 0 to
+    start a count."""
+    counter = SimpleNamespace(n=0)
+    matmul = MatQ.__matmul__
+
+    def counted(a, b):
+        counter.n += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(MatQ, "__matmul__", counted)
+    return counter
+
+
 # --------------------------------------------------------------- validation
 
 
@@ -142,24 +157,15 @@ def test_validate_rejects_noncommuting():
         FixtureSpec("random-conjugated", moduli=(2, 4, 6), seed=1, max_dim=10),
     ],
 )
-def test_validation_checks_only_the_presentation(spec, monkeypatch):
+def test_validation_checks_only_the_presentation(spec, products):
     # M_j ** n_j by repeated squaring, plus two products per pair of
-    # generators; the memo of rho is left holding the identity alone
+    # generators
     made = make_fixture(spec).action
     group, mats = made.group, made.gen_matrices
-    products = 0
-    matmul = MatQ.__matmul__
-
-    def counted(a, b):
-        nonlocal products
-        products += 1
-        return matmul(a, b)
-
-    monkeypatch.setattr(MatQ, "__matmul__", counted)
-    action = validate_action(group, mats)
+    products.n = 0
+    validate_action(group, mats)
     k = group.rank
-    assert products <= sum(2 * n.bit_length() for n in group.moduli) + k * (k - 1)
-    assert set(action._cache["rho"]) == {0}
+    assert products.n <= sum(2 * n.bit_length() for n in group.moduli) + k * (k - 1)
 
 
 def test_non_faithful_action_warns():
@@ -185,42 +191,23 @@ def test_action_matrix_is_a_homomorphism():
         ) @ action_matrix(af.action, h)
 
 
-def rho_by_powers(action, g) -> MatQ:
-    """prod_j M_j ** e_j, computed without the memo."""
-    m = MatQ.identity(action.dim)
-    for e, gen in zip(g.exps, action.gen_matrices):
-        m = m @ gen ** e
-    return m
-
-
-def test_action_matrix_from_a_cold_memo(monkeypatch):
-    # in any order, each rho(g) not yet in the memo costs one product
-    products = 0
-    matmul = MatQ.__matmul__
-
-    def counted(a, b):
-        nonlocal products
-        products += 1
-        return matmul(a, b)
-
+def test_action_matrix_by_repeated_squaring(products):
+    # in any order, each rho(g) costs at most 2 * bit_length(g_j) products
+    # per coordinate, and equals the oracle's running product
     for moduli in [(4, 3), (2, 2, 6)]:
-        group = FinAbGroup(moduli)
-        validated = make_fixture(
+        action = make_fixture(
             FixtureSpec("random-conjugated", moduli=moduli, seed=2, max_dim=12)
         ).action
-        action = GAction(group, validated.gen_matrices, validated.dim)
-        elements = list(group.elements())
+        table = rho_table(action)
+        elements = list(action.group.elements())
         random.Random(5).shuffle(elements)
-        with monkeypatch.context() as m:
-            m.setattr(MatQ, "__matmul__", counted)
-            products = 0
-            got = [action_matrix(action, g) for g in elements]
-            assert products == group.order - 1
-        for g, rho_g in zip(elements, got):
-            assert rho_g == rho_by_powers(action, g)
+        for g in elements:
+            products.n = 0
+            rho_g = action_matrix(action, g)
+            assert products.n <= sum(2 * e.bit_length() for e in g.exps)
+            assert rho_g == table[g.index()]
         rep = isotypical_decomposition(action)
         assert sum(c.dim for c in rep.components) == action.dim
-        assert rep.components == isotypical_decomposition(validated).components
         assert_routes_match_expanded_sums(action)
 
 
@@ -252,7 +239,7 @@ def test_action_kernel_equals_brute_force_kernel(moduli, trivial_on):
         kernel = {
             g.exps
             for g in group.elements()
-            if rho_by_powers(action, g).is_identity()
+            if rho_table(action)[g.index()].is_identity()
         }
         assert {g.exps for g in forced.elements()} <= kernel
         report = isotypical_decomposition(action)
@@ -483,19 +470,31 @@ def test_factored_idempotents_where_a_fixed_part_is_zero():
     }
 
 
-def test_decomposition_never_expands_an_idempotent_over_g(monkeypatch):
-    def refuse(action, x):
-        raise AssertionError("algebra_matrix called")
+def test_decomposition_never_expands_an_idempotent_over_g(products, monkeypatch):
+    # every sum of matrices the routes form has rad(n) or p terms, not |G|,
+    # and rho is formed at a few elements: 38 products on regular(12) and 90
+    # on (6,6) seed 0
+    combination = action_module._combination
+    longest = 0
 
+    def counted(shape, terms, den):
+        nonlocal longest
+        terms = list(terms)
+        longest = max(longest, len(terms))
+        return combination(shape, terms, den)
+
+    monkeypatch.setattr(action_module, "_combination", counted)
     regular = make_fixture(FixtureSpec("regular", n=12))
     conjugated = make_fixture(
         FixtureSpec("random-conjugated", moduli=(6, 6), seed=0, max_dim=24)
     )
-    monkeypatch.setattr(action_module, "algebra_matrix", refuse)
-    for af in (regular, conjugated):
+    for af, bound in ((regular, 40), (conjugated, 95)):
+        products.n = longest = 0
         assert decomposition_multiplicities(af.action) == {
             k.entries: m for k, m in af.ground_truth
         }
+        assert products.n <= bound
+        assert longest == 6
 
 
 def test_plausibility_warnings():
@@ -647,7 +646,7 @@ def test_a_split_with_a_non_invariant_piece_is_an_internal_fault(
     assert err.startswith("internal check failed: a Sylow piece is not G-invariant")
 
 
-def test_decomposition_with_a_trivial_class_forms_rho_on_part_of_g():
+def test_decomposition_with_a_trivial_class_forms_rho_on_part_of_g(products):
     # the trivial class used to expand the |G|-term sum p_G
     group = FinAbGroup((30, 30))
     irreps = rational_irreps(group)
@@ -662,30 +661,39 @@ def test_decomposition_with_a_trivial_class_forms_rho_on_part_of_g():
     )
     action = af.action
     assert action.dim == 12
+    # rho(g) is formed at the split's rho(p^i s) and, on the restricted
+    # pieces, at a few elements per class: 103 products, where rho over all
+    # of G would take 899
+    products.n = 0
     assert decomposition_multiplicities(action) == {
         k.entries: m for k, m in af.ground_truth
     }
-    # rho(g) for the classes is formed on the restricted pieces: the full
-    # action's memo holds only the identity and the split's rho(p^i s)
-    split_powers = {
-        group.index_of(_unit(group, j, group.moduli[j] // p**a * p**i))
-        for j, p, a in _sylow_parts(group)
-        for i in range(a)
-    }
-    assert set(action._cache["rho"]) == {0} | split_powers
+    assert products.n <= 110
 
 
-def test_a_cyclic_decomposition_forms_rho_on_a_small_part_of_g():
+def test_a_cyclic_decomposition_forms_rho_on_a_small_part_of_g(products):
     # route one of the trivial class used to average rho over all of G, and
     # the Sylow split walked one product per element up to rho(p^i s)
     af = make_fixture(
         FixtureSpec("random-conjugated", moduli=(2000,), seed=0, max_dim=24)
     )
     action = af.action
+    products.n = 0
     rep = isotypical_decomposition(action)
+    assert products.n <= 90  # 84
     assert rep.components[0].irrep.order == 1 and rep.components[0].multiplicity
     assert max(c.irrep.order for c in rep.nonzero_components) == 16
     assert decomposition_multiplicities(action) == {
         k.entries: m for k, m in af.ground_truth
     }
-    assert len(action._cache["rho"]) < action.group.order // 4
+
+
+def test_decomposition_of_regular_240_forms_few_products(products):
+    # each class runs one product per term of F on A^K's basis, with no
+    # rho((n/p) x) formed for route one: 359 products (649 with a memo of rho
+    # filled by running products of square matrices)
+    action = make_fixture(FixtureSpec("regular", n=240)).action
+    products.n = 0
+    rep = isotypical_decomposition(action)
+    assert products.n < 500
+    assert all(c.multiplicity == 1 for c in rep.components)

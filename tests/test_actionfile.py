@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from isodec import (
     ActionFile,
@@ -19,6 +21,7 @@ from isodec import (
 from isodec.fixtures import FixtureSpec, make_fixture
 from oracles import fraction_rows
 from test_action import rationally_conjugated
+from test_cli import run_cli
 
 
 def test_minimal_valid_file():
@@ -238,3 +241,151 @@ def test_integer_action_file_loads_and_writes_without_a_fraction(monkeypatch):
     for path in golden_action_files():  # every one is all-integer
         text = path.read_text()
         assert serialize_action_file(load_action_file(text)) == text, path.name
+
+
+# ------------------------------------------------------- malformed files
+
+# an entry string the grammar reads: [+-]digits, or that over nonzero digits
+VALID_ENTRY = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+# at most 20 digits, so every example runs in milliseconds
+SMALL_INTS = st.integers(-(10**20) + 1, 10**20 - 1)
+# JSON values no field of an action file takes (None stands for a missing
+# 'name' or 'ground_truth', so those draw from OTHER_TYPES)
+OTHER_TYPES = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.dictionaries(st.text(max_size=3), SMALL_INTS, max_size=2),
+)
+WRONG_TYPES = st.one_of(st.none(), OTHER_TYPES)
+BAD_ENTRIES = st.one_of(
+    WRONG_TYPES,
+    st.lists(SMALL_INTS, max_size=2),
+    st.text(alphabet="0123456789+-/ .eE_x", max_size=8).filter(
+        lambda t: not VALID_ENTRY.fullmatch(t)
+    ),
+)
+
+
+@st.composite
+def malformed_action_files(draw):
+    """The text of an action file with one defect, drawn from a valid file:
+    identity generators of a common size for one to three moduli."""
+    moduli = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    dim = draw(st.integers(1, 4))
+    gens = [
+        [[int(i == j) for j in range(dim)] for i in range(dim)] for _ in moduli
+    ]
+    obj = {"group": moduli, "generators": gens}
+    j = draw(st.integers(0, len(gens) - 1))
+    r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    row = gens[j][r]
+    defect = draw(
+        st.sampled_from(
+            [
+                "truncated", "top level", "missing key", "group", "modulus",
+                "generators", "count", "matrix", "empty", "row", "empty row",
+                "ragged", "non-square", "size", "entry", "relation", "name",
+                "ground truth",
+            ]
+        )
+    )
+    if defect == "truncated":
+        text = json.dumps(obj)
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if defect == "top level":
+        obj = draw(st.one_of(WRONG_TYPES, SMALL_INTS, st.text(max_size=3), st.lists(SMALL_INTS)))
+    elif defect == "missing key":
+        del obj[draw(st.sampled_from(["group", "generators"]))]
+    elif defect == "group":
+        obj["group"] = draw(st.one_of(WRONG_TYPES, SMALL_INTS, st.just([])))
+    elif defect == "modulus":
+        moduli[j] = draw(st.one_of(WRONG_TYPES, st.text(max_size=3), st.integers(-9, 0)))
+    elif defect == "generators":
+        obj["generators"] = draw(st.one_of(WRONG_TYPES, SMALL_INTS, st.text(max_size=3)))
+    elif defect == "count":
+        if draw(st.booleans()):
+            gens.append(gens[0])
+        else:
+            gens.pop()
+    elif defect == "matrix":
+        gens[j] = draw(st.one_of(WRONG_TYPES, SMALL_INTS, st.text(max_size=3)))
+    elif defect == "empty":
+        gens[j] = []
+    elif defect == "row":
+        gens[j][r] = draw(st.one_of(WRONG_TYPES, SMALL_INTS))
+    elif defect == "empty row":
+        gens[j][r] = []
+    elif defect == "ragged":
+        if dim == 1 or draw(st.booleans()):
+            row.append(1)
+        else:
+            row.pop()
+    elif defect == "non-square":
+        gens[j] = [list(x) + [0] for x in gens[j]]
+    elif defect == "size":
+        bigger = [[int(i == k) for k in range(dim + 1)] for i in range(dim + 1)]
+        if len(gens) > 1:
+            gens[j] = bigger
+        else:
+            moduli.append(2)
+            gens.append(bigger)
+    elif defect == "entry":
+        row[c] = draw(BAD_ENTRIES)
+    elif defect == "relation":
+        # a nonzero off-diagonal entry, or a diagonal one other than +-1,
+        # breaks M^n = I
+        v = draw(SMALL_INTS.filter(lambda v: v not in ((1, -1) if r == c else (0,))))
+        row[c] = draw(st.sampled_from([v, str(v)]))
+    elif defect == "name":
+        obj["name"] = draw(st.one_of(OTHER_TYPES, SMALL_INTS, st.lists(st.text(max_size=2))))
+    else:
+        kernel = [[1] * len(moduli)]
+        item = draw(
+            st.one_of(
+                WRONG_TYPES,
+                st.just({"kernel_hnf": kernel}),
+                st.just({"multiplicity": 1}),
+                st.builds(
+                    lambda k: {"kernel_hnf": k, "multiplicity": 1},
+                    st.one_of(
+                        WRONG_TYPES,
+                        st.just([]),
+                        st.just([[]]),
+                        st.just(kernel + [[]]),
+                        st.just(kernel + [[1] * (len(moduli) + 1)]),
+                        st.lists(
+                            st.lists(BAD_ENTRIES, min_size=1, max_size=2),
+                            min_size=1,
+                            max_size=2,
+                        ),
+                    ),
+                ),
+                st.builds(
+                    lambda m: {"kernel_hnf": kernel, "multiplicity": m},
+                    st.one_of(WRONG_TYPES, st.integers(-9, -1), st.text(max_size=2)),
+                ),
+            )
+        )
+        obj["ground_truth"] = draw(st.one_of(OTHER_TYPES, SMALL_INTS, st.just([item])))
+    return json.dumps(obj)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=malformed_action_files())
+@example(  # a kernel row with no entries used to load
+    text='{"group":[1],"generators":[[[1]]],"ground_truth":[{"kernel_hnf":[[]],"multiplicity":1}]}'
+)
+def test_malformed_action_files_exit_2(text, tmp_path):
+    # a defect in the file is a ValidationError, and the CLI turns it into
+    # exit 2 with a message: never a traceback, and never exit 4
+    with pytest.raises(ValidationError):
+        load_action_file(text)
+    path = tmp_path / "action.json"
+    path.write_text(text)
+    code, out, err = run_cli(["decompose", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")

@@ -18,7 +18,6 @@ from isodec import (
     make_fixture,
     rational_irreps,
     roan_decomposition,
-    sum_spaces,
     validate_action,
     verify_roan_matching,
 )
@@ -136,11 +135,12 @@ def test_filtration_rejects_an_operator_without_m_d_equal_to_i(m, d):
 
 
 def _overlapping(kernel, image):
-    return kernel, sum_spaces(kernel, image)
+    return kernel, SubspaceQ(kernel.ambient_dim, kernel.basis.num + image.basis.num)
 
 
 def _all_in_the_kernel(kernel, image):
-    return sum_spaces(kernel, image), SubspaceQ.zero(kernel.ambient_dim)
+    n = kernel.ambient_dim
+    return SubspaceQ(n, kernel.basis.num + image.basis.num), SubspaceQ.zero(n)
 
 
 def _one_kernel_vector(kernel, image):
