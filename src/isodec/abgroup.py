@@ -43,8 +43,8 @@ class FinAbGroup:
     moduli: tuple[int, ...]
 
     def __post_init__(self):
-        mods = tuple(int(n) for n in self.moduli)
-        if not mods or any(n < 1 for n in mods):
+        mods = tuple(self.moduli)
+        if not mods or not {*map(type, mods)} <= {int} or min(mods) < 1:
             raise PreconditionError(f"moduli must be integers >= 1, got {self.moduli}")
         object.__setattr__(self, "moduli", mods)
 
@@ -347,9 +347,11 @@ def index_and_quotient(group: FinAbGroup, h: Subgroup) -> QuotientInfo:
     return QuotientInfo(h.index, invariants, is_cyclic, generator)
 
 
-def all_subgroups(
-    group: FinAbGroup, limit: int = 2_000_000
-) -> tuple[Subgroup, ...]:
+# all_subgroups refuses a group with more candidate bases than this
+_SUBGROUP_CANDIDATE_LIMIT = 2_000_000
+
+
+def all_subgroups(group: FinAbGroup) -> tuple[Subgroup, ...]:
     """Every subgroup of G, in canonical order (index ascending, then basis).
 
     Enumerates Hermite normal forms directly, bottom row first.  Row i has a
@@ -364,7 +366,8 @@ def all_subgroups(
 
     Raises PreconditionError, before enumerating, when the count of
     candidate bases without that pruning, prod over columns of
-    sum_{d | n_col} d^col, exceeds ``limit`` (very high-rank 2-groups).
+    sum_{d | n_col} d^col, exceeds ``_SUBGROUP_CANDIDATE_LIMIT`` (very high-rank
+    2-groups).
     """
     k = group.rank
     moduli = group.moduli
@@ -374,7 +377,7 @@ def all_subgroups(
     candidates = prod(
         sum(d**col for d in ds) for col, ds in enumerate(diag_choices)
     )
-    if candidates > limit:
+    if candidates > _SUBGROUP_CANDIDATE_LIMIT:
         raise PreconditionError("subgroup enumeration is too large for this group")
 
     found = []

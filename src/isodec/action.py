@@ -200,15 +200,12 @@ def _combination(shape: tuple[int, int], terms, den: int) -> MatQ:
         new_den = lcm(acc_den, m.den)
         s = new_den // acc_den
         t = num * (new_den // m.den)
-        if s == 1:
-            for r, mr in zip(acc, m.num):
-                for j, v in enumerate(mr):
-                    if v:
-                        r[j] += t * v
-        else:
-            for r, mr in zip(acc, m.num):
-                for j in range(cols):
-                    r[j] = r[j] * s + t * mr[j]
+        if s != 1:
+            acc = [[v * s for v in r] for r in acc]
+        for r, mr in zip(acc, m.num):
+            for j, v in enumerate(mr):
+                if v:
+                    r[j] += t * v
         acc_den = new_den
     return MatQ._raw(acc, acc_den * den, cols)
 

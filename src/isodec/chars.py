@@ -235,16 +235,9 @@ def irrep_model(w: RationalIrrep) -> tuple[MatQ, ...]:
     C is the companion matrix of the n-th cyclotomic polynomial and
     m_j = m(e_j) is the root exponent of the representative character at the
     j-th standard generator; this is the action on Q[x]/(Phi_n) where x is
-    sent to the representative character value.
+    sent to the representative character value.  For the trivial class C is
+    [[1]] and every m_j is 0.
     """
-    n = w.order
-    group = w.group
-    if n == 1:
-        one = MatQ.identity(1)
-        return tuple(one for _ in range(group.rank))
-    c = companion_matrix(cyclotomic(n))
+    c = companion_matrix(cyclotomic(w.order))
     rep = w.representative
-    out = []
-    for g in group.generator_elements():
-        out.append(c ** rep.root_exponent(g))
-    return tuple(out)
+    return tuple(c ** rep.root_exponent(g) for g in w.group.generator_elements())

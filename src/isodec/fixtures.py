@@ -16,7 +16,11 @@ Four kinds:
                          unimodular integer matrix, so the block structure is
                          hidden but the answer is still known exactly.
 
-Every fixture records its expected multiplicities as ground truth.
+Every fixture records its expected multiplicities as ground truth.  Each
+fixture computes the rational irreducibles of its group once, and validates
+its generator matrices once, as the last step: a ``random-conjugated``
+fixture is validated only after conjugation, since conjugating by an exact
+unimodular matrix keeps the relations.
 """
 
 from __future__ import annotations
@@ -67,11 +71,9 @@ def _block_diag(blocks: list[MatQ]) -> MatQ:
     return MatQ._raw(rows, den, ncols=n)
 
 
-def _semisimple_action(group: FinAbGroup, multiplicities, name: str):
-    """Block-diagonal action with the given multiplicity per irreducible
-    (canonical order), plus its ground truth."""
-    irreps = rational_irreps(group)
-    mult = tuple(int(m) for m in multiplicities)
+def _block_generators(group: FinAbGroup, irreps, mult) -> list[MatQ]:
+    """Block-diagonal generator matrices with the given multiplicity per
+    irreducible (canonical order)."""
     if len(mult) != len(irreps):
         raise ValidationError(
             f"expected {len(irreps)} multiplicities (one per irreducible class "
@@ -88,10 +90,14 @@ def _semisimple_action(group: FinAbGroup, multiplicities, name: str):
         for model, m in models:
             blocks.extend([model[j]] * m)
         gen_mats.append(_block_diag(blocks))
-    action = validate_action(group, gen_mats, name=name)
-    ground_truth = tuple(
-        (w.kernel.hnf_basis, m) for w, m in zip(irreps, mult)
-    )
+    return gen_mats
+
+
+def _action_file(group: FinAbGroup, mats, irreps, mult, name: str) -> ActionFile:
+    """Validate the generator matrices, once, and record the multiplicity
+    of each irreducible as ground truth."""
+    action = validate_action(group, mats, name=name)
+    ground_truth = tuple((w.kernel.hnf_basis, m) for w, m in zip(irreps, mult))
     return ActionFile(action, ground_truth)
 
 
@@ -103,11 +109,8 @@ def _regular(n: int, max_order: int | None) -> ActionFile:
     shift = MatQ(
         [[1 if (i - 1) % n == j else 0 for j in range(n)] for i in range(n)]
     )
-    action = validate_action(group, [shift], name=f"regular({n})")
-    ground_truth = tuple(
-        (w.kernel.hnf_basis, 1) for w in rational_irreps(group)
-    )
-    return ActionFile(action, ground_truth)
+    irreps = rational_irreps(group)
+    return _action_file(group, [shift], irreps, (1,) * len(irreps), f"regular({n})")
 
 
 def _paper_example(p: int, q: int, multiplicities, max_order: int | None) -> ActionFile:
@@ -137,14 +140,9 @@ def _paper_example(p: int, q: int, multiplicities, max_order: int | None) -> Act
             "(W, W1, W2, trivial)"
         )
     for chi, m in zip(special, ms):
-        if m < 0:
-            raise ValidationError("multiplicities must be non-negative")
         mult[index_of[char_kernel(chi)]] = m
-    if not any(mult):
-        raise ValidationError("at least one multiplicity must be positive")
-    return _semisimple_action(
-        group, mult, name=f"paper-example(p={p},q={q})"
-    )
+    mats = _block_generators(group, irreps, mult)
+    return _action_file(group, mats, irreps, mult, f"paper-example(p={p},q={q})")
 
 
 def _random_unimodular(dim: int, rng: random.Random) -> MatQ:
@@ -166,13 +164,12 @@ def _random_unimodular(dim: int, rng: random.Random) -> MatQ:
     return MatQ._raw(rows, 1)
 
 
-def _random_multiplicities(group: FinAbGroup, rng: random.Random, max_dim: int):
+def _random_multiplicities(irreps, rng: random.Random, max_dim: int):
     # The trivial class has degree 1, so a budget of 1 or more admits a class.
     if max_dim < 1:
         raise ValidationError(
             f"random-conjugated fixture needs --max-dim >= 1, got {max_dim}"
         )
-    irreps = rational_irreps(group)
     degrees = [w.degree for w in irreps]
     mult = [0] * len(irreps)
     budget = max_dim
@@ -201,23 +198,23 @@ def make_fixture(spec: FixtureSpec, max_order: int | None = None) -> ActionFile:
             raise ValidationError(f"{spec.kind} fixture needs group moduli")
         group = FinAbGroup(spec.moduli)
         check_max_order(group, max_order)
+        irreps = rational_irreps(group)
         rng = random.Random(spec.seed)
-        mult = spec.multiplicities
-        if mult is None:
-            if spec.kind == "semisimple":
-                mult = tuple(1 for _ in rational_irreps(group))
-            else:
-                mult = _random_multiplicities(group, rng, spec.max_dim)
+        if spec.multiplicities is not None:
+            mult = tuple(int(m) for m in spec.multiplicities)
+        elif spec.kind == "semisimple":
+            mult = (1,) * len(irreps)
+        else:
+            mult = _random_multiplicities(irreps, rng, spec.max_dim)
+        mats = _block_generators(group, irreps, mult)
+        if spec.kind == "random-conjugated":
+            # u is unimodular, so the conjugates satisfy the relations exactly
+            # when the blocks do: one validation, after conjugation, covers both
+            u = _random_unimodular(mats[0].rows, rng)
+            u_inv = inverse(u)
+            mats = [u @ m @ u_inv for m in mats]
         name = f"{spec.kind}({','.join(map(str, group.moduli))}; seed={spec.seed})"
-        af = _semisimple_action(group, mult, name=name)
-        if spec.kind == "semisimple":
-            return af
-        dim = af.action.dim
-        u = _random_unimodular(dim, rng)
-        u_inv = inverse(u)
-        mats = [u @ m @ u_inv for m in af.action.gen_matrices]
-        action = validate_action(group, mats, name=name)
-        return ActionFile(action, af.ground_truth)
+        return _action_file(group, mats, irreps, mult, name)
     raise ValidationError(
         f"unknown fixture kind {spec.kind!r} (choose from {', '.join(FIXTURE_KINDS)})"
     )

@@ -330,14 +330,20 @@ def _normalize_int_rows(rows, den: int):
 
 @dataclass(frozen=True)
 class MatZ:
-    """Immutable dense integer matrix (at least one row)."""
+    """Immutable dense integer matrix (at least one row).
+
+    Every entry must be of type int; anything else, a bool included, is
+    refused, not coerced.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("MatZ requires a non-empty rectangular entry grid")
+        rows = tuple(map(tuple, self.entries))
+        if not rows or not all(
+            len(r) == len(rows[0]) and {*map(type, r)} <= {int} for r in rows
+        ):
+            raise ValueError("MatZ requires a non-empty rectangular grid of ints")
         object.__setattr__(self, "entries", rows)
 
     @classmethod

@@ -9,8 +9,11 @@ occur (each d_i divides d).  Setting Y_0 = the whole space and, for i >= 1,
 
 every Y_{i-1} splits as B_i + Y_i, alpha acts on B_i with all eigenvalues of
 exact order d_{i-1}, and Y_s = 0.  The pieces B_i are exactly the nonzero
-isotypical components of the cyclic action, which ``verify_roan_matching``
-checks subspace-by-subspace against the idempotent-based decomposition.
+isotypical components of the cyclic action.  A cyclic group has one
+rational irreducible per order, so ``verify_roan_matching`` looks up the
+component of order d_i for each piece B_i and checks that the two are equal
+subspaces, and that every component of an order the walk did not produce
+is zero.
 
 ``roan_decomposition`` finds the d_i without a characteristic polynomial, by
 a walk over every divisor e of d in ascending order.  On the current Y, a
@@ -198,41 +201,27 @@ def verify_roan_matching(action: GAction) -> RoanMatchReport:
     """For a cyclic group action: check that the filtration pieces are
     exactly the nonzero isotypical components, as equal subspaces.
 
-    Each kernel piece of order d_i must coincide with the component of the
-    unique irreducible whose quotient has order d_i and which is nonzero;
-    all other components must vanish.  Any failure raises InternalCheckError.
+    A cyclic group has one rational irreducible per order, so the
+    components are looked up by order: the piece of order d_i must equal
+    the component of order d_i, and every component of an order the walk
+    did not produce must vanish.  Any failure raises InternalCheckError.
     """
     roan = _cyclic_roan(action)
     decomposition = isotypical_decomposition(action)
+    by_order = {c.irrep.order: c for c in decomposition.components}
 
     matches = []
-    matched = set()
     for d_i, b in roan.components:
-        hits = [
-            c
-            for c in decomposition.components
-            if c.subspace == b and c.multiplicity
-        ]
-        if len(hits) != 1:
+        c = by_order.pop(d_i)
+        if c.subspace != b:
             raise InternalCheckError(
-                f"filtration piece of order {d_i} matches {len(hits)} isotypical "
-                "components (expected exactly one)"
+                f"filtration piece of order {d_i} differs from the isotypical "
+                "component of that order"
             )
-        c = hits[0]
-        if c.irrep.order != d_i:
-            raise InternalCheckError(
-                f"filtration piece of order {d_i} matched a component of order "
-                f"{c.irrep.order}"
-            )
-        matched.add(c.irrep.kernel)
         matches.append((d_i, c.irrep.kernel, b.dim))
-    zero = []
-    for c in decomposition.components:
-        if c.irrep.kernel in matched:
-            continue
-        if c.multiplicity:
-            raise InternalCheckError(
-                "nonzero isotypical component not produced by the filtration"
-            )
-        zero.append(c.irrep.kernel)
-    return RoanMatchReport(roan, tuple(matches), tuple(zero), decomposition)
+    if any(c.multiplicity for c in by_order.values()):
+        raise InternalCheckError(
+            "nonzero isotypical component not produced by the filtration"
+        )
+    zero = tuple(c.irrep.kernel for c in by_order.values())
+    return RoanMatchReport(roan, tuple(matches), zero, decomposition)

@@ -83,6 +83,21 @@ def test_bad_moduli_rejected():
         FinAbGroup((-3, 2))
 
 
+@pytest.mark.parametrize("moduli", [(4.0,), (True, 2), ("4",), (2, 3.5)])
+def test_non_integer_moduli_rejected(moduli):
+    with pytest.raises(PreconditionError, match="moduli must be integers"):
+        FinAbGroup(moduli)
+
+
+def test_subgroup_from_jsonable_refuses_non_integers():
+    with pytest.raises(ValueError):
+        Subgroup.from_jsonable({"group": [4], "hnf": [[2.7]]})
+    with pytest.raises(ValueError):
+        Subgroup.from_jsonable({"group": [4], "hnf": [[True]]})
+    with pytest.raises(PreconditionError):
+        Subgroup.from_jsonable({"group": [4.0], "hnf": [[2]]})
+
+
 # ---------------------------------------------------------------- subgroups
 
 
@@ -335,8 +350,9 @@ def test_all_subgroups_match_closure_enumeration(moduli):
 
 
 def test_all_subgroups_enumeration_limit():
+    # about 9.8 million candidate bases, above the 2 million guard
     with pytest.raises(PreconditionError):
-        all_subgroups(FinAbGroup((2,) * 10), limit=100)
+        all_subgroups(FinAbGroup((2,) * 10))
 
 
 def _all_subgroups_by_filtering(group):

@@ -16,6 +16,7 @@ from isodec import (
     index_and_quotient,
     load_action_file,
 )
+import isodec.roan as roan_module
 from isodec.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -352,9 +353,14 @@ def test_fixture_of_a_large_group_at_dim_24_is_fast(tmp_path):
     )
 
 
-def test_non_cyclic_roan_and_verify_exit_3(tmp_path):
+def test_non_cyclic_roan_and_verify_exit_3(tmp_path, monkeypatch):
     path = tmp_path / "ss22.json"
     assert run_cli(["fixture", "semisimple", "--group", "2,2", "-o", str(path)])[0] == 0
+
+    def no_decomposition(action):
+        raise AssertionError("decomposed before the cyclicity gate")
+
+    monkeypatch.setattr(roan_module, "isotypical_decomposition", no_decomposition)
     for cmd in ("roan", "verify"):
         code, _, err = run_cli([cmd, str(path)])
         assert code == 3, cmd

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import isodec.fixtures as fixtures_module
 from isodec import (
     Character,
     FinAbGroup,
@@ -190,6 +191,34 @@ def test_random_multiplicities_respect_dimension_budget(max_dim):
         degrees = [w.degree for w in rational_irreps(af.action.group)]
         # the budget is filled greedily: no remaining class fits
         assert all(d > max_dim - af.action.dim for d in degrees)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FixtureSpec("regular", n=30),
+        FixtureSpec("paper-example", p=3, q=2),
+        FixtureSpec("semisimple", moduli=(6, 6)),
+        FixtureSpec("random-conjugated", moduli=(60,), max_dim=28, seed=1),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_each_fixture_validates_once_and_computes_irreps_once(monkeypatch, spec):
+    calls = {"validate_action": 0, "rational_irreps": 0}
+
+    def counted(name):
+        real = getattr(fixtures_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fixtures_module, name, counted(name))
+    make_fixture(spec)
+    assert calls == {"validate_action": 1, "rational_irreps": 1}
 
 
 def test_unknown_kind_rejected():

@@ -274,6 +274,27 @@ def test_subspace_jsonable_round_trip():
 # ----------------------------------------------------------- integer forms
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((True, 3), (0, 1)),
+        ((1, "3"), (0, 1)),
+        ((1, 3), (0, 1.9)),
+        ((2.0,),),
+        ((Fraction(2),),),
+        ((1, 2), (3,)),
+        (),
+    ],
+)
+def test_matz_refuses_non_integers_and_ragged_grids(entries):
+    with pytest.raises(ValueError, match="rectangular grid of ints"):
+        MatZ(entries)
+
+
+def test_matz_keeps_integer_lists_as_tuples():
+    assert MatZ([[1, -2], [0, 3]]).entries == ((1, -2), (0, 3))
+
+
 def test_hnf_known_example():
     assert hnf(MatZ(((2, 0), (1, 3)))).entries == ((1, 3), (0, 6))
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,6 +232,50 @@ def test_matching_agrees_with_decomposition_subspaces():
         for c in rep.components:
             if c.irrep.kernel not in matched:
                 assert c.multiplicity == 0
+
+
+def _with_component(report, order, **changes):
+    """The report with some fields of its component of one order replaced."""
+    return dataclasses.replace(
+        report,
+        components=tuple(
+            dataclasses.replace(c, **changes) if c.irrep.order == order else c
+            for c in report.components
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "generator,forge",
+    [
+        # the walk's piece of order 3 differs from the component of order 3
+        (
+            perm_matrix(6),
+            lambda r: _with_component(r, 3, subspace=SubspaceQ(6, [])),
+        ),
+        # the walk finds only order 6, yet the trivial component is nonzero
+        (
+            companion_matrix(cyclotomic(6)),
+            lambda r: _with_component(r, 1, multiplicity=1),
+        ),
+    ],
+    ids=["piece-differs-from-its-order", "component-of-an-order-not-walked"],
+)
+def test_matching_failure_certificates(monkeypatch, tmp_path, generator, forge):
+    action = validate_action(FinAbGroup((6,)), [generator])
+    verify_roan_matching(action)
+    real = roan_module.isotypical_decomposition
+    monkeypatch.setattr(
+        roan_module, "isotypical_decomposition", lambda action: forge(real(action))
+    )
+    with pytest.raises(InternalCheckError, match="filtration"):
+        verify_roan_matching(action)
+    path = tmp_path / "action.json"
+    path.write_text(serialize_action_file(ActionFile(action)))
+    code, out, err = run_cli(["verify", str(path)])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal check failed:") and "filtration" in err
 
 
 def test_matching_requires_cyclic_group():
