@@ -134,8 +134,10 @@ class GroupElement:
             raise PreconditionError(
                 f"element has {len(self.exps)} coordinates, group has rank {len(mods)}"
             )
+        if not {*map(type, self.exps)} <= {int}:
+            raise PreconditionError("element coordinates must be ints")
         object.__setattr__(
-            self, "exps", tuple(int(e) % n for e, n in zip(self.exps, mods))
+            self, "exps", tuple(e % n for e, n in zip(self.exps, mods))
         )
 
     def _check(self, other: "GroupElement"):
@@ -212,10 +214,12 @@ class Subgroup:
     @classmethod
     def from_lattice_rows(cls, group: FinAbGroup, rows) -> "Subgroup":
         """Canonicalize spanning rows (relations are appended automatically)."""
-        all_rows = [tuple(int(v) for v in r) for r in rows]
-        all_rows += list(group.relation_rows())
-        hnf_rows, _, _ = _hermite(all_rows, group.rank)
-        return cls(group, MatZ(tuple(tuple(r) for r in hnf_rows)))
+        all_rows = [tuple(r) for r in rows]
+        k = group.rank
+        if not all(len(r) == k and {*map(type, r)} <= {int} for r in all_rows):
+            raise PreconditionError(f"lattice rows must be ints, {k} in each row")
+        all_rows += group.relation_rows()
+        return cls(group, MatZ(_hermite(all_rows)))
 
     @classmethod
     def whole(cls, group: FinAbGroup) -> "Subgroup":

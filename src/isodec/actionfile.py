@@ -105,10 +105,6 @@ def load_action_file(text: str, max_order: int | None = None) -> ActionFile:
     gens = obj["generators"]
     if not isinstance(gens, list):
         raise ValidationError("'generators' must be a list of matrices")
-    if len(gens) != group.rank:
-        raise ValidationError(
-            f"expected {group.rank} generator matrices, got {len(gens)}"
-        )
     mats = [
         _parse_matrix(g, f"generator {i + 1}") for i, g in enumerate(gens)
     ]
@@ -131,29 +127,19 @@ def load_action_file(text: str, max_order: int | None = None) -> ActionFile:
                 raise ValidationError(
                     f"{where}: needs 'kernel_hnf' and 'multiplicity'"
                 )
-            k = item["kernel_hnf"]
-            if (
-                not isinstance(k, list)
-                or not k
-                or not all(
-                    isinstance(r, list)
-                    and r
-                    and all(isinstance(v, int) and not isinstance(v, bool) for v in r)
-                    for r in k
-                )
-            ):
-                raise ValidationError(f"{where}: 'kernel_hnf' must be an integer matrix")
+            try:
+                k = MatZ.from_jsonable(item["kernel_hnf"])
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{where}: 'kernel_hnf' must be a non-empty rectangular "
+                    "integer matrix"
+                ) from None
             m = item["multiplicity"]
             if not isinstance(m, int) or isinstance(m, bool) or m < 0:
                 raise ValidationError(
                     f"{where}: 'multiplicity' must be a non-negative integer"
                 )
-            try:
-                rows.append((MatZ.from_jsonable(k), m))
-            except Exception:
-                raise ValidationError(
-                    f"{where}: 'kernel_hnf' must be a rectangular integer matrix"
-                ) from None
+            rows.append((k, m))
         ground_truth = tuple(rows)
     return ActionFile(action, ground_truth)
 

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from .abgroup import FinAbGroup, GroupElement, Subgroup
 from .errors import InternalCheckError, PreconditionError
 from .numtheory import moebius, totient
-from .ratlinalg import MatQ, _hermite, companion_matrix, cyclotomic
+from .ratlinalg import MatQ, MatZ, _hermite, companion_matrix, cyclotomic
 
 __all__ = [
     "Character",
@@ -48,8 +48,10 @@ class Character:
             raise PreconditionError(
                 f"character has {len(self.exps)} exponents, group has rank {len(mods)}"
             )
+        if not {*map(type, self.exps)} <= {int}:
+            raise PreconditionError("character exponents must be ints")
         object.__setattr__(
-            self, "exps", tuple(int(a) % n for a, n in zip(self.exps, mods))
+            self, "exps", tuple(a % n for a, n in zip(self.exps, mods))
         )
 
     @property
@@ -115,12 +117,11 @@ def common_kernel(group: FinAbGroup, characters) -> Subgroup:
     kernel (all of G when there are none).
 
     g is in the kernel of chi_i iff val_i(g) = sum_j c_ij g_j = 0 mod N with
-    c_ij = (N/n_j) a_ij.  The integer solutions (g, t) of
-    [g | t] [C; N*I] = 0, for C the matrix of the c_ij, form a lattice whose
-    projection to the g-part, together with the relation rows, is the common
-    kernel.  The Hermite elimination of [C; N*I] carries the identity on
-    its g rows (zeros on its t rows), so the carried parts of the rows it
-    leaves zero are the g-parts of a basis of its left kernel.
+    c_ij = (N/n_j) a_ij.  The rows [c_j | e_j] and [N e_i | 0] span a lattice
+    of full rank m + k whose vectors vanishing on the m character columns are
+    the [0 | g], g in the kernel's preimage lattice.  Its Hermite form's last
+    k rows, those with a pivot past those columns, span them, so their last
+    k entries are the kernel's Hermite basis: one elimination, nothing carried.
     """
     chars = tuple(characters)
     if any(c.group != group for c in chars):
@@ -133,9 +134,8 @@ def common_kernel(group: FinAbGroup, characters) -> Subgroup:
         for j, n in enumerate(group.moduli)
     ]
     rows += [[n_all * (i == t) for t in range(m)] + [0] * k for i in range(m)]
-    _, _, rest = _hermite(rows, m)
-    kernel_rows = [row[m:] for row in rest]
-    return Subgroup.from_lattice_rows(group, kernel_rows)
+    kernel_rows = [r[m:] for r in _hermite(rows)[m:]]
+    return Subgroup(group, MatZ(kernel_rows))
 
 
 @dataclass(frozen=True)

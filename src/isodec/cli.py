@@ -36,7 +36,7 @@ from .actionfile import (
 )
 from .chars import rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
-from .fixtures import FIXTURE_KINDS, FixtureSpec, make_fixture
+from .fixtures import FIXTURE_KINDS, FixtureSpec, _fixture_parameters, make_fixture
 from .ratlinalg import snf_invariants
 from .roan import _cyclic_roan, verify_roan_matching
 
@@ -66,7 +66,7 @@ def _print_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_group_arg(text: str, max_order: int) -> FinAbGroup:
+def _parse_group_arg(text: str, max_order: int | None = None) -> FinAbGroup:
     moduli = _parse_int_list(text, "group")
     if not moduli:
         raise ValidationError("group must have at least one modulus")
@@ -325,39 +325,20 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_fixture(args) -> int:
-    kind = args.kind
-    params = list(args.params)
-    mult = (
-        _parse_int_list(args.multiplicities, "--multiplicities")
-        if args.multiplicities
-        else None
-    )
-    if kind == "regular":
-        if len(params) != 1:
-            raise ValidationError("regular fixture takes one parameter: n")
-        spec = FixtureSpec("regular", n=params[0])
-    elif kind == "paper-example":
-        if len(params) != 2:
-            raise ValidationError("paper-example fixture takes two parameters: p q")
-        spec = FixtureSpec(
-            "paper-example", p=params[0], q=params[1], multiplicities=mult
-        )
-    elif kind in ("semisimple", "random-conjugated"):
-        if params:
-            raise ValidationError(
-                f"{kind} fixture takes no positional parameters; use --group"
-            )
-        if not args.group:
-            raise ValidationError(f"{kind} fixture requires --group")
-        spec = FixtureSpec(
-            kind,
-            moduli=_parse_group_arg(args.group, args.max_order).moduli,
-            multiplicities=mult,
-            seed=args.seed,
-            max_dim=args.max_dim,
-        )
-    else:
-        spec = FixtureSpec(kind)  # make_fixture refuses an unknown kind
+    options = {
+        "--group": args.group,
+        "--multiplicities": args.multiplicities,
+        "--seed": args.seed,
+        "--max-dim": args.max_dim,
+    }
+    given = [o for o, v in options.items() if v is not None]
+    names = _fixture_parameters(args.kind, len(args.params), given)
+    fields = dict(zip(names, args.params), seed=args.seed, max_dim=args.max_dim)
+    if args.multiplicities is not None:
+        fields["multiplicities"] = _parse_int_list(args.multiplicities, "--multiplicities")
+    if args.group is not None:
+        fields["moduli"] = _parse_group_arg(args.group).moduli
+    spec = FixtureSpec(args.kind, **{f: v for f, v in fields.items() if v is not None})
     af = make_fixture(spec, args.max_order)
     text = serialize_action_file(af)
     if args.output:
@@ -461,12 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="m1,m2,…",
         help="one per irreducible class (canonical order)",
     )
-    p.add_argument("--seed", type=int, default=0, help="randomness seed (default 0)")
+    p.add_argument(
+        "--seed", type=int, help=f"randomness seed (default {FixtureSpec.seed})"
+    )
     p.add_argument(
         "--max-dim",
         type=int,
-        default=24,
-        help="dimension budget for random multiplicities (default 24)",
+        help="dimension budget for random multiplicities "
+        f"(default {FixtureSpec.max_dim})",
     )
     p.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
     _add_common(p)

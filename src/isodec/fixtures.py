@@ -39,8 +39,6 @@ from .ratlinalg import MatQ, inverse
 
 __all__ = ["FixtureSpec", "make_fixture", "FIXTURE_KINDS"]
 
-FIXTURE_KINDS = ("regular", "paper-example", "semisimple", "random-conjugated")
-
 
 @dataclass(frozen=True)
 class FixtureSpec:
@@ -101,7 +99,8 @@ def _action_file(group: FinAbGroup, mats, irreps, mult, name: str) -> ActionFile
     return ActionFile(action, ground_truth)
 
 
-def _regular(n: int, max_order: int | None) -> ActionFile:
+def _regular(spec: FixtureSpec, max_order: int | None) -> ActionFile:
+    n = spec.n
     if n is None or n < 1:
         raise ValidationError("regular fixture needs an order n >= 1")
     group = FinAbGroup((n,))
@@ -113,7 +112,8 @@ def _regular(n: int, max_order: int | None) -> ActionFile:
     return _action_file(group, [shift], irreps, (1,) * len(irreps), f"regular({n})")
 
 
-def _paper_example(p: int, q: int, multiplicities, max_order: int | None) -> ActionFile:
+def _paper_example(spec: FixtureSpec, max_order: int | None) -> ActionFile:
+    p, q = spec.p, spec.q
     if p is None or q is None or p < 2 or q < 2:
         raise ValidationError("paper-example fixture needs two primes p, q")
     # the order first: trial division of a huge p would take minutes
@@ -131,9 +131,8 @@ def _paper_example(p: int, q: int, multiplicities, max_order: int | None) -> Act
         Character(group, (0, 0)),
     ]
     mult = [0] * len(irreps)
-    if multiplicities is None:
-        multiplicities = (1, 1, 1, 1)
-    ms = tuple(int(m) for m in multiplicities)
+    ms = (1, 1, 1, 1) if spec.multiplicities is None else spec.multiplicities
+    ms = tuple(int(m) for m in ms)
     if len(ms) != 4:
         raise ValidationError(
             "paper-example fixture takes 4 multiplicities "
@@ -183,38 +182,70 @@ def _random_multiplicities(irreps, rng: random.Random, max_dim: int):
     return tuple(mult)
 
 
+def _semisimple(spec: FixtureSpec, max_order: int | None) -> ActionFile:
+    """A ``semisimple`` fixture, conjugated for ``random-conjugated``."""
+    if not spec.moduli:
+        raise ValidationError(f"{spec.kind} fixture needs group moduli")
+    group = FinAbGroup(spec.moduli)
+    check_max_order(group, max_order)
+    irreps = rational_irreps(group)
+    rng = random.Random(spec.seed)
+    if spec.multiplicities is not None:
+        mult = tuple(int(m) for m in spec.multiplicities)
+    elif spec.kind == "semisimple":
+        mult = (1,) * len(irreps)
+    else:
+        mult = _random_multiplicities(irreps, rng, spec.max_dim)
+    mats = _block_generators(group, irreps, mult)
+    if spec.kind == "random-conjugated":
+        # u is unimodular, so the conjugates satisfy the relations exactly
+        # when the blocks do: one validation, after conjugation, covers both
+        u = _random_unimodular(mats[0].rows, rng)
+        u_inv = inverse(u)
+        mats = [u @ m @ u_inv for m in mats]
+    name = f"{spec.kind}({','.join(map(str, group.moduli))}; seed={spec.seed})"
+    return _action_file(group, mats, irreps, mult, name)
+
+
+# Each kind: the FixtureSpec fields its positional parameters fill, the
+# command-line options it reads, and its builder.
+_KINDS = {
+    "regular": (("n",), (), _regular),
+    "paper-example": (("p", "q"), ("--multiplicities",), _paper_example),
+    "semisimple": ((), ("--group", "--multiplicities", "--seed"), _semisimple),
+    "random-conjugated":
+        ((), ("--group", "--multiplicities", "--seed", "--max-dim"), _semisimple),
+}
+FIXTURE_KINDS = tuple(_KINDS)
+
+
+def _kind(kind: str):
+    if kind not in _KINDS:
+        raise ValidationError(
+            f"unknown fixture kind {kind!r} (choose from {', '.join(FIXTURE_KINDS)})"
+        )
+    return _KINDS[kind]
+
+
+def _fixture_parameters(kind: str, count: int, options) -> tuple[str, ...]:
+    """The FixtureSpec fields a kind's positional parameters fill, once an
+    unknown kind, a wrong count or an option the kind does not read is refused."""
+    names, takes, _ = _kind(kind)
+    if count != len(names):
+        takes_params = " ".join(names) or "none"
+        raise ValidationError(
+            f"{kind} fixture takes positional parameters: {takes_params} (got {count})"
+        )
+    for option in options:
+        if option not in takes:
+            raise ValidationError(f"{kind} fixture does not take {option}")
+    return names
+
+
 def make_fixture(spec: FixtureSpec, max_order: int | None = None) -> ActionFile:
     """Build the fixture a spec describes.
 
     With ``max_order`` set, a larger group is refused before any matrix is
     built.
     """
-    if spec.kind == "regular":
-        return _regular(spec.n, max_order)
-    if spec.kind == "paper-example":
-        return _paper_example(spec.p, spec.q, spec.multiplicities, max_order)
-    if spec.kind in ("semisimple", "random-conjugated"):
-        if not spec.moduli:
-            raise ValidationError(f"{spec.kind} fixture needs group moduli")
-        group = FinAbGroup(spec.moduli)
-        check_max_order(group, max_order)
-        irreps = rational_irreps(group)
-        rng = random.Random(spec.seed)
-        if spec.multiplicities is not None:
-            mult = tuple(int(m) for m in spec.multiplicities)
-        elif spec.kind == "semisimple":
-            mult = (1,) * len(irreps)
-        else:
-            mult = _random_multiplicities(irreps, rng, spec.max_dim)
-        mats = _block_generators(group, irreps, mult)
-        if spec.kind == "random-conjugated":
-            # u is unimodular, so the conjugates satisfy the relations exactly
-            # when the blocks do: one validation, after conjugation, covers both
-            u = _random_unimodular(mats[0].rows, rng)
-            u_inv = inverse(u)
-            mats = [u @ m @ u_inv for m in mats]
-        name = f"{spec.kind}({','.join(map(str, group.moduli))}; seed={spec.seed})"
-        return _action_file(group, mats, irreps, mult, name)
-    raise ValidationError(
-        f"unknown fixture kind {spec.kind!r} (choose from {', '.join(FIXTURE_KINDS)})"
-    )
+    return _kind(spec.kind)[2](spec, max_order)

@@ -330,7 +330,7 @@ def _normalize_int_rows(rows, den: int):
 
 @dataclass(frozen=True)
 class MatZ:
-    """Immutable dense integer matrix (at least one row).
+    """Immutable dense integer matrix (at least one row and one column).
 
     Every entry must be of type int; anything else, a bool included, is
     refused, not coerced.
@@ -340,7 +340,7 @@ class MatZ:
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.entries))
-        if not rows or not all(
+        if not rows or not rows[0] or not all(
             len(r) == len(rows[0]) and {*map(type, r)} <= {int} for r in rows
         ):
             raise ValueError("MatZ requires a non-empty rectangular grid of ints")
@@ -459,7 +459,7 @@ def _fraction_rows_to_int(rows):
     out = []
     for row in rows:
         row = tuple(row)
-        if all(type(v) is int for v in row):
+        if {*map(type, row)} <= {int}:
             out.append(row)
             continue
         vals = [_parse_rational(v) for v in row]
@@ -628,26 +628,20 @@ def kernel_and_image(t: MatQ, y: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
 # ---------------------------------------------------------------------------
 # Integer lattices: Hermite normal forms and Smith invariants
 #
-# No transform is kept beside an elimination: a caller that needs the row
-# transform of `_hermite` carries the identity in columns after the pivoted
-# ones, as `inverse` does on the rational side.
+# No transform is kept beside an elimination.  A lattice kernel needs none:
+# the last rows of an echelon basis span the sublattice that vanishes on
+# the first columns (see `chars.common_kernel`).
 
 
-def _hermite(rows_in, ncols: int):
-    """Row-style HNF of the lattice spanned by the first ncols entries of rows.
-
-    Pivots only on the first ncols entries; any later entries are carried
-    through every row operation.  Returns (hnf_rows, pivot_cols, rest):
-    hnf_rows are the canonical rows with a pivot, rest the rows left zero in
-    the first ncols entries.  With the identity carried, the carried parts of
-    hnf_rows then rest form a unimodular U with U @ rows = hnf rows followed
-    by zero rows, so the carried parts of rest span the left kernel.
-    """
+def _hermite(rows_in) -> list[list[int]]:
+    """The row-style HNF of the lattice spanned by integer rows of one
+    width: its canonical nonzero rows, one pivot per row, pivots strictly
+    increasing, positive, and with the entries above each in [0, pivot)."""
     rows = [list(r) for r in rows_in]
     n = len(rows)
     r = 0
     piv: list[int] = []
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
         if r == n:
             break
         if not any(rows[i][c] for i in range(r, n)):
@@ -679,7 +673,7 @@ def _hermite(rows_in, ncols: int):
             q = rows[j][c] // p
             if q:
                 rows[j] = [a - q * b for a, b in zip(rows[j], rows[k])]
-    return rows[:r], piv, rows[r:]
+    return rows[:r]
 
 
 def hnf(M: MatZ) -> MatZ:
@@ -688,7 +682,7 @@ def hnf(M: MatZ) -> MatZ:
     Upper triangular with positive diagonal; entries above each pivot lie in
     [0, pivot).  Canonical: depends only on the row lattice.
     """
-    rows, piv, _ = _hermite(M.entries, M.cols)
+    rows = _hermite(M.entries)
     if len(rows) != M.cols:
         raise PreconditionError(
             f"rank-deficient input: lattice rank {len(rows)} < ambient {M.cols}"

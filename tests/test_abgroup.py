@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import closure, closure_subgroups, quotient_order_counts, subgroup_element_set
 from isodec import (
+    Character,
     FinAbGroup,
     MatZ,
     PreconditionError,
@@ -87,6 +88,22 @@ def test_bad_moduli_rejected():
 def test_non_integer_moduli_rejected(moduli):
     with pytest.raises(PreconditionError, match="moduli must be integers"):
         FinAbGroup(moduli)
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
+def test_group_types_refuse_non_integers(value):
+    group = FinAbGroup((4, 6))
+    with pytest.raises(PreconditionError, match="must be ints"):
+        group.element((1, value))
+    with pytest.raises(PreconditionError, match="must be ints"):
+        Character(group, (value, 1))
+    with pytest.raises(PreconditionError, match="must be ints"):
+        Subgroup.from_lattice_rows(group, [(value, 0)])
+
+
+def test_lattice_rows_must_match_the_rank():
+    with pytest.raises(PreconditionError, match="2 in each row"):
+        Subgroup.from_lattice_rows(FinAbGroup((4, 6)), [(2,)])
 
 
 def test_subgroup_from_jsonable_refuses_non_integers():

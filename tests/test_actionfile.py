@@ -106,6 +106,11 @@ def test_malformed_files_name_the_problem(text, message):
             [{"kernel_hnf": [[0.5]], "multiplicity": 1}],
             "integer matrix",
         ),
+        ([{"kernel_hnf": [[]], "multiplicity": 1}], "integer matrix"),
+        ([{"kernel_hnf": [[1], [1, 2]], "multiplicity": 1}], "integer matrix"),
+        ([{"kernel_hnf": [[True]], "multiplicity": 1}], "integer matrix"),
+        ([{"kernel_hnf": {"a": 1}, "multiplicity": 1}], "integer matrix"),
+        ([{"kernel_hnf": 3, "multiplicity": 1}], "integer matrix"),
     ],
 )
 def test_malformed_ground_truth(gt, message):

@@ -409,6 +409,28 @@ def test_fixture_parameter_validation_exits_2():
         assert (code, out) == (2, "") and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["regular", "6", "--multiplicities", "1,2"], "--multiplicities"),
+        (["paper-example", "2", "3", "--group", "9", "--seed", "4"], "--group"),
+        (["regular", "6", "--group", "6"], "--group"),
+        (["regular", "6", "--seed", "0"], "--seed"),
+        (["regular", "6", "--max-dim", "24"], "--max-dim"),
+        (["paper-example", "2", "3", "--seed", "4"], "--seed"),
+        (["paper-example", "2", "3", "--max-dim", "24"], "--max-dim"),
+        (["semisimple", "--group", "6", "--max-dim", "24"], "--max-dim"),
+        # refused before the group text is parsed or the group built
+        (["regular", "6", "--group", "6;7"], "--group"),
+        (["paper-example", "2", "3", "--group", "1000000"], "--group"),
+    ],
+)
+def test_fixture_refuses_options_its_kind_does_not_read(argv, option):
+    code, out, err = run_cli(["fixture", *argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} fixture does not take {option}\n"
+
+
 @pytest.mark.parametrize("group", ["0", "6,-2", "6;7"])
 def test_fixture_group_is_parsed_like_the_other_commands(group):
     # --group means the same to fixture as to characters

@@ -284,11 +284,15 @@ def test_subspace_jsonable_round_trip():
         ((Fraction(2),),),
         ((1, 2), (3,)),
         (),
+        ((),),
+        ((), ()),
     ],
 )
 def test_matz_refuses_non_integers_and_ragged_grids(entries):
     with pytest.raises(ValueError, match="rectangular grid of ints"):
         MatZ(entries)
+    with pytest.raises(ValueError, match="rectangular grid of ints"):
+        MatZ.from_jsonable([list(r) for r in entries])
 
 
 def test_matz_keeps_integer_lists_as_tuples():
@@ -335,27 +339,45 @@ def int_row_sets(draw):
     return draw(st.permutations(rows)), ncols
 
 
+def minor_gcd(rows, r: int) -> int:
+    """The gcd of the r x r minors of an integer matrix: kept by unimodular
+    row operations, and multiplied by the index on passing to a sublattice
+    of the same rank (Cauchy-Binet)."""
+    g = 0
+    for ri in itertools.combinations(range(len(rows)), r):
+        for ci in itertools.combinations(range(len(rows[0])), r):
+            g = gcd(g, int(det_int_of(MatQ([[rows[i][j] for j in ci] for i in ri]))))
+    return g
+
+
 @given(int_row_sets())
 @example(([[0, 0], [2, 4], [1, 2]], 2))
 @example(([[-3], [6], [0]], 1))
-def test_hermite_carries_the_row_transform(case):
+@example(([[0, 0, 0]], 3))
+def test_hermite_rows_are_in_hnf_and_span_the_input_lattice(case):
     rows, ncols = case
-    n = len(rows)
-    hnf_rows, piv, rest = ratlinalg._hermite(rows, ncols)
-    assert rest == [[0] * ncols] * (n - len(hnf_rows))
-    carried = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    c_hnf, c_piv, c_rest = ratlinalg._hermite(carried, ncols)
-    # the pivoted columns do not see the carried ones
-    assert ([r[:ncols] for r in c_hnf], c_piv) == (hnf_rows, piv)
-    assert [r[:ncols] for r in c_rest] == rest
-    # the carried block is the unimodular row transform
-    u = [r[ncols:] for r in c_hnf + c_rest]
-    assert abs(det_int_of(MatQ(u))) == 1
-    product = [
-        [sum(u[i][k] * rows[k][j] for k in range(n)) for j in range(ncols)]
-        for i in range(n)
-    ]
-    assert product == hnf_rows + rest
+    h = ratlinalg._hermite(rows)
+    pivots = []
+    for row in h:
+        assert len(row) == ncols
+        c = next(j for j, v in enumerate(row) if v)
+        assert row[c] > 0 and (not pivots or c > pivots[-1])
+        pivots.append(c)
+    for k, c in enumerate(pivots):
+        assert all(0 <= h[j][c] < h[k][c] for j in range(k))
+    # every input row reduces to zero along the echelon rows ...
+    for row in rows:
+        v = list(row)
+        for hr, c in zip(h, pivots):
+            q, rem = divmod(v[c], hr[c])
+            assert rem == 0
+            v = [a - q * b for a, b in zip(v, hr)]
+        assert not any(v)
+    # ... and the input spans all of their lattice: same rank, same minors
+    if h:
+        assert minor_gcd(rows, len(h)) == minor_gcd(h, len(h))
+    else:
+        assert not any(map(any, rows))
 
 
 def test_snf_known_example():
