@@ -7,10 +7,12 @@ rational representation and computes that decomposition in exact rational
 arithmetic: no floats, no numerical tolerance, every result certified by
 independent internal cross-checks.
 
-``char_poly``, ``eigenvalue_orders``, ``algebra_matrix`` and the Fraction
-views ``MatQ.trace``, ``MatQ.fraction_rows``, ``SubspaceQ.basis_rows``,
-``coordinates_of`` and ``contains_vector`` are no longer part of the API; the
-test suite keeps them as oracles in ``tests/oracles.py``.  ``sum_spaces`` is
+``char_poly``, ``eigenvalue_orders``, ``algebra_matrix``,
+``Character.galois_orbit`` and the Fraction views ``MatQ.trace``,
+``MatQ.fraction_rows``, ``SubspaceQ.basis_rows``, ``coordinates_of`` and
+``contains_vector`` are no longer part of the API; the test suite keeps them
+as oracles in ``tests/oracles.py`` (``galois_orbit`` as a function of a
+character).  ``sum_spaces`` is
 gone too: a sum of subspaces is one ``SubspaceQ`` of the stacked basis rows.
 """
 

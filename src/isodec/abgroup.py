@@ -212,6 +212,15 @@ class Subgroup:
                 )
 
     @classmethod
+    def _raw(cls, group: FinAbGroup, hnf_basis: MatZ) -> "Subgroup":
+        """A subgroup whose basis its caller has already proved to be a k x k
+        HNF containing the relation rows: the checks are not repeated."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "group", group)
+        object.__setattr__(sub, "hnf_basis", hnf_basis)
+        return sub
+
+    @classmethod
     def from_lattice_rows(cls, group: FinAbGroup, rows) -> "Subgroup":
         """Canonicalize spanning rows (relations are appended automatically)."""
         all_rows = [tuple(r) for r in rows]
@@ -389,7 +398,8 @@ def all_subgroups(group: FinAbGroup) -> tuple[Subgroup, ...]:
     def extend(i, below):
         # below: the rows i+1, ..., k-1 already chosen, each of full width
         if i < 0:
-            found.append(Subgroup(group, MatZ(tuple(below))))
+            # each row is in HNF by construction and passed its relation check
+            found.append(Subgroup._raw(group, MatZ(tuple(below))))
             return
         tail_basis = [row[i + 1 :] for row in below]
         pivots = [row[l] for l, row in enumerate(below, start=i + 1)]

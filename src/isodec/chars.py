@@ -11,17 +11,25 @@ to a single irreducible rational representation, whose degree is phi(n) for
 n the order of the character (equivalently, n = [G : kernel] and the quotient
 G/kernel is cyclic).  The canonical representative of the orbit is the
 exponent tuple that is lexicographically smallest.
+
+An orbit is a cyclic subgroup of the dual, which is isomorphic to G, and a
+cyclic group is the product of its Sylow parts.  So ``rational_irreps``
+walks only the Sylow parts G_p (sum_p |G_p| tuples, one Hermite elimination
+per class of G_p) and combines one class per prime: the kernel by CRT on the
+p-kernels' Hermite forms, the representative in closed form, coordinate by
+coordinate, with no orbit scanned.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 from .abgroup import FinAbGroup, GroupElement, Subgroup
 from .errors import InternalCheckError, PreconditionError
-from .numtheory import moebius, totient
+from .numtheory import factorint, moebius, totient
 from .ratlinalg import MatQ, MatZ, _hermite, companion_matrix, cyclotomic
 
 __all__ = [
@@ -92,17 +100,6 @@ class Character:
     def kernel(self) -> Subgroup:
         return char_kernel(self)
 
-    def galois_orbit(self) -> tuple["Character", ...]:
-        """All characters with the same kernel: the powers of exponent coprime
-        to the order, sorted lexicographically by exponent tuple."""
-        n = self.order()
-        seen = sorted(
-            tuple((t * a) % m for a, m in zip(self.exps, self.group.moduli))
-            for t in range(1, n + 1)
-            if gcd(t, n) == 1
-        )
-        return tuple(Character(self.group, e) for e in seen)
-
     def __repr__(self):
         return f"Character{self.exps}"
 
@@ -171,42 +168,142 @@ class RationalIrrep:
         )
 
 
+def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
+    """The t mod lcm(m1, m2) with t = r1 mod m1 and t = r2 mod m2, for
+    residues that agree modulo gcd(m1, m2)."""
+    g = gcd(m1, m2)
+    s = (r2 - r1) // g * pow(m1 // g, -1, m2 // g)
+    m = m1 // g * m2
+    return (r1 + m1 * s) % m, m
+
+
+def _p_classes(p: int, moduli: tuple[int, ...]):
+    """The rational classes of the p-group with these moduli (powers of p),
+    as (order, an exponent tuple, kernel HNF rows): one walk over the group,
+    one Hermite elimination per class.  The orbit of a tuple of order p^e is
+    its multiples by the units t mod p^e."""
+    gp = FinAbGroup(moduli)
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for b in itertools.product(*(range(m) for m in moduli)):
+        if b in seen:
+            continue
+        chi = Character(gp, b)
+        q = chi.order()
+        orbit = {
+            tuple(t * x % m for x, m in zip(b, moduli))
+            for t in range(1, q + 1)
+            if t % p
+        }
+        if len(orbit) != totient(q):
+            raise InternalCheckError(
+                f"Galois orbit size {len(orbit)} != phi({q}) = {totient(q)}"
+            )
+        seen |= orbit
+        classes.append((q, b, char_kernel(chi).hnf_basis.entries))
+    return classes
+
+
+def _crt_hnf(hnfs, k: int) -> tuple[tuple[int, ...], ...]:
+    """The HNF of the intersection of k x k lattice HNFs of coprime indices
+    (the identity for none, the one HNF itself for one).
+
+    Its diagonal is the product of theirs.  Each later entry of a row is
+    fixed modulo each diagonal entry by back-substituting the row so far
+    through that HNF; CRT puts it into [0, d_j).
+    """
+    rows = []
+    for i in range(k):
+        d = prod(h[i][i] for h in hnfs)
+        row = [0] * i + [d]
+        # per lattice, a vector of it that agrees with row so far
+        agree = [[d // h[i][i] * x for x in h[i]] for h in hnfs]
+        for j in range(i + 1, k):
+            x, m = 0, 1
+            for h, v in zip(hnfs, agree):
+                x, m = _crt(x, m, v[j], h[j][j])
+            row.append(x)
+            for h, v in zip(hnfs, agree):
+                c = (x - v[j]) // h[j][j]
+                for t in range(j, k):
+                    v[t] += c * h[j][t]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _least_conjugate(a: tuple[int, ...], moduli: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least t * a over the units t mod the order of a.
+
+    Coordinate by coordinate, keep the constraint t = tau mod M.  Write the
+    coordinate x = g * u with o = n_j / g its order and u a unit mod o; its
+    least value is g * v for the least unit v mod o with v = tau * u mod
+    gcd(M, o), and then t = v / u mod o joins the constraint.
+    """
+    tau, mod = 0, 1
+    out = []
+    for x, n in zip(a, moduli):
+        g = gcd(x, n)
+        o, u = n // g, x // g
+        h = gcd(mod, o)
+        v = tau * u % h
+        while gcd(v, o) != 1:
+            v += h
+        out.append(g * v)
+        tau, mod = _crt(tau, mod, v * pow(u, -1, o), o)
+    return tuple(out)
+
+
 def rational_irreps(group: FinAbGroup) -> tuple[RationalIrrep, ...]:
     """All irreducible rational representations, in canonical order.
 
-    Complex characters fall into Galois orbits, and each orbit is one
-    rational irreducible; one kernel (one HNF) is computed per orbit.  The
-    canonical order is by kernel sort key (index ascending, then basis
-    entries), so the trivial representation always comes first.
+    A class is a cyclic subgroup of the dual, so it is one class of each
+    Sylow part G_p, embedded by a_j -> a_j * n_j / p^v_p(n_j): its order is
+    the product of their orders and its kernel the intersection of theirs
+    (``_crt_hnf``).  The canonical order is by kernel sort key (index
+    ascending, then basis entries), so the trivial representation always
+    comes first.
     """
-    seen: set[tuple[int, ...]] = set()
+    moduli, k, n_all = group.moduli, group.rank, group.exponent
+    parts = []
+    for p, e in factorint(group.order):
+        pm = tuple(gcd(n, p**e) for n in moduli)
+        parts.append(
+            [
+                (q, tuple(x * (n // m) for x, n, m in zip(b, moduli, pm)), h)
+                for q, b, h in _p_classes(p, pm)
+            ]
+        )
     irreps = []
     kernels: set[Subgroup] = set()
     total_degree = 0
-    for exps in itertools.product(*(range(n) for n in group.moduli)):
-        if exps in seen:
-            continue
-        chi = Character(group, exps)
-        orbit = chi.galois_orbit()
-        seen.update(c.exps for c in orbit)
-        kernel = char_kernel(chi)
-        n = chi.order()
+    for combo in itertools.product(*parts):
+        n = prod(q for q, _, _ in combo)
+        a = [0] * k
+        for _, b, _ in combo:
+            a = [(x + y) % m for x, y, m in zip(a, b, moduli)]
+        try:
+            kernel = Subgroup(group, MatZ(_crt_hnf([h for _, _, h in combo], k)))
+        except PreconditionError as err:
+            raise InternalCheckError(
+                f"combined kernel is not a subgroup: {err}"
+            ) from err
         if kernel.index != n:
             raise InternalCheckError("kernel index differs from character order")
-        rows = kernel.generators()
-        if any(
-            c.order() != n or any(c.value_exponent(g) for g in rows) for c in orbit
+        # the representative kills the kernel and has order n = [G : K], so
+        # K is its kernel, and the kernel of every Galois conjugate
+        rep = Character(group, _least_conjugate(tuple(a), moduli))
+        c = [(n_all // m) * r for r, m in zip(rep.exps, moduli)]
+        if rep.order() != n or any(
+            sum(map(mul, c, row)) % n_all for row in kernel.hnf_basis.entries
         ):
-            raise InternalCheckError("a Galois conjugate has a different kernel")
-        degree = totient(n)
-        if len(orbit) != degree:
             raise InternalCheckError(
-                f"Galois orbit size {len(orbit)} != phi({n}) = {degree}"
+                "the representative's kernel is not the class kernel"
             )
         if kernel in kernels:
             raise InternalCheckError("two Galois orbits share a kernel")
         kernels.add(kernel)
-        irreps.append(RationalIrrep(kernel, n, degree, orbit[0]))
+        degree = totient(n)
+        irreps.append(RationalIrrep(kernel, n, degree, rep))
         total_degree += degree
     if total_degree != group.order:
         raise InternalCheckError("degrees of rational irreducibles do not sum to |G|")

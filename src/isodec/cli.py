@@ -9,11 +9,11 @@ Commands::
     subgroups --group …   all subgroups (or --kernels: cyclic-quotient ones)
     fixture <kind> …      generate a test action file of known decomposition
 
-Common flags: ``--json`` for machine output (default is aligned text),
-``--max-order`` to cap the group order (default 10000), and
-``--check-plausibility`` to print warnings about actions that cannot arise
-from an abelian variety.  Output is deterministic: identical inputs and
-flags give identical bytes.
+Common flags: ``--json`` for machine output (default is aligned text; no
+``fixture`` kind has one, so ``fixture`` refuses it), ``--max-order`` to
+cap the group order (default 10000), and ``--check-plausibility`` to print
+warnings about actions that cannot arise from an abelian variety.  Output
+is deterministic: identical inputs and flags give identical bytes.
 
 Exit codes: 0 success; 2 invalid input (parse or validation failure);
 3 precondition failure (valid input outside the supported domain, e.g.
@@ -330,6 +330,7 @@ def _cmd_fixture(args) -> int:
         "--multiplicities": args.multiplicities,
         "--seed": args.seed,
         "--max-dim": args.max_dim,
+        "--json": args.json or None,  # no kind has a JSON form of its output
     }
     given = [o for o, v in options.items() if v is not None]
     names = _fixture_parameters(args.kind, len(args.params), given)

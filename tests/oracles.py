@@ -7,17 +7,31 @@ compare against plain Fraction arithmetic.  ``char_poly`` and
 factoring its characteristic polynomial, a route independent of Roan's
 divisor walk in ``isodec.roan``.  ``algebra_matrix`` is the |G|-term
 matrix of a group-algebra element, the reference the factored idempotents
-of ``isodec.action`` are checked against.
+of ``isodec.action`` are checked against.  ``rational_irreps_by_walk`` is the
+walk over all |G| characters and their Galois orbits (``galois_orbit``),
+the reference the Sylow construction of ``isodec.chars.rational_irreps`` is
+checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from isodec import InternalCheckError, MatQ, PreconditionError, SubspaceQ, cyclotomic
+from isodec import (
+    Character,
+    InternalCheckError,
+    MatQ,
+    PreconditionError,
+    RationalIrrep,
+    SubspaceQ,
+    char_kernel,
+    cyclotomic,
+)
 from isodec.action import _combination
-from isodec.numtheory import divisors
+from isodec.numtheory import divisors, totient
 from isodec.ratlinalg import _divmod_monic
 
 
@@ -144,3 +158,42 @@ def algebra_matrix(action, x) -> MatQ:
     table = rho_table(action)
     terms = ((num, table[i]) for i, num in enumerate(x.nums) if num)
     return _combination((action.dim, action.dim), terms, x.den)
+
+
+def galois_orbit(chi: Character) -> tuple[Character, ...]:
+    """All characters with the same kernel as chi: its powers of exponent
+    coprime to its order, sorted lexicographically by exponent tuple."""
+    n = chi.order()
+    seen = sorted(
+        tuple((t * a) % m for a, m in zip(chi.exps, chi.group.moduli))
+        for t in range(1, n + 1)
+        if gcd(t, n) == 1
+    )
+    return tuple(Character(chi.group, e) for e in seen)
+
+
+def rational_irreps_by_walk(group) -> tuple[RationalIrrep, ...]:
+    """The rational irreducibles by a walk over all |G| exponent tuples: one
+    Galois orbit and one kernel per new tuple, every conjugate checked to
+    have that kernel, the lex-least conjugate as representative."""
+    seen: set[tuple[int, ...]] = set()
+    irreps = []
+    for exps in itertools.product(*(range(n) for n in group.moduli)):
+        if exps in seen:
+            continue
+        chi = Character(group, exps)
+        orbit = galois_orbit(chi)
+        seen.update(c.exps for c in orbit)
+        kernel = char_kernel(chi)
+        n = chi.order()
+        if kernel.index != n or len(orbit) != totient(n):
+            raise InternalCheckError("kernel index or orbit size is not the order's")
+        rows = kernel.generators()
+        if any(
+            c.order() != n or any(c.value_exponent(g) for g in rows) for c in orbit
+        ):
+            raise InternalCheckError("a Galois conjugate has a different kernel")
+        irreps.append(RationalIrrep(kernel, n, totient(n), orbit[0]))
+    if sum(w.degree for w in irreps) != group.order:
+        raise InternalCheckError("degrees of rational irreducibles do not sum to |G|")
+    return tuple(sorted(irreps, key=lambda w: w.sort_key))

@@ -421,6 +421,14 @@ def test_all_subgroups_counts_of_larger_groups(moduli, count):
     assert len(all_subgroups(FinAbGroup(moduli))) == count
 
 
+@pytest.mark.parametrize("moduli", [(2,) * 5, (8, 8, 8), (6, 6, 6), (100, 100)])
+def test_every_enumerated_subgroup_passes_the_checking_constructor(moduli):
+    # all_subgroups builds its results without Subgroup's checks
+    group = FinAbGroup(moduli)
+    for s in all_subgroups(group):
+        assert Subgroup(group, MatZ(s.hnf_basis.entries)) == s
+
+
 def _gaussian_binomial(r, k, p):
     num = prod(p ** (r - i) - 1 for i in range(k))
     den = prod(p ** (i + 1) - 1 for i in range(k))

@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from conftest import subgroup_element_set
 from isodec import (
     Character,
     FinAbGroup,
+    InternalCheckError,
     PreconditionError,
     char_kernel,
     companion_matrix,
@@ -16,9 +17,10 @@ from isodec import (
     ramanujan_sum,
     rational_irreps,
 )
-from isodec.chars import common_kernel
+import isodec.chars as chars_module
+from isodec.chars import _least_conjugate, common_kernel
 from isodec.numtheory import divisors, moebius, totient
-from oracles import char_poly, trace
+from oracles import char_poly, galois_orbit, rational_irreps_by_walk, trace
 
 SMALL_MODULI = [(6,), (8,), (12,), (2, 2), (2, 4), (3, 3), (8, 9), (2, 2, 2)]
 
@@ -106,7 +108,7 @@ def test_root_exponent_rescales_value(gc):
 @settings(max_examples=40)
 def test_galois_orbit_structure(gc):
     group, chi = gc
-    orbit = chi.galois_orbit()
+    orbit = galois_orbit(chi)
     n = chi.order()
     assert len(orbit) == totient(n)
     assert all(c.kernel() == chi.kernel() for c in orbit)
@@ -138,7 +140,7 @@ def test_rational_irreps_partition_the_characters(moduli):
         assert w.degree == totient(w.order)
         assert w.representative.kernel() == w.kernel
         # representative is the lex-least character in its orbit
-        orbit = w.representative.galois_orbit()
+        orbit = galois_orbit(w.representative)
         assert w.representative.exps == min(c.exps for c in orbit)
 
 
@@ -146,6 +148,126 @@ def test_cyclic_group_has_one_irrep_per_divisor():
     for n in (1, 2, 6, 12, 30):
         irr = rational_irreps(FinAbGroup((n,)))
         assert [w.order for w in irr] == list(divisors(n))
+
+
+@st.composite
+def moduli_up_to(draw, max_order=3000):
+    """One to four moduli, 1s and unequal ones among them, of product at
+    most max_order."""
+    moduli = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        budget = max_order // prod(moduli)
+        moduli.append(draw(st.integers(min_value=1, max_value=min(budget, 100))))
+    return tuple(moduli)
+
+
+def assert_irreps_equal_the_walk(moduli):
+    group = FinAbGroup(moduli)
+    got, want = rational_irreps(group), rational_irreps_by_walk(group)
+    assert len(got) == len(want)
+    for w, v in zip(got, want):
+        assert w.kernel == v.kernel
+        assert (w.order, w.degree) == (v.order, v.degree)
+        assert w.representative == v.representative
+
+
+@given(moduli_up_to())
+@settings(max_examples=60, deadline=None)
+def test_rational_irreps_equal_the_walk_over_the_group(moduli):
+    assert_irreps_equal_the_walk(moduli)
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [
+        (1,),
+        (1, 1),
+        (12, 18, 30),
+        (9, 27, 3),
+        (4, 1, 9),
+        (2,) * 6,
+        (36, 20),
+        (50, 60),
+        (3000,),
+    ],
+)
+def test_rational_irreps_equal_the_walk_on_mixed_moduli(moduli):
+    assert_irreps_equal_the_walk(moduli)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_least_conjugate_is_the_orbit_minimum(data):
+    moduli = data.draw(
+        st.lists(st.integers(1, 60), min_size=1, max_size=4).filter(
+            lambda m: lcm(*m) <= 5000
+        )
+    )
+    a = tuple(data.draw(st.integers(0, n - 1)) for n in moduli)
+    chi = Character(FinAbGroup(tuple(moduli)), a)
+    assert _least_conjugate(a, tuple(moduli)) == galois_orbit(chi)[0].exps
+
+
+# Each certificate of rational_irreps, reached by breaking one step.
+
+
+def test_rational_irreps_certifies_the_orbit_size(monkeypatch):
+    monkeypatch.setattr(chars_module, "totient", lambda n: totient(n) + 1)
+    with pytest.raises(
+        InternalCheckError, match=r"Galois orbit size 1 != phi\(1\) = 2"
+    ):
+        rational_irreps(FinAbGroup((6,)))
+
+
+def test_rational_irreps_certifies_the_combined_kernel_is_a_subgroup(monkeypatch):
+    # an entry above its diagonal entry: not a Hermite normal form
+    monkeypatch.setattr(chars_module, "_crt_hnf", lambda hnfs, k: ((1, 5), (0, 2)))
+    with pytest.raises(
+        InternalCheckError,
+        match="combined kernel is not a subgroup: .*not in Hermite normal form",
+    ):
+        rational_irreps(FinAbGroup((2, 3)))
+
+
+def test_rational_irreps_certifies_the_kernel_index(monkeypatch):
+    # the whole group as every kernel: index 1, for classes of every order
+    monkeypatch.setattr(chars_module, "_crt_hnf", lambda hnfs, k: ((1, 0), (0, 1)))
+    with pytest.raises(
+        InternalCheckError, match="kernel index differs from character order"
+    ):
+        rational_irreps(FinAbGroup((2, 3)))
+
+
+def test_rational_irreps_certifies_the_representative(monkeypatch):
+    # (2, 2) has three classes of order 2; give each the kernel of (1, 0)
+    real = chars_module._crt_hnf
+
+    def one_index_two_kernel(hnfs, k):
+        rows = real(hnfs, k)
+        return rows if rows[0][0] * rows[1][1] == 1 else ((1, 0), (0, 2))
+
+    monkeypatch.setattr(chars_module, "_crt_hnf", one_index_two_kernel)
+    with pytest.raises(
+        InternalCheckError, match="the representative's kernel is not the class kernel"
+    ):
+        rational_irreps(FinAbGroup((2, 2)))
+
+
+def test_rational_irreps_certifies_distinct_kernels(monkeypatch):
+    real = chars_module._p_classes
+    monkeypatch.setattr(chars_module, "_p_classes", lambda p, m: real(p, m) * 2)
+    with pytest.raises(InternalCheckError, match="two Galois orbits share a kernel"):
+        rational_irreps(FinAbGroup((6,)))
+
+
+def test_rational_irreps_certifies_the_degree_sum(monkeypatch):
+    real = chars_module._p_classes
+    monkeypatch.setattr(chars_module, "_p_classes", lambda p, m: real(p, m)[:-1])
+    with pytest.raises(
+        InternalCheckError,
+        match=r"degrees of rational irreducibles do not sum to \|G\|",
+    ):
+        rational_irreps(FinAbGroup((6,)))
 
 
 # ----------------------------------------------------------- Ramanujan sums

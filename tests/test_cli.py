@@ -423,6 +423,8 @@ def test_fixture_parameter_validation_exits_2():
         # refused before the group text is parsed or the group built
         (["regular", "6", "--group", "6;7"], "--group"),
         (["paper-example", "2", "3", "--group", "1000000"], "--group"),
+        (["regular", "3", "--json"], "--json"),
+        (["semisimple", "--group", "6", "--json"], "--json"),
     ],
 )
 def test_fixture_refuses_options_its_kind_does_not_read(argv, option):
