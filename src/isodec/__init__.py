@@ -14,6 +14,18 @@ independent internal cross-checks.
 as oracles in ``tests/oracles.py`` (``galois_orbit`` as a function of a
 character).  ``sum_spaces`` is
 gone too: a sum of subspaces is one ``SubspaceQ`` of the stacked basis rows.
+
+No command, acceptance criterion or benchmark reached the following, so
+they are gone as well: ``hnf``, ``MatZ.to_matq``, ``MatQ.entry`` and
+``MatQ.from_jsonable``; ``SubspaceQ``'s, ``Subgroup``'s and
+``GroupAlgebraElem``'s ``to_jsonable`` and ``from_jsonable``;
+``Subgroup.group_invariants`` and ``Subgroup.contains`` (use
+``contains_exps``); ``GroupElement``'s ``+``, ``-``, negation,
+``is_identity`` and ``order``; ``RationalIrrep.is_trivial``; and
+``GroupAlgebraElem``'s ``coeff``, ``terms``, ``scale``, negation and
+``is_idempotent``, with ``qalgebra.from_terms`` (build an element as
+``GroupAlgebraElem(group, nums, den)``).  ``tests/test_public_surface.py``
+keeps it that way.
 """
 
 from .abgroup import (
@@ -65,7 +77,6 @@ from .ratlinalg import (
     SubspaceQ,
     companion_matrix,
     cyclotomic,
-    hnf,
     image_space,
     intersect_spaces,
     inverse,
@@ -127,7 +138,6 @@ __all__ = [
     "kernel_space",
     "image_space",
     "intersect_spaces",
-    "hnf",
     "snf_invariants",
     "cyclotomic",
     "companion_matrix",

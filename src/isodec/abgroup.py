@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .errors import PreconditionError
 from .numtheory import divisors, prime_divisors
@@ -140,37 +140,12 @@ class GroupElement:
             self, "exps", tuple(e % n for e, n in zip(self.exps, mods))
         )
 
-    def _check(self, other: "GroupElement"):
-        if self.group != other.group:
-            raise PreconditionError("elements of different groups")
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(
-            self.group, tuple(a + b for a, b in zip(self.exps, other.exps))
-        )
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-e for e in self.exps))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(
-            self.group, tuple(a - b for a, b in zip(self.exps, other.exps))
-        )
-
     def __rmul__(self, k: int) -> "GroupElement":
         if not isinstance(k, int):
             return NotImplemented
         return GroupElement(self.group, tuple(k * e for e in self.exps))
 
     __mul__ = __rmul__
-
-    def is_identity(self) -> bool:
-        return all(e == 0 for e in self.exps)
-
-    def order(self) -> int:
-        return lcm(*(n // gcd(e, n) for e, n in zip(self.exps, self.group.moduli)))
 
     def index(self) -> int:
         return self.group.index_of(self.exps)
@@ -251,11 +226,6 @@ class Subgroup:
     def contains_exps(self, exps) -> bool:
         return _solve_upper(self.hnf_basis.entries, exps) is not None
 
-    def contains(self, g: GroupElement) -> bool:
-        if g.group != self.group:
-            raise PreconditionError("element of a different group")
-        return self.contains_exps(g.exps)
-
     def elements(self):
         for exps in self.group.exponent_tuples():
             if self.contains_exps(exps):
@@ -273,27 +243,9 @@ class Subgroup:
             for row in self.hnf_basis.entries
         )
 
-    def group_invariants(self) -> tuple[int, ...]:
-        """Invariant factors of H itself (not of the quotient G/H)."""
-        b = self.hnf_basis.entries
-        k = self.group.rank
-        rel = [list(r) for r in self.group.relation_rows()]
-        c = [_solve_upper(b, row) for row in rel]
-        return snf_invariants(MatZ(tuple(tuple(r) for r in c)))
-
     @property
     def sort_key(self):
         return (self.index, self.hnf_basis.entries)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "group": list(self.group.moduli),
-            "hnf": self.hnf_basis.to_jsonable(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "Subgroup":
-        return cls(FinAbGroup(tuple(obj["group"])), MatZ.from_jsonable(obj["hnf"]))
 
     def __repr__(self):
         return f"Subgroup(index {self.index} of {self.group.moduli})"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .abgroup import FinAbGroup
 from .action import GAction, validate_action
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 from .ratlinalg import MatQ, MatZ
 
 __all__ = [
@@ -66,9 +66,10 @@ def _parse_moduli(obj) -> FinAbGroup:
         or not all(isinstance(n, int) and not isinstance(n, bool) for n in obj)
     ):
         raise ValidationError("'group' must be a non-empty list of integers")
-    if any(n < 1 for n in obj):
-        raise ValidationError("'group' moduli must be >= 1")
-    return FinAbGroup(tuple(obj))
+    try:
+        return FinAbGroup(tuple(obj))
+    except PreconditionError as e:
+        raise ValidationError(str(e)) from None
 
 
 def check_max_order(group: FinAbGroup, max_order: int | None) -> None:

@@ -158,9 +158,6 @@ class RationalIrrep:
     def sort_key(self):
         return self.kernel.sort_key
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def __repr__(self):
         return (
             f"RationalIrrep(order {self.order}, degree {self.degree}, "

@@ -9,15 +9,16 @@ Commands::
     subgroups --group …   all subgroups (or --kernels: cyclic-quotient ones)
     fixture <kind> …      generate a test action file of known decomposition
 
-Common flags: ``--json`` for machine output (default is aligned text; no
-``fixture`` kind has one, so ``fixture`` refuses it), ``--max-order`` to
-cap the group order (default 10000), and ``--check-plausibility`` to print
-warnings about actions that cannot arise from an abelian variety.  Output
-is deterministic: identical inputs and flags give identical bytes.
+Common flags: ``--json`` for machine output (default is aligned text),
+``--max-order`` to cap the group order (default 10000), and
+``--check-plausibility`` to print warnings about actions that cannot arise
+from an abelian variety.  Output is deterministic: identical inputs and
+flags give identical bytes.
 
-Exit codes: 0 success; 2 invalid input (parse or validation failure);
-3 precondition failure (valid input outside the supported domain, e.g.
-``roan`` on a non-cyclic group); 4 internal cross-check failure.
+Exit codes: 0 success; 2 invalid input (parse or validation failure, or a
+``ground_truth`` claim that the decomposition refutes); 3 precondition
+failure (valid input outside the supported domain, e.g. ``roan`` on a
+non-cyclic group); 4 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -67,12 +68,10 @@ def _print_json(obj) -> None:
 
 
 def _parse_group_arg(text: str, max_order: int | None = None) -> FinAbGroup:
-    moduli = _parse_int_list(text, "group")
-    if not moduli:
-        raise ValidationError("group must have at least one modulus")
-    if any(n < 1 for n in moduli):
-        raise ValidationError("group moduli must be >= 1")
-    group = FinAbGroup(moduli)
+    try:
+        group = FinAbGroup(_parse_int_list(text, "group"))
+    except PreconditionError as e:
+        raise ValidationError(str(e)) from None
     check_max_order(group, max_order)
     return group
 
@@ -195,7 +194,8 @@ def _cmd_verify(args) -> int:
 
 def _check_ground_truth(af: ActionFile, report: IsotypicalReport) -> str:
     """Compare the multiplicities of a decomposition of the file's action
-    against the file's expectations."""
+    against the file's expectations.  The decomposition carries its own
+    certificates, so a claim it refutes is bad input, not a failed check."""
     if af.ground_truth is None:
         return "absent"
     computed = {
@@ -214,7 +214,7 @@ def _check_ground_truth(af: ActionFile, report: IsotypicalReport) -> str:
             f"kernel {_fmt_intmat(k)}: expected {e}, computed {c}"
             for k, (e, c) in sorted(bad.items())
         )
-        raise InternalCheckError(f"decomposition differs from ground truth: {details}")
+        raise ValidationError(f"decomposition differs from ground truth: {details}")
     return "ok"
 
 
@@ -330,7 +330,6 @@ def _cmd_fixture(args) -> int:
         "--multiplicities": args.multiplicities,
         "--seed": args.seed,
         "--max-dim": args.max_dim,
-        "--json": args.json or None,  # no kind has a JSON form of its output
     }
     given = [o for o, v in options.items() if v is not None]
     names = _fixture_parameters(args.kind, len(args.params), given)
@@ -358,10 +357,11 @@ def _cmd_fixture(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
+def _add_common(p: argparse.ArgumentParser, json_output: bool = True) -> None:
+    if json_output:
+        p.add_argument(
+            "--json", action="store_true", help="machine-readable JSON output"
+        )
     p.add_argument(
         "--max-order",
         type=int,
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default {FixtureSpec.max_dim})",
     )
     p.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
-    _add_common(p)
+    _add_common(p, json_output=False)
     p.set_defaults(func=_cmd_fixture)
 
     return parser

@@ -15,20 +15,17 @@ provides the three idempotent constructions the decomposition rests on:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 
-from .abgroup import FinAbGroup, GroupElement, Subgroup
+from .abgroup import FinAbGroup, Subgroup
 from .chars import RationalIrrep, ramanujan_sum
 from .errors import PreconditionError
-from .ratlinalg import _parse_rational, _rational_to_jsonable
 
 __all__ = [
     "GroupAlgebraElem",
     "identity",
     "zero",
-    "from_terms",
     "averaging_idempotent",
     "central_idempotent",
     "product_formula_idempotent",
@@ -76,17 +73,6 @@ class GroupAlgebraElem:
     def __setattr__(self, *a):
         raise AttributeError("GroupAlgebraElem is immutable")
 
-    def coeff(self, g: GroupElement) -> Fraction:
-        if g.group != self.group:
-            raise PreconditionError("element of a different group")
-        return Fraction(self.nums[g.index()], self.den)
-
-    def terms(self):
-        """Nonzero (element, coefficient) pairs in element-index order."""
-        for i, v in enumerate(self.nums):
-            if v:
-                yield self.group.element_of_index(i), Fraction(v, self.den)
-
     def _check(self, other: "GroupAlgebraElem"):
         if self.group != other.group:
             raise PreconditionError("elements of different group algebras")
@@ -109,18 +95,6 @@ class GroupAlgebraElem:
             a * b,
         )
 
-    def __neg__(self) -> "GroupAlgebraElem":
-        return GroupAlgebraElem(self.group, [-v for v in self.nums], self.den)
-
-    def scale(self, q) -> "GroupAlgebraElem":
-        """q times the element, q read as in ``from_terms``."""
-        q = _parse_rational(q)
-        return GroupAlgebraElem(
-            self.group,
-            [v * q.numerator for v in self.nums],
-            self.den * q.denominator,
-        )
-
     def __mul__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
         """Convolution product: (x*y)(g) = sum over h of x(h) y(g-h)."""
         if not isinstance(other, GroupAlgebraElem):
@@ -137,9 +111,6 @@ class GroupAlgebraElem:
                     out[perm[i]] += xv * yv
         return GroupAlgebraElem(self.group, out, self.den * other.den)
 
-    def is_idempotent(self) -> bool:
-        return self * self == self
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroupAlgebraElem)
@@ -151,27 +122,13 @@ class GroupAlgebraElem:
     def __hash__(self):
         return hash((self.group, self.nums, self.den))
 
-    def to_jsonable(self) -> dict:
-        den, element = self.den, self.group.element_of_index
-        return {
-            "group": list(self.group.moduli),
-            "coeffs": [
-                [_rational_to_jsonable(v, den), list(element(i).exps)]
-                for i, v in enumerate(self.nums)
-                if v
-            ],
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "GroupAlgebraElem":
-        group = FinAbGroup(tuple(obj["group"]))
-        return from_terms(
-            group,
-            {group.element(exps): c for c, exps in obj["coeffs"]},
-        )
-
     def __repr__(self):
-        parts = [f"{c}*{g.exps}" for g, c in self.terms()]
+        parts = []
+        for i, v in enumerate(self.nums):
+            if v:
+                g = gcd(v, self.den)
+                c = v // g if g == self.den else f"{v // g}/{self.den // g}"
+                parts.append(f"{c}*{self.group.element_of_index(i).exps}")
         return "GroupAlgebraElem(" + (" + ".join(parts) if parts else "0") + ")"
 
 
@@ -183,23 +140,6 @@ def identity(group: FinAbGroup) -> GroupAlgebraElem:
     nums = [0] * group.order
     nums[group.identity().index()] = 1
     return GroupAlgebraElem(group, nums)
-
-
-def from_terms(group: FinAbGroup, coeffs: dict) -> GroupAlgebraElem:
-    """Build an element from {GroupElement: coefficient}, each coefficient
-    read by the entry grammar (``ratlinalg._parse_rational``): an int, a
-    Fraction or a 'p/q' string.  A float raises TypeError, and an exponent
-    or decimal string ValueError, before any arithmetic."""
-    fracs = {g: _parse_rational(c) for g, c in coeffs.items()}
-    den = 1
-    for c in fracs.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    nums = [0] * group.order
-    for g, c in fracs.items():
-        if g.group != group:
-            raise PreconditionError("element of a different group")
-        nums[g.index()] += c.numerator * (den // c.denominator)
-    return GroupAlgebraElem(group, nums, den)
 
 
 def averaging_idempotent(h: Subgroup) -> GroupAlgebraElem:

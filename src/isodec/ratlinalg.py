@@ -24,8 +24,8 @@ denominator; ints come back unchanged, since they already carry
 `.numerator` and `.denominator`.  `_rational_to_jsonable` writes v/den as a
 plain int or `"p/q"` in lowest terms with one gcd.  So an all-integer matrix
 is read and written without a Fraction.  `fractions.Fraction` remains only
-where a rational crosses the public face: `entry`, `mul_vector`, and the
-parsed value of a `"p/q"` string.  No floating point appears anywhere.
+where a rational crosses the public face: `mul_vector` and the parsed
+value of a `"p/q"` string.  No floating point appears anywhere.
 
 Sparse rows.  Permutation and monomial matrices, such as those of the
 regular representation, have one nonzero per row.  A row counts as sparse
@@ -62,7 +62,6 @@ __all__ = [
     "image_space",
     "intersect_spaces",
     "kernel_and_image",
-    "hnf",
     "snf_invariants",
     "cyclotomic",
     "companion_matrix",
@@ -204,9 +203,6 @@ class MatQ:
     def zeros(cls, r: int, c: int) -> "MatQ":
         return cls._raw([[0] * c for _ in range(r)], 1, ncols=c)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i][j], self.den)
-
     def transpose(self) -> "MatQ":
         cols = zip(*self.num) if self.num else [()] * self.cols
         return MatQ._raw([list(col) for col in cols], self.den, ncols=self.rows)
@@ -293,10 +289,6 @@ class MatQ:
         d = self.den
         return [[_rational_to_jsonable(v, d) for v in row] for row in self.num]
 
-    @classmethod
-    def from_jsonable(cls, obj) -> "MatQ":
-        return cls(obj)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatQ)
@@ -309,9 +301,10 @@ class MatQ:
         return hash((self.num, self.den, self.cols))
 
     def __repr__(self):
+        d = self.den
         rows = ", ".join(
-            "[" + ", ".join(str(self.entry(i, j)) for j in range(self.cols)) + "]"
-            for i in range(self.rows)
+            "[" + ", ".join(str(_rational_to_jsonable(v, d)) for v in row) + "]"
+            for row in self.num
         )
         return f"MatQ([{rows}])"
 
@@ -365,9 +358,6 @@ class MatZ:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def to_matq(self) -> MatQ:
-        return MatQ._raw([list(r) for r in self.entries], 1, ncols=self.cols)
 
     def to_jsonable(self) -> list:
         return [list(row) for row in self.entries]
@@ -531,13 +521,6 @@ class SubspaceQ:
             return False
         return self._pivot_coords(other.basis.num) is not None
 
-    def to_jsonable(self) -> dict:
-        return {"ambient_dim": self.ambient_dim, "basis": self.basis.to_jsonable()}
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "SubspaceQ":
-        return cls(obj["ambient_dim"], MatQ.from_jsonable(obj["basis"]).num)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubspaceQ)
@@ -674,20 +657,6 @@ def _hermite(rows_in) -> list[list[int]]:
             if q:
                 rows[j] = [a - q * b for a, b in zip(rows[j], rows[k])]
     return rows[:r]
-
-
-def hnf(M: MatZ) -> MatZ:
-    """Row-style Hermite normal form of a full-rank lattice in Z^cols.
-
-    Upper triangular with positive diagonal; entries above each pivot lie in
-    [0, pivot).  Canonical: depends only on the row lattice.
-    """
-    rows = _hermite(M.entries)
-    if len(rows) != M.cols:
-        raise PreconditionError(
-            f"rank-deficient input: lattice rank {len(rows)} < ambient {M.cols}"
-        )
-    return MatZ(tuple(tuple(r) for r in rows))
 
 
 def _smallest_entry(a, t):

@@ -8,6 +8,7 @@ computations.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -55,19 +56,34 @@ def perm_matrix(n: int, shift: int = 1) -> MatQ:
     )
 
 
+def add_exps(group: FinAbGroup, x, y) -> tuple[int, ...]:
+    """x + y in G, on exponent tuples."""
+    return tuple((a + b) % n for a, b, n in zip(x, y, group.moduli))
+
+
 def closure(group: FinAbGroup, gens) -> frozenset:
     """The subgroup generated by `gens`, as a frozenset of exponent tuples."""
-    elems = {group.identity().exps}
-    frontier = [group.identity()]
-    gens = [g if not isinstance(g, tuple) else group.element(g) for g in gens]
+    identity = (0,) * group.rank
+    elems = {identity}
+    frontier = [identity]
+    gens = [(group.element(g) if isinstance(g, tuple) else g).exps for g in gens]
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = x + g
-            if y.exps not in elems:
-                elems.add(y.exps)
+            y = add_exps(group, x, g)
+            if y not in elems:
+                elems.add(y)
                 frontier.append(y)
     return frozenset(elems)
+
+
+def element_order(group: FinAbGroup, exps) -> int:
+    """The least m >= 1 with m * x = 0 in G, by counting up."""
+    return next(
+        m
+        for m in itertools.count(1)
+        if all(m * e % n == 0 for e, n in zip(exps, group.moduli))
+    )
 
 
 def closure_subgroups(group: FinAbGroup) -> set[frozenset]:
@@ -102,9 +118,7 @@ def quotient_order_counts(group: FinAbGroup, sub: Subgroup) -> dict[int, int]:
     coset_reps = []
     seen = set()
     for g in group.elements():
-        key = min(
-            (g + h).exps for h in sub.elements()
-        )
+        key = min(add_exps(group, g.exps, h.exps) for h in sub.elements())
         if key not in seen:
             seen.add(key)
             coset_reps.append(g)
@@ -112,7 +126,7 @@ def quotient_order_counts(group: FinAbGroup, sub: Subgroup) -> dict[int, int]:
     for m in range(1, exponent + 1):
         if exponent % m:
             continue
-        counts[m] = sum(1 for g in coset_reps if sub.contains(m * g))
+        counts[m] = sum(1 for g in coset_reps if sub.contains_exps((m * g).exps))
     return counts
 
 

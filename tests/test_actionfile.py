@@ -77,7 +77,7 @@ def test_fraction_entries_accepted():
         ('{"group":[2]}', "missing required key 'generators'"),
         ('{"group":[],"generators":[]}', "'group' must be a non-empty list"),
         ('{"group":[2.5],"generators":[]}', "'group' must be a non-empty list"),
-        ('{"group":[0],"generators":[[[1]]]}', "moduli must be >= 1"),
+        ('{"group":[0],"generators":[[[1]]]}', r"moduli must be integers >= 1, got \("),
         ('{"group":[2],"generators":[]}', "expected 1 generator matrices, got 0"),
         ('{"group":[2],"generators":[[[1,0]]]}', "generator 1: matrix is not square"),
         ('{"group":[2],"generators":[[[1,0],[1]]]}', "rows must be non-empty and equal"),

@@ -43,7 +43,8 @@ def test_value_exponent_is_additive(gc):
     xs = list(group.elements())
     a, b = xs[len(xs) // 3], xs[(2 * len(xs)) // 3]
     n_all = group.exponent
-    assert chi.value_exponent(a + b) == (
+    a_plus_b = group.element(tuple(x + y for x, y in zip(a.exps, b.exps)))
+    assert chi.value_exponent(a_plus_b) == (
         chi.value_exponent(a) + chi.value_exponent(b)
     ) % n_all
 
@@ -124,7 +125,6 @@ def test_rational_irreps_of_cyclic_group():
     assert [w.order for w in irr] == [1, 2, 3, 6]
     assert [w.degree for w in irr] == [1, 1, 2, 2]
     assert [w.representative.exps for w in irr] == [(0,), (3,), (2,), (1,)]
-    assert irr[0].is_trivial()
 
 
 @pytest.mark.parametrize("moduli", SMALL_MODULI)
@@ -344,7 +344,7 @@ def test_irrep_model_is_a_representation_with_the_right_kernel(moduli):
         # the model's kernel is exactly the irrep's kernel
         for g in group.elements():
             rho = MatPower.at(mats, g.exps)
-            assert rho.is_identity() == w.kernel.contains(g)
+            assert rho.is_identity() == w.kernel.contains_exps(g.exps)
 
 
 class MatPower:

@@ -254,6 +254,18 @@ def test_bad_group_argument_exits_2():
     assert "comma-separated" in err
 
 
+@pytest.mark.parametrize("moduli", [[0], [6, -2]])
+def test_group_moduli_rule_has_one_text(moduli, tmp_path):
+    # FinAbGroup states the rule; --group and a file's "group" share its text
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"group": moduli, "generators": [[[1]]] * len(moduli)}))
+    text = f"error: moduli must be integers >= 1, got {tuple(moduli)}\n"
+    assert run_cli(["decompose", str(path)]) == (2, "", text)
+    group = ",".join(map(str, moduli))
+    assert run_cli(["characters", "--group", group]) == (2, "", text)
+    assert run_cli(["fixture", "semisimple", "--group", group]) == (2, "", text)
+
+
 def test_max_order_exits_2():
     code, _, err = run_cli(["characters", "--group", "101", "--max-order", "100"])
     assert code == 2
@@ -367,15 +379,15 @@ def test_non_cyclic_roan_and_verify_exit_3(tmp_path, monkeypatch):
         assert "cyclic" in err
 
 
-def test_ground_truth_mismatch_exits_4(tmp_path):
+def test_ground_truth_mismatch_exits_2(tmp_path):
     path = tmp_path / "lie.json"
     assert run_cli(["fixture", "regular", "4", "-o", str(path)])[0] == 0
     obj = json.loads(path.read_text())
     obj["ground_truth"][0]["multiplicity"] = 5
     path.write_text(json.dumps(obj))
     code, _, err = run_cli(["verify", str(path)])
-    assert code == 4
-    assert "differs from ground truth" in err
+    assert code == 2
+    assert err.startswith("error: decomposition differs from ground truth")
 
 
 def test_usage_error_exits_2():
@@ -423,14 +435,25 @@ def test_fixture_parameter_validation_exits_2():
         # refused before the group text is parsed or the group built
         (["regular", "6", "--group", "6;7"], "--group"),
         (["paper-example", "2", "3", "--group", "1000000"], "--group"),
-        (["regular", "3", "--json"], "--json"),
-        (["semisimple", "--group", "6", "--json"], "--json"),
     ],
 )
 def test_fixture_refuses_options_its_kind_does_not_read(argv, option):
     code, out, err = run_cli(["fixture", *argv])
     assert (code, out) == (2, "")
     assert err == f"error: {argv[0]} fixture does not take {option}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["regular", "3", "--json"], ["semisimple", "--group", "6", "--json"]],
+    ids=["regular", "semisimple"],
+)
+def test_fixture_has_no_json_option(argv, capsys):
+    # no fixture kind has a JSON form of its output, so argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["fixture", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --json\n")
 
 
 @pytest.mark.parametrize("group", ["0", "6,-2", "6;7"])
