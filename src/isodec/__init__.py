@@ -25,7 +25,9 @@ they are gone as well: ``hnf``, ``MatZ.to_matq``, ``MatQ.entry`` and
 ``GroupAlgebraElem``'s ``coeff``, ``terms``, ``scale``, negation and
 ``is_idempotent``, with ``qalgebra.from_terms`` (build an element as
 ``GroupAlgebraElem(group, nums, den)``).  ``tests/test_public_surface.py``
-keeps it that way.
+keeps it that way.  The reports are plain data: the ``to_jsonable`` of
+``IsotypicalReport``, ``RoanReport`` and ``RoanMatchReport`` and
+``action_file_to_jsonable`` are gone, as the JSON documents are the CLI's.
 """
 
 from .abgroup import (
@@ -51,7 +53,6 @@ from .action import (
 )
 from .actionfile import (
     ActionFile,
-    action_file_to_jsonable,
     load_action_file,
     serialize_action_file,
 )
@@ -127,7 +128,6 @@ __all__ = [
     "RoanMatchReport",
     "ActionFile",
     "load_action_file",
-    "action_file_to_jsonable",
     "serialize_action_file",
     "FixtureSpec",
     "make_fixture",

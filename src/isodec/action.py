@@ -344,27 +344,6 @@ class IsotypicalReport:
     def nonzero_components(self) -> tuple[IsotypicalComponent, ...]:
         return tuple(c for c in self.components if c.multiplicity)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "group": list(self.action.group.moduli),
-            "name": self.action.name,
-            "dim": self.action.dim,
-            "faithful": self.faithful,
-            "components": [
-                {
-                    "kernel_hnf": c.irrep.kernel.hnf_basis.to_jsonable(),
-                    "order": c.irrep.order,
-                    "degree": c.irrep.degree,
-                    "representative": list(c.irrep.representative.exps),
-                    "multiplicity": c.multiplicity,
-                    "dim": c.dim,
-                    "basis": c.subspace.basis.to_jsonable(),
-                }
-                for c in self.components
-            ],
-            "warnings": list(self.warnings),
-        }
-
 
 def _sylow_parts(group: FinAbGroup) -> tuple[tuple[int, int, int], ...]:
     """(j, p, a) for each generator j and each prime power p^a exactly

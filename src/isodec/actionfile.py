@@ -32,7 +32,6 @@ from .ratlinalg import MatQ, MatZ
 __all__ = [
     "ActionFile",
     "load_action_file",
-    "action_file_to_jsonable",
     "serialize_action_file",
 ]
 
@@ -60,11 +59,7 @@ def _parse_matrix(obj, where: str) -> MatQ:
 
 
 def _parse_moduli(obj) -> FinAbGroup:
-    if (
-        not isinstance(obj, list)
-        or not obj
-        or not all(isinstance(n, int) and not isinstance(n, bool) for n in obj)
-    ):
+    if not isinstance(obj, list):
         raise ValidationError("'group' must be a non-empty list of integers")
     try:
         return FinAbGroup(tuple(obj))
@@ -145,7 +140,12 @@ def load_action_file(text: str, max_order: int | None = None) -> ActionFile:
     return ActionFile(action, ground_truth)
 
 
-def action_file_to_jsonable(af: ActionFile) -> dict:
+def _json_text(obj) -> str:
+    """Canonical JSON text: indent 2, sorted keys, trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def serialize_action_file(af: ActionFile) -> str:
     obj = {
         "group": list(af.action.group.moduli),
         "generators": [m.to_jsonable() for m in af.action.gen_matrices],
@@ -157,8 +157,4 @@ def action_file_to_jsonable(af: ActionFile) -> dict:
             {"kernel_hnf": k.to_jsonable(), "multiplicity": m}
             for k, m in af.ground_truth
         ]
-    return obj
-
-
-def serialize_action_file(af: ActionFile) -> str:
-    return json.dumps(action_file_to_jsonable(af), indent=2, sort_keys=True) + "\n"
+    return _json_text(obj)

@@ -9,6 +9,9 @@ Commands::
     subgroups --group …   all subgroups (or --kernels: cyclic-quotient ones)
     fixture <kind> …      generate a test action file of known decomposition
 
+This module writes every byte a command prints, text and JSON alike; the
+reports it prints are plain data.
+
 Common flags: ``--json`` for machine output (default is aligned text),
 ``--max-order`` to cap the group order (default 10000), and
 ``--check-plausibility`` to print warnings about actions that cannot arise
@@ -28,26 +31,34 @@ import json
 import sys
 
 from .abgroup import FinAbGroup, all_subgroups
-from .action import IsotypicalReport, isotypical_decomposition
+from .action import GAction, IsotypicalReport, isotypical_decomposition
 from .actionfile import (
     ActionFile,
+    _json_text,
     check_max_order,
     load_action_file,
     serialize_action_file,
 )
-from .chars import rational_irreps
+from .chars import RationalIrrep, rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
 from .fixtures import FIXTURE_KINDS, FixtureSpec, _fixture_parameters, make_fixture
 from .ratlinalg import snf_invariants
-from .roan import _cyclic_roan, verify_roan_matching
+from .roan import RoanReport, _cyclic_roan, verify_roan_matching
 
 __all__ = ["main"]
 
 DEFAULT_MAX_ORDER = 10_000
 
 
-def _group_label(moduli) -> str:
-    return " x ".join(f"Z/{n}" for n in moduli)
+def _group_line(group: FinAbGroup) -> str:
+    label = " x ".join(f"Z/{n}" for n in group.moduli)
+    return f"group {label} (order {group.order})"
+
+
+def _action_lines(action: GAction, *more: str) -> list[str]:
+    """The group and action lines that open the text of a file command."""
+    name = f"action {action.name or '(unnamed)'}"
+    return [_group_line(action.group), "  ".join((name, f"dim {action.dim}", *more))]
 
 
 def _fmt_intmat(rows) -> str:
@@ -64,7 +75,31 @@ def _render_table(headers, rows) -> list[str]:
 
 
 def _print_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text(obj))
+
+
+def _irrep_json(w: RationalIrrep) -> dict:
+    """An irreducible class as ``characters`` writes it; ``decompose`` adds keys."""
+    return {
+        "kernel_hnf": w.kernel.hnf_basis.to_jsonable(),
+        "order": w.order,
+        "degree": w.degree,
+        "representative": list(w.representative.exps),
+    }
+
+
+def _roan_json(report: RoanReport) -> dict:
+    """The ``roan`` document; ``verify`` nests it under ``"roan"``."""
+    return {
+        "dim": report.dim,
+        "exponent": report.exponent,
+        "orders": list(report.orders),
+        "filtration_dims": [y.dim for y in report.filtration],
+        "components": [
+            {"order": d, "dim": s.dim, "basis": s.basis.to_jsonable()}
+            for d, s in report.components
+        ],
+    }
 
 
 def _parse_group_arg(text: str, max_order: int | None = None) -> FinAbGroup:
@@ -92,17 +127,30 @@ def _load_file(path: str, max_order: int) -> ActionFile:
 
 def _cmd_decompose(args) -> int:
     af = _load_file(args.file, args.max_order)
-    report = isotypical_decomposition(af.action)
-    if args.json:
-        _print_json(report.to_jsonable())
-        return 0
     action = af.action
-    lines = [
-        f"group {_group_label(action.group.moduli)} (order {action.group.order})",
-        f"action {action.name or '(unnamed)'}  dim {action.dim}  "
-        f"faithful {'yes' if report.faithful else 'no'}",
-        "",
-    ]
+    report = isotypical_decomposition(action)
+    if args.json:
+        _print_json(
+            {
+                "group": list(action.group.moduli),
+                "name": action.name,
+                "dim": action.dim,
+                "faithful": report.faithful,
+                "components": [
+                    {
+                        **_irrep_json(c.irrep),
+                        "multiplicity": c.multiplicity,
+                        "dim": c.dim,
+                        "basis": c.subspace.basis.to_jsonable(),
+                    }
+                    for c in report.components
+                ],
+                "warnings": list(report.warnings),
+            }
+        )
+        return 0
+    faithful = f"faithful {'yes' if report.faithful else 'no'}"
+    lines = _action_lines(action, faithful) + [""]
     rows = []
     for c in report.components:
         rows.append(
@@ -114,9 +162,7 @@ def _cmd_decompose(args) -> int:
                 _fmt_intmat(c.irrep.kernel.hnf_basis.entries),
             )
         )
-    lines += _render_table(
-        ("order", "degree", "mult", "dim", "kernel"), rows
-    )
+    lines += _render_table(("order", "degree", "mult", "dim", "kernel"), rows)
     nonzero = len(report.nonzero_components)
     lines.append("")
     lines.append(
@@ -124,12 +170,10 @@ def _cmd_decompose(args) -> int:
         f"dimensions sum to {sum(c.dim for c in report.components)}"
     )
     if args.check_plausibility:
+        lines.append("")
         if report.warnings:
-            lines.append("")
-            for w in report.warnings:
-                lines.append(f"warning: {w}")
+            lines += [f"warning: {w}" for w in report.warnings]
         else:
-            lines.append("")
             lines.append("plausibility: no warnings")
     print("\n".join(lines))
     return 0
@@ -140,14 +184,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_roan(args) -> int:
     af = _load_file(args.file, args.max_order)
-    group = af.action.group
     report = _cyclic_roan(af.action)
     if args.json:
-        _print_json(report.to_jsonable())
+        _print_json(_roan_json(report))
         return 0
-    lines = [
-        f"group {_group_label(group.moduli)} (order {group.order})",
-        f"action {af.action.name or '(unnamed)'}  dim {report.dim}",
+    lines = _action_lines(af.action) + [
         f"eigenvalue orders: {', '.join(map(str, report.orders))}",
         f"filtration dims: {' > '.join(str(y.dim) for y in report.filtration)}",
         "",
@@ -164,19 +205,25 @@ def _cmd_roan(args) -> int:
 
 def _cmd_verify(args) -> int:
     af = _load_file(args.file, args.max_order)
-    group = af.action.group
     match = verify_roan_matching(af.action)
     gt_status = _check_ground_truth(af, match.decomposition)
     if args.json:
-        obj = match.to_jsonable()
-        obj["ground_truth"] = gt_status
-        _print_json(obj)
+        _print_json(
+            {
+                "roan": _roan_json(match.roan),
+                "matches": [
+                    {"order": d, "kernel_hnf": k.hnf_basis.to_jsonable(), "dim": dim}
+                    for d, k, dim in match.matches
+                ],
+                "zero_components": [
+                    {"kernel_hnf": k.hnf_basis.to_jsonable()}
+                    for k in match.zero_components
+                ],
+                "ground_truth": gt_status,
+            }
+        )
         return 0
-    lines = [
-        f"group {_group_label(group.moduli)} (order {group.order})",
-        f"action {af.action.name or '(unnamed)'}  dim {af.action.dim}",
-        "",
-    ]
+    lines = _action_lines(af.action) + [""]
     rows = [
         (d, dim, _fmt_intmat(k.hnf_basis.entries)) for d, k, dim in match.matches
     ]
@@ -226,25 +273,10 @@ def _cmd_characters(args) -> int:
     irreps = rational_irreps(group)
     if args.json:
         _print_json(
-            {
-                "group": list(group.moduli),
-                "irreps": [
-                    {
-                        "kernel_hnf": w.kernel.hnf_basis.to_jsonable(),
-                        "order": w.order,
-                        "degree": w.degree,
-                        "representative": list(w.representative.exps),
-                    }
-                    for w in irreps
-                ],
-            }
+            {"group": list(group.moduli), "irreps": [_irrep_json(w) for w in irreps]}
         )
         return 0
-    lines = [
-        f"group {_group_label(group.moduli)} (order {group.order}): "
-        f"{len(irreps)} rational irreducible classes",
-        "",
-    ]
+    lines = [f"{_group_line(group)}: {len(irreps)} rational irreducible classes", ""]
     rows = [
         (
             w.order,
@@ -291,11 +323,7 @@ def _cmd_subgroups(args) -> int:
         )
         return 0
     what = "cyclic-quotient subgroups (kernels)" if args.kernels else "subgroups"
-    lines = [
-        f"group {_group_label(group.moduli)} (order {group.order}): "
-        f"{len(infos)} {what}",
-        "",
-    ]
+    lines = [f"{_group_line(group)}: {len(infos)} {what}", ""]
     rows = []
     for s, inv, cyclic in infos:
         rows.append(

@@ -77,6 +77,8 @@ def _block_generators(group: FinAbGroup, irreps, mult) -> list[MatQ]:
             f"expected {len(irreps)} multiplicities (one per irreducible class "
             f"of {list(group.moduli)}), got {len(mult)}"
         )
+    if not {*map(type, mult)} <= {int}:
+        raise ValidationError("multiplicities must be integers")
     if any(m < 0 for m in mult):
         raise ValidationError("multiplicities must be non-negative")
     if not any(mult):
@@ -132,7 +134,6 @@ def _paper_example(spec: FixtureSpec, max_order: int | None) -> ActionFile:
     ]
     mult = [0] * len(irreps)
     ms = (1, 1, 1, 1) if spec.multiplicities is None else spec.multiplicities
-    ms = tuple(int(m) for m in ms)
     if len(ms) != 4:
         raise ValidationError(
             "paper-example fixture takes 4 multiplicities "
@@ -191,7 +192,7 @@ def _semisimple(spec: FixtureSpec, max_order: int | None) -> ActionFile:
     irreps = rational_irreps(group)
     rng = random.Random(spec.seed)
     if spec.multiplicities is not None:
-        mult = tuple(int(m) for m in spec.multiplicities)
+        mult = spec.multiplicities
     elif spec.kind == "semisimple":
         mult = (1,) * len(irreps)
     else:

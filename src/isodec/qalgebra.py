@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from math import gcd
 
-from .abgroup import FinAbGroup, Subgroup
+from .abgroup import FinAbGroup, Subgroup, minimal_overgroups
 from .chars import RationalIrrep, ramanujan_sum
 from .errors import PreconditionError
 
@@ -51,8 +51,9 @@ class GroupAlgebraElem:
     __slots__ = ("group", "nums", "den")
 
     def __init__(self, group: FinAbGroup, nums, den: int = 1):
-        nums = tuple(int(v) for v in nums)
-        den = int(den)
+        nums = tuple(nums)
+        if not {*map(type, nums), type(den)} <= {int}:
+            raise PreconditionError("numerators and denominator must be ints")
         if len(nums) != group.order:
             raise PreconditionError(
                 f"expected {group.order} coefficients, got {len(nums)}"
@@ -174,8 +175,6 @@ def product_formula_idempotent(k_sub: Subgroup) -> GroupAlgebraElem:
     equals the central idempotent e_W; the empty product (K = G) is p_G
     itself, matching the trivial representation.
     """
-    from .abgroup import minimal_overgroups
-
     over = minimal_overgroups(k_sub.group, k_sub)
     p_k = averaging_idempotent(k_sub)
     if not over:

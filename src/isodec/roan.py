@@ -80,18 +80,6 @@ class RoanReport:
     filtration: tuple[SubspaceQ, ...]
     components: tuple[tuple[int, SubspaceQ], ...]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "dim": self.dim,
-            "exponent": self.exponent,
-            "orders": list(self.orders),
-            "filtration_dims": [y.dim for y in self.filtration],
-            "components": [
-                {"order": d, "dim": s.dim, "basis": s.basis.to_jsonable()}
-                for d, s in self.components
-            ],
-        }
-
 
 def roan_decomposition(m: MatQ, d: int) -> RoanReport:
     """Split a space under an order-d operator along the eigenvalue orders.
@@ -170,22 +158,6 @@ class RoanMatchReport:
     matches: tuple[tuple[int, "Subgroup", int], ...]  # (order, kernel, dim)
     zero_components: tuple["Subgroup", ...]
     decomposition: IsotypicalReport  # the decomposition matched against
-
-    def to_jsonable(self) -> dict:
-        return {
-            "roan": self.roan.to_jsonable(),
-            "matches": [
-                {
-                    "order": d,
-                    "kernel_hnf": k.hnf_basis.to_jsonable(),
-                    "dim": dim,
-                }
-                for d, k, dim in self.matches
-            ],
-            "zero_components": [
-                {"kernel_hnf": k.hnf_basis.to_jsonable()} for k in self.zero_components
-            ],
-        }
 
 
 def _cyclic_roan(action: GAction) -> RoanReport:

@@ -507,20 +507,6 @@ def test_plausibility_warnings():
     assert isotypical_decomposition(ok.action).warnings == ()
 
 
-def test_report_jsonable_shape():
-    af = make_fixture(FixtureSpec("regular", n=4))
-    obj = isotypical_decomposition(af.action).to_jsonable()
-    assert obj["group"] == [4]
-    assert obj["dim"] == 4
-    assert obj["faithful"] is True
-    assert [c["order"] for c in obj["components"]] == [1, 2, 4]
-    assert all(
-        set(c) == {"kernel_hnf", "order", "degree", "representative",
-                   "multiplicity", "dim", "basis"}
-        for c in obj["components"]
-    )
-
-
 # ----------------------------------------------------- candidate classes
 
 

@@ -75,8 +75,11 @@ def test_fraction_entries_accepted():
         ("[]", "top level must be a JSON object"),
         ('{"generators":[]}', "missing required key 'group'"),
         ('{"group":[2]}', "missing required key 'generators'"),
-        ('{"group":[],"generators":[]}', "'group' must be a non-empty list"),
-        ('{"group":[2.5],"generators":[]}', "'group' must be a non-empty list"),
+        ('{"group":6,"generators":[]}', "'group' must be a non-empty list"),
+        ('{"group":[],"generators":[]}', r"moduli must be integers >= 1, got \(\)"),
+        ('{"group":[2.5],"generators":[]}', r"moduli must be integers >= 1, got \(2\.5,\)"),
+        ('{"group":[true],"generators":[]}', r"moduli must be integers >= 1, got \(True,\)"),
+        ('{"group":["2"],"generators":[]}', r"moduli must be integers >= 1, got \('2',\)"),
         ('{"group":[0],"generators":[[[1]]]}', r"moduli must be integers >= 1, got \("),
         ('{"group":[2],"generators":[]}', "expected 1 generator matrices, got 0"),
         ('{"group":[2],"generators":[[[1,0]]]}', "generator 1: matrix is not square"),

@@ -508,6 +508,51 @@ def test_verify_json_structure(tmp_path):
     assert obj["zero_components"] == []
 
 
+def test_decompose_json_components_carry_every_key(tmp_path):
+    path = tmp_path / "reg4.json"
+    run_cli(["fixture", "regular", "4", "-o", str(path)])
+    code, out, _ = run_cli(["decompose", str(path), "--json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["group"] == [4]
+    assert obj["dim"] == 4
+    assert obj["faithful"] is True
+    assert [c["order"] for c in obj["components"]] == [1, 2, 4]
+    assert all(
+        set(c) == {"kernel_hnf", "order", "degree", "representative",
+                   "multiplicity", "dim", "basis"}
+        for c in obj["components"]
+    )
+
+
+def test_verify_json_of_a_4_cycle(tmp_path):
+    path = tmp_path / "reg4.json"
+    run_cli(["fixture", "regular", "4", "-o", str(path)])
+    code, out, _ = run_cli(["verify", str(path), "--json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert set(obj) == {"roan", "matches", "zero_components", "ground_truth"}
+    assert [m["order"] for m in obj["matches"]] == [1, 2, 4]
+    assert obj["roan"]["filtration_dims"] == [4, 3, 2, 0]
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        ["regular", "6"],
+        ["random-conjugated", "--group", "6", "--seed", "3"],
+    ],
+)
+def test_verify_json_nests_the_roan_document(fixture, tmp_path):
+    path = str(tmp_path / "action.json")
+    assert run_cli(["fixture", *fixture, "-o", path])[0] == 0
+    code, roan_out, _ = run_cli(["roan", path, "--json"])
+    assert code == 0
+    code, verify_out, _ = run_cli(["verify", path, "--json"])
+    assert code == 0
+    assert json.loads(verify_out)["roan"] == json.loads(roan_out)
+
+
 def test_subgroups_kernels_agree_with_characters():
     code, out, _ = run_cli(["subgroups", "--group", "8,9", "--kernels", "--json"])
     subs = json.loads(out)["subgroups"]

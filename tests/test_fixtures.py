@@ -166,6 +166,22 @@ def test_semisimple_fixture_multiplicities():
         make_fixture(FixtureSpec("semisimple"))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FixtureSpec("semisimple", moduli=(2,), multiplicities=(1.7, True)),
+        FixtureSpec("semisimple", moduli=(2,), multiplicities=(1, "1")),
+        FixtureSpec("random-conjugated", moduli=(2,), multiplicities=(1, 1.0)),
+        FixtureSpec("paper-example", p=2, q=3, multiplicities=("1", 2.9, 0, 1)),
+        # refused as a non-integer before the check for negative values
+        FixtureSpec("paper-example", p=2, q=3, multiplicities=(1, 1, 1, -0.5)),
+    ],
+)
+def test_non_int_multiplicities_refused(spec):
+    with pytest.raises(ValidationError, match="multiplicities must be integers"):
+        make_fixture(spec)
+
+
 def test_random_conjugated_hides_blocks_but_keeps_answer():
     spec = FixtureSpec("random-conjugated", moduli=(6,), seed=3, max_dim=12)
     af = make_fixture(spec)

@@ -92,6 +92,22 @@ def test_mismatched_groups_rejected():
         a * b
 
 
+@pytest.mark.parametrize(
+    "nums, den",
+    [
+        ([0.5, 2.7], 1),
+        ([1, True], 1),
+        (["3", 1], 2),
+        ([1, Fraction(1)], 1),
+        ([1, 1], 2.9),
+        ([1, 1], True),
+    ],
+)
+def test_non_int_numerators_and_denominators_refused(nums, den):
+    with pytest.raises(PreconditionError, match="must be ints"):
+        GroupAlgebraElem(FinAbGroup((2,)), nums, den)
+
+
 # -------------------------------------------------------------- idempotents
 
 

@@ -298,15 +298,6 @@ def test_matching_works_for_cyclic_multi_modulus_presentation():
     assert len(match.zero_components) == 8
 
 
-def test_match_report_jsonable():
-    group = FinAbGroup((4,))
-    action = validate_action(group, [perm_matrix(4)])
-    obj = verify_roan_matching(action).to_jsonable()
-    assert set(obj) == {"roan", "matches", "zero_components"}
-    assert [m["order"] for m in obj["matches"]] == [1, 2, 4]
-    assert obj["roan"]["filtration_dims"] == [4, 3, 2, 0]
-
-
 @pytest.mark.parametrize(
     "spec",
     [
