@@ -16,11 +16,13 @@ character).  ``sum_spaces`` is
 gone too: a sum of subspaces is one ``SubspaceQ`` of the stacked basis rows.
 
 No command, acceptance criterion or benchmark reached the following, so
-they are gone as well: ``hnf``, ``MatZ.to_matq``, ``MatQ.entry`` and
-``MatQ.from_jsonable``; ``SubspaceQ``'s, ``Subgroup``'s and
-``GroupAlgebraElem``'s ``to_jsonable`` and ``from_jsonable``;
-``Subgroup.group_invariants`` and ``Subgroup.contains`` (use
-``contains_exps``); ``GroupElement``'s ``+``, ``-``, negation,
+they are gone as well: ``hnf``, ``MatZ.to_matq``, ``MatQ.entry``,
+``MatQ.zeros``, ``MatQ.from_jsonable`` and ``MatZ.from_jsonable`` (use
+``MatZ(rows)``); ``IsotypicalReport.action``; ``RoanReport.filtration``, of
+which ``filtration_dims`` keeps the dimensions; ``SubspaceQ``'s,
+``Subgroup``'s and ``GroupAlgebraElem``'s ``to_jsonable`` and
+``from_jsonable``; ``Subgroup.group_invariants`` and ``Subgroup.contains``
+(use ``contains_exps``); ``GroupElement``'s ``+``, ``-``, negation,
 ``is_identity`` and ``order``; ``RationalIrrep.is_trivial``; and
 ``GroupAlgebraElem``'s ``coeff``, ``terms``, ``scale``, negation and
 ``is_idempotent``, with ``qalgebra.from_terms`` (build an element as

@@ -45,7 +45,10 @@ class FinAbGroup:
     def __post_init__(self):
         mods = tuple(self.moduli)
         if not mods or not {*map(type, mods)} <= {int} or min(mods) < 1:
-            raise PreconditionError(f"moduli must be integers >= 1, got {self.moduli}")
+            shown = self.moduli if len(mods) <= 8 else (
+                f"({', '.join(map(repr, mods[:8]))}, …) ({len(mods)} moduli)"
+            )
+            raise PreconditionError(f"moduli must be integers >= 1, got {shown}")
         object.__setattr__(self, "moduli", mods)
 
     @property

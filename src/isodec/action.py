@@ -331,7 +331,6 @@ class IsotypicalComponent:
 class IsotypicalReport:
     """The full isotypical decomposition of an action."""
 
-    action: GAction
     components: tuple[IsotypicalComponent, ...]
     action_kernel: Subgroup
     warnings: tuple[str, ...]
@@ -470,7 +469,7 @@ def isotypical_decomposition(action: GAction) -> IsotypicalReport:
             f"action is not faithful: a subgroup of order {kernel.order} acts trivially"
         )
     warnings.extend(_plausibility_warnings(action, components))
-    return IsotypicalReport(action, tuple(components), kernel, tuple(warnings))
+    return IsotypicalReport(tuple(components), kernel, tuple(warnings))
 
 
 def _plausibility_warnings(action: GAction, components) -> list[str]:

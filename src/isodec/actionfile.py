@@ -124,7 +124,7 @@ def load_action_file(text: str, max_order: int | None = None) -> ActionFile:
                     f"{where}: needs 'kernel_hnf' and 'multiplicity'"
                 )
             try:
-                k = MatZ.from_jsonable(item["kernel_hnf"])
+                k = MatZ(item["kernel_hnf"])
             except (TypeError, ValueError):
                 raise ValidationError(
                     f"{where}: 'kernel_hnf' must be a non-empty rectangular "

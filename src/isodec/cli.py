@@ -94,7 +94,7 @@ def _roan_json(report: RoanReport) -> dict:
         "dim": report.dim,
         "exponent": report.exponent,
         "orders": list(report.orders),
-        "filtration_dims": [y.dim for y in report.filtration],
+        "filtration_dims": list(report.filtration_dims),
         "components": [
             {"order": d, "dim": s.dim, "basis": s.basis.to_jsonable()}
             for d, s in report.components
@@ -190,7 +190,7 @@ def _cmd_roan(args) -> int:
         return 0
     lines = _action_lines(af.action) + [
         f"eigenvalue orders: {', '.join(map(str, report.orders))}",
-        f"filtration dims: {' > '.join(str(y.dim) for y in report.filtration)}",
+        f"filtration dims: {' > '.join(map(str, report.filtration_dims))}",
         "",
     ]
     lines += _render_table(

@@ -25,7 +25,9 @@ denominator; ints come back unchanged, since they already carry
 plain int or `"p/q"` in lowest terms with one gcd.  So an all-integer matrix
 is read and written without a Fraction.  `fractions.Fraction` remains only
 where a rational crosses the public face: `mul_vector` and the parsed
-value of a `"p/q"` string.  No floating point appears anywhere.
+value of a `"p/q"` string; `SubspaceQ` reads non-integer rows through
+`MatQ` too.  No floating point appears anywhere.  One elimination serves
+kernel, image, inverse and, through `kernel_and_image`, intersection.
 
 Sparse rows.  Permutation and monomial matrices, such as those of the
 regular representation, have one nonzero per row.  A row counts as sparse
@@ -199,10 +201,6 @@ class MatQ:
     def identity(cls, n: int) -> "MatQ":
         return cls._raw([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "MatQ":
-        return cls._raw([[0] * c for _ in range(r)], 1, ncols=c)
-
     def transpose(self) -> "MatQ":
         cols = zip(*self.num) if self.num else [()] * self.cols
         return MatQ._raw([list(col) for col in cols], self.den, ncols=self.rows)
@@ -310,11 +308,7 @@ class MatQ:
 
 
 def _normalize_int_rows(rows, den: int):
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        den = -den
-        rows = [[-v for v in row] for row in rows]
+    """Integer rows over den >= 1, divided by their common content with den."""
     g = _content(rows, den)
     if g > 1:
         return tuple(tuple(v // g for v in row) for row in rows), den // g
@@ -361,10 +355,6 @@ class MatZ:
 
     def to_jsonable(self) -> list:
         return [list(row) for row in self.entries]
-
-    @classmethod
-    def from_jsonable(cls, obj) -> "MatZ":
-        return cls(tuple(tuple(row) for row in obj))
 
     def __repr__(self):
         return f"MatZ({[list(r) for r in self.entries]})"
@@ -443,21 +433,6 @@ def _rref_over_lcm(piv, rows, ncols: int) -> MatQ:
     )
 
 
-def _fraction_rows_to_int(rows):
-    """Clear denominators row by row (row spaces are scale-invariant).
-    Rows of plain integers pass through unconverted."""
-    out = []
-    for row in rows:
-        row = tuple(row)
-        if {*map(type, row)} <= {int}:
-            out.append(row)
-            continue
-        vals = [_parse_rational(v) for v in row]
-        d = lcm(1, *(v.denominator for v in vals))
-        out.append([v.numerator * (d // v.denominator) for v in vals])
-    return out
-
-
 class SubspaceQ:
     """A linear subspace of Q^n, canonicalized as a reduced row-echelon basis.
 
@@ -474,12 +449,14 @@ class SubspaceQ:
     def __init__(self, ambient_dim: int, rows=()):
         if ambient_dim < 0:
             raise ValueError("negative ambient dimension")
-        int_rows = _fraction_rows_to_int(rows)
-        if any(len(r) != ambient_dim for r in int_rows):
+        rows = [*map(tuple, rows)]
+        if any(len(r) != ambient_dim for r in rows):
             raise PreconditionError(
                 f"ambient dimension mismatch: expected vectors of length {ambient_dim}"
             )
-        piv, rows = _row_reduce(int_rows, ambient_dim)
+        if not all({*map(type, r)} <= {int} for r in rows):
+            rows = MatQ(rows).num  # one denominator: the span is unchanged
+        piv, rows = _row_reduce(rows, ambient_dim)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", _rref_over_lcm(piv, rows, ambient_dim))
         object.__setattr__(self, "pivot_cols", tuple(piv))
@@ -564,23 +541,22 @@ def image_space(M: MatQ) -> SubspaceQ:
 
 
 def intersect_spaces(u: SubspaceQ, v: SubspaceQ) -> SubspaceQ:
-    """U ∩ V via the kernel of [U^T | -V^T]: a = coefficients on U's basis."""
+    """U ∩ V = ker(1 - P) ∩ U, by ``kernel_and_image``.
+
+    P x = sum_k x[c_k] b_k, for V's RREF rows b_k and pivots c_k, lies in V
+    and equals x exactly when x is in V (an RREF basis reads coordinates at
+    its pivots), so ker(1 - P) = V.  Over V's denominator d, 1 - P has d on
+    the diagonal, less b_k[i] in row i at column c_k.
+    """
     if u.ambient_dim != v.ambient_dim:
         raise PreconditionError("ambient dimension mismatch")
     n = u.ambient_dim
-    p, q = u.dim, v.dim
-    if p == 0 or q == 0:
-        return SubspaceQ.zero(n)
-    urows = u.basis.num
-    vrows = v.basis.num
-    # columns: u_1..u_p, -v_1..-v_q; scaling by the dens is irrelevant to the kernel
-    stacked = [
-        [urows[j][i] * v.basis.den for j in range(p)]
-        + [-vrows[j][i] * u.basis.den for j in range(q)]
-        for i in range(n)
-    ]
-    coeffs = [row[:p] for row in _kernel_rows(stacked, p + q)]
-    return SubspaceQ(n, _dot_rows(coeffs, list(zip(*urows))))
+    d = v.basis.den
+    t = [[d * (i == j) for j in range(n)] for i in range(n)]
+    for c, b in zip(v.pivot_cols, v.basis.num):
+        for i, x in enumerate(b):
+            t[i][c] -= x
+    return kernel_and_image(MatQ._raw(t, d, ncols=n), u)[0]
 
 
 def kernel_and_image(t: MatQ, y: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
@@ -804,12 +780,9 @@ def restrict_operator(M: MatQ, s: SubspaceQ) -> MatQ:
     """
     if M.rows != M.cols or M.cols != s.ambient_dim:
         raise PreconditionError("operator and subspace dimensions do not match")
-    d = s.dim
-    if d == 0:
-        return MatQ.zeros(0, 0)
     images = _dot_rows(s.basis.num, M.num)  # images[j] = M b_j
     coords = s._pivot_coords(images)
     if coords is None:
         raise PreconditionError("subspace is not invariant under the operator")
     # column j of the result holds the coordinates of M b_j
-    return MatQ._raw(list(zip(*coords)), s.basis.den * M.den, ncols=d)
+    return MatQ._raw(list(zip(*coords)), s.basis.den * M.den, ncols=s.dim)

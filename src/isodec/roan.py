@@ -72,12 +72,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RoanReport:
-    """The filtration and its kernel pieces for one finite-order operator."""
+    """The filtration dims and kernel pieces for one finite-order operator."""
 
     dim: int
     exponent: int
     orders: tuple[int, ...]
-    filtration: tuple[SubspaceQ, ...]
+    filtration_dims: tuple[int, ...]
     components: tuple[tuple[int, SubspaceQ], ...]
 
 
@@ -107,7 +107,7 @@ def _divisor_walk(m: MatQ, d: int) -> RoanReport:
     n = m.rows
     eye = MatQ.identity(n)
     y = SubspaceQ.full(n)
-    orders, filtration, components = [], [y], []
+    orders, dims, components = [], [n], []
     divs = divisors(d)
     powers = {1: m}  # k -> m ** k, while a later divisor is built from it
     for i, e in enumerate(divs):
@@ -126,12 +126,12 @@ def _divisor_walk(m: MatQ, d: int) -> RoanReport:
         orders.append(e)
         components.append((e, b))
         y = rest
-        filtration.append(y)
+        dims.append(y.dim)
     if y.dim != 0:
         raise InternalCheckError("filtration does not terminate at zero")
     if SubspaceQ(n, [row for _, b in components for row in b.basis.num]).dim != n:
         raise InternalCheckError("kernel pieces do not span the whole space")
-    return RoanReport(n, d, tuple(orders), tuple(filtration), tuple(components))
+    return RoanReport(n, d, tuple(orders), tuple(dims), tuple(components))
 
 
 def _base(powers: dict[int, MatQ], e: int) -> int:

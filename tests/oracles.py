@@ -40,6 +40,11 @@ def fraction_rows(m: MatQ) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(v, d) for v in row) for row in m.num)
 
 
+def zeros(r: int, c: int) -> MatQ:
+    """The r by c zero matrix, of any shape, 0 by c and r by 0 included."""
+    return MatQ._raw([[0] * c for _ in range(r)], 1, ncols=c)
+
+
 def trace(m: MatQ) -> Fraction:
     if m.rows != m.cols:
         raise ValueError("trace of a non-square matrix")

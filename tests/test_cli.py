@@ -266,6 +266,24 @@ def test_group_moduli_rule_has_one_text(moduli, tmp_path):
     assert run_cli(["fixture", "semisimple", "--group", group]) == (2, "", text)
 
 
+@pytest.mark.parametrize(
+    "argv, moduli",
+    [
+        (["decompose", "{file}"], [2.5] * 200_000),
+        (["characters", "--group", ",".join(["0"] * 50_000)], [0] * 50_000),
+    ],
+    ids=["file", "group-option"],
+)
+def test_a_long_moduli_refusal_quotes_eight_and_the_count(argv, moduli, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"group": moduli, "generators": []}))
+    code, out, err = run_cli([a.replace("{file}", str(path)) for a in argv])
+    shown = ", ".join(map(repr, moduli[:8]))
+    text = f"error: moduli must be integers >= 1, got ({shown}, …) ({len(moduli)} moduli)\n"
+    assert (code, out, err) == (2, "", text)
+    assert len(err.encode()) < 200
+
+
 def test_max_order_exits_2():
     code, _, err = run_cli(["characters", "--group", "101", "--max-order", "100"])
     assert code == 2
@@ -361,7 +379,7 @@ def test_fixture_of_a_large_group_at_dim_24_is_fast(tmp_path):
     assert af.action.group.moduli == (100, 100)
     assert af.action.dim == 24
     assert af.ground_truth == tuple(
-        (MatZ.from_jsonable(g["kernel_hnf"]), g["multiplicity"]) for g in truth
+        (MatZ(g["kernel_hnf"]), g["multiplicity"]) for g in truth
     )
 
 
@@ -570,7 +588,7 @@ def test_subgroups_quotients_agree_with_index_and_quotient(group):
     g = FinAbGroup(tuple(obj["group"]))
     assert len(obj["subgroups"]) == len(all_subgroups(g))
     for entry in obj["subgroups"]:
-        info = index_and_quotient(g, Subgroup(g, MatZ.from_jsonable(entry["hnf"])))
+        info = index_and_quotient(g, Subgroup(g, MatZ(entry["hnf"])))
         assert entry["quotient_invariants"] == [d for d in info.invariants if d > 1]
         assert entry["cyclic_quotient"] == info.is_cyclic
 

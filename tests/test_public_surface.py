@@ -51,9 +51,6 @@ ALLOWED = {
     "ratlinalg.MatQ.mul_vector",
     "ratlinalg.SubspaceQ.contains_subspace",
     "ratlinalg.image_space",
-    # restrict_operator's zero-dimensional case; no command restricts to a
-    # zero piece
-    "ratlinalg.MatQ.zeros",
 }
 
 # (files to write first, command, expected exit code); "{dir}" is tmp_path

@@ -23,7 +23,14 @@ from isodec import (
     snf_invariants,
 )
 from isodec.ratlinalg import _divmod_monic, kernel_and_image
-from oracles import basis_rows, char_poly, contains_vector, coordinates_of, fraction_rows
+from oracles import (
+    basis_rows,
+    char_poly,
+    contains_vector,
+    coordinates_of,
+    fraction_rows,
+    zeros,
+)
 
 import pytest
 
@@ -63,24 +70,24 @@ def test_matq_ring_identities(a, b, c):
     assert (a @ b) @ c == a @ (b @ c)
     assert a @ MatQ.identity(3) == a
     assert MatQ.identity(3) @ a == a
-    assert a - a == MatQ.zeros(3, 3)
+    assert a - a == zeros(3, 3)
 
 
 @given(square_matq(3))
 def test_matq_scaling_normalizes(a):
     assert a * Fraction(2, 3) * Fraction(3, 2) == a
-    assert (-a) + a == MatQ.zeros(3, 3)
+    assert (-a) + a == zeros(3, 3)
     assert a.transpose().transpose() == a
 
 
 def test_transpose_of_matrices_without_rows_or_columns():
-    no_rows = MatQ.zeros(0, 3)
+    no_rows = zeros(0, 3)
     assert no_rows.transpose().shape == (3, 0)
-    assert no_rows.transpose() @ no_rows == MatQ.zeros(3, 3)
+    assert no_rows.transpose() @ no_rows == zeros(3, 3)
     assert no_rows.transpose().transpose() == no_rows
-    no_cols = MatQ.zeros(2, 0)
+    no_cols = zeros(2, 0)
     assert no_cols.transpose().shape == (0, 2)
-    assert no_cols @ no_cols.transpose() == MatQ.zeros(2, 2)
+    assert no_cols @ no_cols.transpose() == zeros(2, 2)
 
 
 def test_matq_equality_ignores_representation():
@@ -214,8 +221,8 @@ def test_matq_jsonable_round_trip(a):
 def test_matq_repr_writes_each_entry_as_its_fraction(a):
     rows = ", ".join("[" + ", ".join(map(str, row)) + "]" for row in fraction_rows(a))
     assert repr(a) == f"MatQ([{rows}])"
-    assert repr(MatQ.zeros(0, 3)) == "MatQ([])"
-    assert repr(MatQ.zeros(2, 0)) == "MatQ([[], []])"
+    assert repr(zeros(0, 3)) == "MatQ([])"
+    assert repr(zeros(2, 0)) == "MatQ([[], []])"
 
 
 # --------------------------------------------------------------- subspaces
@@ -266,6 +273,17 @@ def test_coordinates_reconstruct_vectors(rows):
         assert rebuilt == [Fraction(v) for v in r]
 
 
+def test_subspace_reads_fraction_string_and_scaled_integer_rows_alike():
+    as_fractions = [[Fraction(1, 2), Fraction(-2, 3), 0], [Fraction(3, 4), 0, 5]]
+    as_strings = [["1/2", "-2/3", "0"], ["3/4", "0", "5"]]
+    scaled = [[3, -4, 0], [3, 0, 20]]
+    s = SubspaceQ(3, as_fractions)
+    assert s.dim == 2
+    assert SubspaceQ(3, as_strings) == s == SubspaceQ(3, scaled)
+    with pytest.raises(PreconditionError, match="ambient dimension mismatch"):
+        SubspaceQ(3, [[Fraction(1, 2), 1, 0], [Fraction(1, 3), 1]])
+
+
 def test_kernel_image_on_known_matrix():
     m = MatQ([[1, 1, 0], [0, 0, 0], [1, 1, 0]])
     assert kernel_space(m).dim == 2
@@ -294,7 +312,7 @@ def test_matz_refuses_non_integers_and_ragged_grids(entries):
     with pytest.raises(ValueError, match="rectangular grid of ints"):
         MatZ(entries)
     with pytest.raises(ValueError, match="rectangular grid of ints"):
-        MatZ.from_jsonable([list(r) for r in entries])
+        MatZ([list(r) for r in entries])
 
 
 def test_matz_keeps_integer_lists_as_tuples():
@@ -552,7 +570,7 @@ def test_charpoly_trace_and_det_coefficients():
     assert p[-1] == 1  # monic
     assert p[-2] == -5  # -trace
     assert p[0] == -2  # det for even dim
-    assert char_poly(MatQ.zeros(0, 0)) == (Fraction(1),)
+    assert char_poly(zeros(0, 0)) == (Fraction(1),)
 
 
 # ------------------------------------------------------- restrict_operator
@@ -563,6 +581,7 @@ def test_restrict_operator_on_invariant_subspace():
     s = SubspaceQ(3, [[1, 0, 0], [0, 1, 0]])
     r = restrict_operator(rot, s)
     assert fraction_rows(r) == ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
+    assert restrict_operator(rot, SubspaceQ.zero(3)) == zeros(0, 0)
 
 
 def test_restrict_operator_rejects_noninvariant_subspace():
@@ -610,7 +629,7 @@ def oracle_rref(rows, ncols):
 
 def oracle_basis(rows, ncols) -> MatQ:
     _, rref = oracle_rref(rows, ncols)
-    return MatQ(rref) if rref else MatQ.zeros(0, ncols)
+    return MatQ(rref) if rref else zeros(0, ncols)
 
 
 def oracle_kernel(rows, ncols):
@@ -657,7 +676,20 @@ def test_rational_image_space_matches_oracle(rows):
     assert_basis_is(image_space(MatQ(rows)), oracle_basis(columns, 3))
 
 
+def fracs(*rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+UNIT_ROWS = fracs(*([int(i == j) for j in range(4)] for i in range(4)))
+
+
 @given(frac_matrix(2, 4), frac_matrix(2, 4))
+@example(fracs(), fracs([1, 2, 0, 1], [0, 1, 1, 0]))  # U = 0
+@example(fracs([1, 2, 0, 1]), fracs([0, 0, 0, 0]))  # V = 0
+@example(fracs([1, 2, 0, 1], [0, 1, 1, 0]), fracs([1, 3, 1, 1], [0, 1, 1, 0]))  # U = V
+@example(fracs([1, 3, 1, 1]), fracs([1, 2, 0, 1], [0, 1, 1, 0]))  # U ⊂ V
+@example(fracs([1, 2, 0, 1], ["1/2", 1, 1, 0]), UNIT_ROWS)  # V = Q^4
+@example(fracs(["1/2", 1, 0, 0], [0, 1, 0, 0]), fracs([0, 0, 1, 0], [0, 0, 3, 1]))  # U ∩ V = 0
 def test_rational_sum_and_intersection_match_oracle(rows_u, rows_v):
     u = SubspaceQ(4, rows_u)
     v = SubspaceQ(4, rows_v)
@@ -711,7 +743,7 @@ def assert_restriction_to_the_orbit_matches_the_oracle(m_rows, vec):
         for i, c in enumerate(s.pivot_cols):
             expected[i][j] = image[c]
     r = restrict_operator(MatQ(m_rows), s)
-    assert r == (MatQ(expected) if basis else MatQ.zeros(0, 0))
+    assert r == (MatQ(expected) if basis else zeros(0, 0))
 
 
 @given(frac_matrix(3, 3), frac_matrix(1, 3), frac_matrix(2, 3))
@@ -826,7 +858,7 @@ def sparse_matrix(nrows, ncols):
 
 
 def as_matq(rows, ncols, den=1) -> MatQ:
-    m = MatQ(rows) if rows else MatQ.zeros(0, ncols)
+    m = MatQ(rows) if rows else zeros(0, ncols)
     return m * Fraction(1, den)
 
 

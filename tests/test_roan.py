@@ -74,7 +74,7 @@ def test_eigenvalue_orders_all_divide_exponent():
 def test_filtration_of_regular_shift():
     report = roan_decomposition(perm_matrix(12), 12)
     assert report.orders == (1, 2, 3, 4, 6, 12)
-    assert [y.dim for y in report.filtration] == [12, 11, 10, 8, 6, 4, 0]
+    assert report.filtration_dims == (12, 11, 10, 8, 6, 4, 0)
     assert [(d, s.dim) for d, s in report.components] == [
         (d, totient(d)) for d in (1, 2, 3, 4, 6, 12)
     ]
@@ -119,7 +119,7 @@ def test_filtration_skips_absent_orders():
     report = roan_decomposition(c6, 6)
     assert report.orders == (6,)
     assert [(d, s.dim) for d, s in report.components] == [(6, 2)]
-    assert [y.dim for y in report.filtration] == [2, 0]
+    assert report.filtration_dims == (2, 0)
 
 
 @pytest.mark.parametrize(
