@@ -22,9 +22,10 @@ they are gone as well: ``hnf``, ``MatZ.to_matq``, ``MatQ.entry``,
 which ``filtration_dims`` keeps the dimensions; ``SubspaceQ``'s,
 ``Subgroup``'s and ``GroupAlgebraElem``'s ``to_jsonable`` and
 ``from_jsonable``; ``Subgroup.group_invariants`` and ``Subgroup.contains``
-(use ``contains_exps``); ``GroupElement``'s ``+``, ``-``, negation,
-``is_identity`` and ``order``; ``RationalIrrep.is_trivial``; and
-``GroupAlgebraElem``'s ``coeff``, ``terms``, ``scale``, negation and
+(use ``contains_exps``); ``FinAbGroup.invariants`` and ``is_cyclic`` (use
+``index_and_quotient`` of the trivial subgroup); ``GroupElement``'s ``+``,
+``-``, negation, ``is_identity`` and ``order``; ``RationalIrrep.is_trivial``;
+and ``GroupAlgebraElem``'s ``coeff``, ``terms``, ``scale``, negation and
 ``is_idempotent``, with ``qalgebra.from_terms`` (build an element as
 ``GroupAlgebraElem(group, nums, den)``).  ``tests/test_public_surface.py``
 keeps it that way.  The reports are plain data: the ``to_jsonable`` of

@@ -101,22 +101,10 @@ class FinAbGroup:
         """The rows n_j * e_j spanning the relation lattice."""
         return _relation_rows(self.moduli)
 
-    def invariants(self) -> tuple[int, ...]:
-        """Invariant factors d1 | d2 | ... | dk of the group itself."""
-        return _group_invariants(self.moduli)
-
-    def is_cyclic(self) -> bool:
-        return _is_cyclic(self.invariants())
-
 
 def _is_cyclic(invariants) -> bool:
     """At most one invariant factor above 1."""
     return sum(1 for d in invariants if d > 1) <= 1
-
-
-@lru_cache(maxsize=None)
-def _group_invariants(moduli: tuple[int, ...]) -> tuple[int, ...]:
-    return snf_invariants(MatZ.diagonal(moduli))
 
 
 @lru_cache(maxsize=None)

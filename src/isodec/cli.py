@@ -10,7 +10,8 @@ Commands::
     fixture <kind> …      generate a test action file of known decomposition
 
 This module writes every byte a command prints, text and JSON alike; the
-reports it prints are plain data.
+reports it prints are plain data.  The table ``_COMMANDS`` is the one place
+where a subcommand, its handler and its arguments are declared.
 
 Common flags: ``--json`` for machine output (default is aligned text),
 ``--max-order`` to cap the group order (default 10000), and
@@ -385,18 +386,63 @@ def _cmd_fixture(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser, json_output: bool = True) -> None:
-    if json_output:
-        p.add_argument(
-            "--json", action="store_true", help="machine-readable JSON output"
-        )
-    p.add_argument(
-        "--max-order",
-        type=int,
-        default=DEFAULT_MAX_ORDER,
-        metavar="N",
-        help=f"refuse groups of order above N (default {DEFAULT_MAX_ORDER})",
-    )
+def _arg(*flags, **options):
+    """The names or flags and the keywords of one ``add_argument`` call."""
+    return flags, options
+
+
+_FILE = _arg("file", help="action file (JSON)")
+_GROUP = _arg("--group", required=True, metavar="n1,n2,…", help="moduli, e.g. 8,9")
+_JSON = _arg("--json", action="store_true", help="machine-readable JSON output")
+_MAX_ORDER = _arg("--max-order", type=int, default=DEFAULT_MAX_ORDER, metavar="N",
+                  help=f"refuse groups of order above N (default {DEFAULT_MAX_ORDER})")
+
+# Every subcommand: its help and handler, then its arguments in --help order.
+# build_parser gives each one --max-order after its own arguments.
+_COMMANDS = {
+    "decompose": (
+        "isotypical decomposition of an action file", _cmd_decompose,
+        _FILE,
+        _arg("--check-plausibility", action="store_true",
+             help="print warnings for actions no abelian variety can realize"),
+        _JSON,
+    ),
+    "roan": (
+        "order-filtration of a cyclic action", _cmd_roan,
+        _FILE,
+        _JSON,
+    ),
+    "verify": (
+        "cross-check the filtration against the isotypical components", _cmd_verify,
+        _FILE,
+        _JSON,
+    ),
+    "characters": (
+        "rational irreducible classes of a group", _cmd_characters,
+        _GROUP,
+        _JSON,
+    ),
+    "subgroups": (
+        "subgroup lattice of a group", _cmd_subgroups,
+        _GROUP,
+        _arg("--kernels", action="store_true",
+             help="only subgroups with cyclic quotient (irreducible kernels)"),
+        _JSON,
+    ),
+    "fixture": (
+        "generate an action file of known decomposition", _cmd_fixture,
+        _arg("kind", help=f"one of: {', '.join(FIXTURE_KINDS)}"),
+        _arg("params", nargs="*", type=int, help="regular: n; paper-example: p q"),
+        _arg("--group", metavar="n1,n2,…", help="moduli for (semi)simple kinds"),
+        _arg("--multiplicities", metavar="m1,m2,…",
+             help="one per irreducible class (canonical order)"),
+        _arg("--seed", type=int, help=f"randomness seed (default {FixtureSpec.seed})"),
+        _arg("--max-dim", type=int,
+             help="dimension budget for random multiplicities "
+             f"(default {FixtureSpec.max_dim})"),
+        _arg("-o", "--output", metavar="FILE", help="write here instead of stdout"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,82 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "decompose", help="isotypical decomposition of an action file"
-    )
-    p.add_argument("file", help="action file (JSON)")
-    p.add_argument(
-        "--check-plausibility",
-        action="store_true",
-        help="print warnings for actions no abelian variety can realize",
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("roan", help="order-filtration of a cyclic action")
-    p.add_argument("file", help="action file (JSON)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_roan)
-
-    p = sub.add_parser(
-        "verify",
-        help="cross-check the filtration against the isotypical components",
-    )
-    p.add_argument("file", help="action file (JSON)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser(
-        "characters", help="rational irreducible classes of a group"
-    )
-    p.add_argument(
-        "--group", required=True, metavar="n1,n2,…", help="moduli, e.g. 8,9"
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_characters)
-
-    p = sub.add_parser("subgroups", help="subgroup lattice of a group")
-    p.add_argument(
-        "--group", required=True, metavar="n1,n2,…", help="moduli, e.g. 8,9"
-    )
-    p.add_argument(
-        "--kernels",
-        action="store_true",
-        help="only subgroups with cyclic quotient (irreducible kernels)",
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_subgroups)
-
-    p = sub.add_parser(
-        "fixture", help="generate an action file of known decomposition"
-    )
-    p.add_argument("kind", help=f"one of: {', '.join(FIXTURE_KINDS)}")
-    p.add_argument(
-        "params",
-        nargs="*",
-        type=int,
-        help="regular: n; paper-example: p q",
-    )
-    p.add_argument("--group", metavar="n1,n2,…", help="moduli for (semi)simple kinds")
-    p.add_argument(
-        "--multiplicities",
-        metavar="m1,m2,…",
-        help="one per irreducible class (canonical order)",
-    )
-    p.add_argument(
-        "--seed", type=int, help=f"randomness seed (default {FixtureSpec.seed})"
-    )
-    p.add_argument(
-        "--max-dim",
-        type=int,
-        help="dimension budget for random multiplicities "
-        f"(default {FixtureSpec.max_dim})",
-    )
-    p.add_argument("-o", "--output", metavar="FILE", help="write here instead of stdout")
-    _add_common(p, json_output=False)
-    p.set_defaults(func=_cmd_fixture)
-
+    for name, (help_text, handler, *arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, options in (*arguments, _MAX_ORDER):
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -230,7 +230,8 @@ def _kind(kind: str):
 
 def _fixture_parameters(kind: str, count: int, options) -> tuple[str, ...]:
     """The FixtureSpec fields a kind's positional parameters fill, once an
-    unknown kind, a wrong count or an option the kind does not read is refused."""
+    unknown kind, a wrong count, an option the kind does not read or the
+    pair --max-dim and --multiplicities is refused."""
     names, takes, _ = _kind(kind)
     if count != len(names):
         takes_params = " ".join(names) or "none"
@@ -240,6 +241,11 @@ def _fixture_parameters(kind: str, count: int, options) -> tuple[str, ...]:
     for option in options:
         if option not in takes:
             raise ValidationError(f"{kind} fixture does not take {option}")
+    # the budget only bounds random multiplicities, which given ones replace
+    if "--max-dim" in options and "--multiplicities" in options:
+        raise ValidationError(
+            f"{kind} fixture does not take --max-dim with --multiplicities"
+        )
     return names
 
 

@@ -163,9 +163,9 @@ class RoanMatchReport:
 def _cyclic_roan(action: GAction) -> RoanReport:
     """Roan's decomposition of alpha = rho(x), x a generator of the cyclic G."""
     group = action.group
-    if not group.is_cyclic():
-        raise PreconditionError("Roan's decomposition requires a cyclic group")
     info = index_and_quotient(group, Subgroup.trivial(group))
+    if not info.is_cyclic:
+        raise PreconditionError("Roan's decomposition requires a cyclic group")
     return roan_decomposition(action_matrix(action, info.generator), group.order)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from isodec import (
     Character,
@@ -30,7 +30,6 @@ from isodec import (
     char_kernel,
     cyclotomic,
 )
-from isodec.action import _combination
 from isodec.numtheory import divisors, totient
 from isodec.ratlinalg import _divmod_monic
 
@@ -157,12 +156,21 @@ def rho_table(action) -> tuple[MatQ, ...]:
 
 def algebra_matrix(action, x) -> MatQ:
     """The matrix of a group-algebra element: the sum of x(g) * rho(g) over
-    the support of x, up to |G| terms."""
+    the support of x, up to |G| terms, as integer numerators over the lcm of
+    the rho table's denominators."""
     if x.group != action.group:
         raise PreconditionError("group algebra element of a different group")
     table = rho_table(action)
-    terms = ((num, table[i]) for i, num in enumerate(x.nums) if num)
-    return _combination((action.dim, action.dim), terms, x.den)
+    n = action.dim
+    den = lcm(1, *(m.den for m in table))
+    acc = [[0] * n for _ in range(n)]
+    for num, m in zip(x.nums, table):
+        if num:
+            scale = num * (den // m.den)
+            for row, m_row in zip(acc, m.num):
+                for j, v in enumerate(m_row):
+                    row[j] += scale * v
+    return MatQ._raw(acc, den * x.den, ncols=n)
 
 
 def galois_orbit(chi: Character) -> tuple[Character, ...]:

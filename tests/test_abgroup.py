@@ -73,12 +73,16 @@ def test_element_order_divides_group_exponent(gg):
 
 
 def test_group_invariants_and_cyclicity():
-    assert FinAbGroup((8, 9)).invariants() == (1, 72)
-    assert FinAbGroup((8, 9)).is_cyclic()
-    assert FinAbGroup((2, 2)).invariants() == (2, 2)
-    assert not FinAbGroup((2, 2)).is_cyclic()
-    assert FinAbGroup((1,)).is_cyclic()
-    assert FinAbGroup((2, 3, 5)).is_cyclic()
+    def whole(moduli):
+        g = FinAbGroup(moduli)
+        return index_and_quotient(g, Subgroup.trivial(g))
+
+    assert whole((8, 9)).invariants == (1, 72)
+    assert whole((8, 9)).is_cyclic
+    assert whole((2, 2)).invariants == (2, 2)
+    assert not whole((2, 2)).is_cyclic
+    assert whole((1,)).is_cyclic
+    assert whole((2, 3, 5)).is_cyclic
 
 
 def test_bad_moduli_rejected():

@@ -7,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isodec import (
     FinAbGroup,
@@ -18,6 +20,7 @@ from isodec import (
 )
 import isodec.roan as roan_module
 from isodec.cli import main
+from isodec.fixtures import FIXTURE_KINDS
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -461,6 +464,19 @@ def test_fixture_refuses_options_its_kind_does_not_read(argv, option):
     assert err == f"error: {argv[0]} fixture does not take {option}\n"
 
 
+@pytest.mark.parametrize("group", ["6", "6;7"])
+def test_fixture_refuses_max_dim_with_multiplicities(group):
+    # given multiplicities leave the budget unread; refused before the group
+    # text is parsed
+    argv = ["random-conjugated", "--group", group, "--multiplicities", "1,1,1,1"]
+    code, out, err = run_cli(["fixture", *argv, "--max-dim", "4"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: random-conjugated fixture does not take --max-dim with "
+        "--multiplicities\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["regular", "3", "--json"], ["semisimple", "--group", "6", "--json"]],
@@ -591,6 +607,54 @@ def test_subgroups_quotients_agree_with_index_and_quotient(group):
         info = index_and_quotient(g, Subgroup(g, MatZ(entry["hnf"])))
         assert entry["quotient_invariants"] == [d for d in info.invariants if d > 1]
         assert entry["cyclic_quotient"] == info.is_cyclic
+
+
+_MODULI = st.one_of(
+    st.lists(st.integers(-1, 9), max_size=3).map(lambda ms: ",".join(map(str, ms))),
+    st.sampled_from(["", "2;3", "1e3", "1.5", "1" * 20]),
+)
+
+
+@st.composite
+def _argv(draw):
+    """argv for characters, subgroups or fixture, valid or not."""
+    command = draw(st.sampled_from(["characters", "subgroups", "fixture"]))
+    if command == "fixture":
+        kind = draw(st.sampled_from(FIXTURE_KINDS))
+        count = {"regular": 1, "paper-example": 2}.get(kind, 0)  # positional
+        params = draw(st.lists(st.integers(-1, 7), min_size=count, max_size=count))
+        argv = [command, kind, *map(str, params)]
+        values = {
+            "--group": _MODULI,
+            "--multiplicities": _MODULI,
+            "--seed": st.integers(-3, 3).map(str),
+            "--max-dim": st.integers(-2, 30).map(str),
+        }
+        for option in draw(st.lists(st.sampled_from(list(values)), max_size=2)):
+            argv += [option, draw(values[option])]
+    else:
+        argv = [command, "--group", draw(_MODULI)]
+        if command == "subgroups" and draw(st.booleans()):
+            argv.append("--kernels")
+        if draw(st.booleans()):
+            argv.append("--json")
+    return argv + ["--max-order", str(draw(st.integers(-3, 3000)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_group_commands_exit_0_2_or_3_and_refuse_on_stderr_only(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusal; main does not catch it
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code:
+        assert out.getvalue() == "" and err.getvalue() != ""
+    else:
+        assert err.getvalue() == ""
 
 
 def test_entry_point_module():
