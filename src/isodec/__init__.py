@@ -7,7 +7,7 @@ rational representation and computes that decomposition in exact rational
 arithmetic: no floats, no numerical tolerance, every result certified by
 independent internal cross-checks.
 
-``char_poly``, ``eigenvalue_orders``, ``algebra_matrix``,
+``char_poly``, ``eigenvalue_orders``, ``algebra_matrix``, ``inverse``,
 ``Character.galois_orbit`` and the Fraction views ``MatQ.trace``,
 ``MatQ.fraction_rows``, ``SubspaceQ.basis_rows``, ``coordinates_of`` and
 ``contains_vector`` are no longer part of the API; the test suite keeps them
@@ -83,7 +83,6 @@ from .ratlinalg import (
     cyclotomic,
     image_space,
     intersect_spaces,
-    inverse,
     kernel_space,
     restrict_operator,
     snf_invariants,
@@ -144,7 +143,6 @@ __all__ = [
     "snf_invariants",
     "cyclotomic",
     "companion_matrix",
-    "inverse",
     "restrict_operator",
     "ValidationError",
     "PreconditionError",

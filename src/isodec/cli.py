@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .abgroup import FinAbGroup, all_subgroups
 from .action import GAction, IsotypicalReport, isotypical_decomposition
@@ -43,7 +44,7 @@ from .actionfile import (
 from .chars import RationalIrrep, rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
 from .fixtures import FIXTURE_KINDS, FixtureSpec, _fixture_parameters, make_fixture
-from .ratlinalg import snf_invariants
+from .ratlinalg import _parse_rational, snf_invariants
 from .roan import RoanReport, _cyclic_roan, verify_roan_matching
 
 __all__ = ["main"]
@@ -346,11 +347,14 @@ def _cmd_subgroups(args) -> int:
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
+        values = tuple(_parse_rational(p.strip()) for p in text.split(","))
+        if {*map(type, values)} == {int}:
+            return values
     except ValueError:
-        raise ValidationError(
-            f"cannot parse {what} {text!r}: expected comma-separated integers"
-        ) from None
+        pass
+    raise ValidationError(
+        f"cannot parse {what} {text!r}: expected comma-separated integers"
+    )
 
 
 def _cmd_fixture(args) -> int:
@@ -445,6 +449,7 @@ _COMMANDS = {
 }
 
 
+@cache  # built on first use, then shared by every main() in the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isodec",

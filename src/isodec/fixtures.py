@@ -13,8 +13,10 @@ Four kinds:
                          of the irreducibles, with chosen multiplicities in
                          canonical irreducible order.
 * ``random-conjugated``  a semisimple fixture conjugated by a seeded random
-                         unimodular integer matrix, so the block structure is
-                         hidden but the answer is still known exactly.
+                         unimodular integer matrix, a product of integer
+                         shears applied as row and column operations, so the
+                         block structure is hidden but the answer is still
+                         known exactly.
 
 Every fixture records its expected multiplicities as ground truth.  Each
 fixture computes the rational irreducibles of its group once, and validates
@@ -35,7 +37,7 @@ from .action import validate_action
 from .chars import Character, char_kernel, irrep_model, rational_irreps
 from .errors import ValidationError
 from .numtheory import is_prime
-from .ratlinalg import MatQ, inverse
+from .ratlinalg import MatQ
 
 __all__ = ["FixtureSpec", "make_fixture", "FIXTURE_KINDS"]
 
@@ -145,23 +147,32 @@ def _paper_example(spec: FixtureSpec, max_order: int | None) -> ActionFile:
     return _action_file(group, mats, irreps, mult, f"paper-example(p={p},q={q})")
 
 
-def _random_unimodular(dim: int, rng: random.Random) -> MatQ:
-    """A product of about 2*dim integer shears: unimodular, exactly invertible.
+def _conjugate_by_shears(mats: list[MatQ], rng: random.Random) -> list[MatQ]:
+    """u @ m @ u^-1 for each m, u = S_1 ... S_k the product of k = 2*dim
+    seeded integer shears S = I + c * E_ij (i != j, c = +-1; none at dim 1).
 
-    Multiplying by the shear I + c * E_ij on the right adds c times column i
-    to column j, so each shear is one column operation.
+    S^-1 = I - c * E_ij, so S m S^-1 is row i += c * row j, then column
+    j -= c * column i, on the integer numerators over m's denominator.  The
+    shears are drawn first and applied last-drawn first: S_k stands next to m.
     """
-    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    dim = mats[0].rows
+    shears = []
     if dim > 1:
         for _ in range(2 * dim):
             i = rng.randrange(dim)
             j = rng.randrange(dim)
             while j == i:
                 j = rng.randrange(dim)
-            c = rng.choice((-1, 1))
+            shears.append((i, j, rng.choice((-1, 1))))
+    out = []
+    for m in mats:
+        rows = [list(r) for r in m.num]
+        for i, j, c in reversed(shears):
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
             for row in rows:
-                row[j] += c * row[i]
-    return MatQ._raw(rows, 1)
+                row[j] -= c * row[i]
+        out.append(MatQ._raw(rows, m.den, ncols=dim))
+    return out
 
 
 def _random_multiplicities(irreps, rng: random.Random, max_dim: int):
@@ -201,9 +212,7 @@ def _semisimple(spec: FixtureSpec, max_order: int | None) -> ActionFile:
     if spec.kind == "random-conjugated":
         # u is unimodular, so the conjugates satisfy the relations exactly
         # when the blocks do: one validation, after conjugation, covers both
-        u = _random_unimodular(mats[0].rows, rng)
-        u_inv = inverse(u)
-        mats = [u @ m @ u_inv for m in mats]
+        mats = _conjugate_by_shears(mats, rng)
     name = f"{spec.kind}({','.join(map(str, group.moduli))}; seed={spec.seed})"
     return _action_file(group, mats, irreps, mult, name)
 

@@ -27,7 +27,7 @@ is read and written without a Fraction.  `fractions.Fraction` remains only
 where a rational crosses the public face: `mul_vector` and the parsed
 value of a `"p/q"` string; `SubspaceQ` reads non-integer rows through
 `MatQ` too.  No floating point appears anywhere.  One elimination serves
-kernel, image, inverse and, through `kernel_and_image`, intersection.
+kernel, image and, through `kernel_and_image`, intersection.
 
 Sparse rows.  Permutation and monomial matrices, such as those of the
 regular representation, have one nonzero per row.  A row counts as sparse
@@ -67,7 +67,6 @@ __all__ = [
     "snf_invariants",
     "cyclotomic",
     "companion_matrix",
-    "inverse",
     "restrict_operator",
 ]
 
@@ -753,22 +752,6 @@ def companion_matrix(coeffs) -> MatQ:
     d = len(coeffs) - 1
     return MatQ(
         [[int(i == j + 1) for j in range(d - 1)] + [-coeffs[i]] for i in range(d)]
-    )
-
-
-def inverse(M: MatQ) -> MatQ:
-    """Exact inverse of a square nonsingular matrix."""
-    if M.rows != M.cols:
-        raise PreconditionError("inverse of a non-square matrix")
-    n = M.rows
-    aug = [list(M.num[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    piv, rows = _row_reduce(aug, 2 * n)
-    if piv != list(range(n)):
-        raise PreconditionError("singular matrix has no inverse")
-    # (num / den)^-1 = den * num^-1, and num^-1 is the right half of the RREF
-    rref = _rref_over_lcm(piv, rows, 2 * n)
-    return MatQ._raw(
-        [[v * M.den for v in row[n:]] for row in rref.num], rref.den, ncols=n
     )
 
 

@@ -10,7 +10,8 @@ matrix of a group-algebra element, the reference the factored idempotents
 of ``isodec.action`` are checked against.  ``rational_irreps_by_walk`` is the
 walk over all |G| characters and their Galois orbits (``galois_orbit``),
 the reference the Sylow construction of ``isodec.chars.rational_irreps`` is
-checked against.
+checked against.  ``oracle_rref`` is Fraction Gauss-Jordan, and
+``inverse`` reads a rational inverse off it; the package forms no inverse.
 """
 
 from __future__ import annotations
@@ -42,6 +43,39 @@ def fraction_rows(m: MatQ) -> tuple[tuple[Fraction, ...], ...]:
 def zeros(r: int, c: int) -> MatQ:
     """The r by c zero matrix, of any shape, 0 by c and r by 0 included."""
     return MatQ._raw([[0] * c for _ in range(r)], 1, ncols=c)
+
+
+def oracle_rref(rows, ncols):
+    """(pivot columns, nonzero RREF rows) by Fraction Gauss-Jordan."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    piv = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        p = m[r][c]
+        m[r] = [v / p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        piv.append(c)
+        r += 1
+    return piv, m[:r]
+
+
+def inverse(m: MatQ) -> MatQ:
+    """The inverse of a square nonsingular matrix: the right half of the
+    reduced [m | I], by Fraction Gauss-Jordan."""
+    n = m.rows
+    rows = fraction_rows(m)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    piv, rows = oracle_rref(aug, 2 * n)
+    if piv != list(range(n)):
+        raise ValueError("singular matrix has no inverse")
+    return MatQ([r[n:] for r in rows])
 
 
 def trace(m: MatQ) -> Fraction:

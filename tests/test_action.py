@@ -17,7 +17,6 @@ from isodec import (
     fixed_subvariety,
     image_space,
     intersect_spaces,
-    inverse,
     isotypical_component,
     isotypical_decomposition,
     make_fixture,
@@ -36,7 +35,7 @@ from isodec.qalgebra import (
 )
 import isodec.action as action_module
 from isodec.action import _signature, _sylow_parts
-from oracles import algebra_matrix, rho_table
+from oracles import algebra_matrix, inverse, rho_table
 
 from test_cli import run_cli
 

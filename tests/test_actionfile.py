@@ -13,13 +13,12 @@ from isodec import (
     ActionFile,
     MatQ,
     ValidationError,
-    inverse,
     isotypical_decomposition,
     load_action_file,
     serialize_action_file,
 )
 from isodec.fixtures import FixtureSpec, make_fixture
-from oracles import fraction_rows
+from oracles import fraction_rows, inverse
 from test_action import rationally_conjugated
 from test_cli import run_cli
 
@@ -212,7 +211,7 @@ def test_entry_strings_outside_the_grammar_are_refused_at_once(entry):
 
 def test_golden_action_files_round_trip_byte_identically():
     paths = golden_action_files()
-    assert len(paths) == 4
+    assert len(paths) == 5
     for path in paths:
         text = path.read_text()
         once = serialize_action_file(load_action_file(text))

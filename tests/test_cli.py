@@ -19,7 +19,7 @@ from isodec import (
     load_action_file,
 )
 import isodec.roan as roan_module
-from isodec.cli import main
+from isodec.cli import build_parser, main
 from isodec.fixtures import FIXTURE_KINDS
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -39,6 +39,12 @@ CASES = [
         "fixture-random-conjugated-6.json",
         [],
         ["fixture", "random-conjugated", "--group", "6", "--seed", "3"],
+    ),
+    (
+        "fixture-random-conjugated-2-6.json",
+        [],
+        ["fixture", "random-conjugated", "--group", "2,6", "--max-dim", "12",
+         "--seed", "2"],
     ),
     (
         "decompose-regular-6.txt",
@@ -148,6 +154,23 @@ def test_repeated_runs_are_byte_identical(tmp_path, golden, inputs, argv):
     assert first == second
 
 
+def test_one_parser_serves_every_call_in_a_process():
+    # the parser is built once; no call's options may leak into the next
+    argvs = [
+        ["characters", "--group", "6", "--json"],
+        ["characters", "--group", "6"],
+        ["subgroups", "--group", "2,2", "--kernels"],
+        ["subgroups", "--group", "2,2"],
+        ["fixture", "regular", "3"],
+    ]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run_cli(argv))
+    assert [run_cli(argv) for argv in argvs] == fresh
+    assert build_parser.cache_info().misses == 1
+
+
 def test_json_outputs_are_valid_json():
     for golden, inputs, argv in CASES:
         if not golden.endswith(".json"):
@@ -255,6 +278,35 @@ def test_bad_group_argument_exits_2():
     code, _, err = run_cli(["characters", "--group", "6;7"])
     assert code == 2
     assert "comma-separated" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["characters", "--group", "1_2"],
+        ["characters", "--group", "\u0663,2"],  # an Arabic-Indic digit three
+        ["characters", "--group", "6,"],
+        ["characters", "--group", ""],
+        ["characters", "--group", "4/2"],
+        ["fixture", "semisimple", "--group", "2", "--multiplicities", "1,,1,"],
+        ["fixture", "semisimple", "--group", "2", "--multiplicities", "1,0_1"],
+    ],
+    ids=["underscore", "arabic-indic-digit", "trailing-comma", "empty", "fraction",
+         "empty-fields", "multiplicity-underscore"],
+)
+def test_integer_lists_refuse_fields_outside_the_rational_grammar(argv):
+    # each field is read by ratlinalg's one grammar and must come back an int
+    option, text = argv[-2:]
+    what = "group" if option == "--group" else option
+    expected = f"error: cannot parse {what} {text!r}: expected comma-separated integers\n"
+    assert run_cli(argv) == (2, "", expected)
+
+
+def test_integer_lists_strip_spaces_and_read_a_plus_sign():
+    assert run_cli(["characters", "--group", " 6 , 4"]) == run_cli(
+        ["characters", "--group", "6,4"]
+    )
+    assert run_cli(["characters", "--group", "+6"]) == run_cli(["characters", "--group", "6"])
 
 
 @pytest.mark.parametrize("moduli", [[0], [6, -2]])

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,8 +18,8 @@ from isodec import (
     rational_irreps,
     serialize_action_file,
 )
-from isodec.fixtures import FIXTURE_KINDS, FixtureSpec, _random_unimodular
-from oracles import fraction_rows
+from isodec.fixtures import FIXTURE_KINDS, FixtureSpec, _conjugate_by_shears
+from oracles import fraction_rows, inverse
 
 
 def test_fixture_kinds_are_documented():
@@ -47,11 +48,24 @@ def dense_shear_product(dim, rng):
     return m
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 7, 16])
-def test_random_unimodular_equals_the_dense_shear_product(dim):
+def integer_and_rational_matrices(dim, seed):
+    """A dim x dim integer matrix and one over denominator 6."""
+    rng = random.Random(100 + seed)
+    ints = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+    sixths = [[Fraction(rng.randint(-3, 3), 6) for _ in range(dim)] for _ in range(dim)]
+    sixths[0][0] = Fraction(1, 6)
+    return [MatQ(ints), MatQ(sixths)]
+
+
+@pytest.mark.parametrize("dim", [*range(1, 8), 16])
+def test_shear_conjugation_equals_the_dense_product(dim):
     for seed in range(4):
+        mats = integer_and_rational_matrices(dim, seed)
+        assert mats[1].den == 6
         rng, ref = random.Random(seed), random.Random(seed)
-        assert _random_unimodular(dim, rng) == dense_shear_product(dim, ref)
+        u = dense_shear_product(dim, ref)
+        expected = [u @ m @ inverse(u) for m in mats]
+        assert _conjugate_by_shears(mats, rng) == expected
         assert rng.getstate() == ref.getstate()
 
 

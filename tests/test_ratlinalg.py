@@ -17,7 +17,6 @@ from isodec import (
     cyclotomic,
     image_space,
     intersect_spaces,
-    inverse,
     kernel_space,
     restrict_operator,
     snf_invariants,
@@ -29,6 +28,7 @@ from oracles import (
     contains_vector,
     coordinates_of,
     fraction_rows,
+    oracle_rref,
     zeros,
 )
 
@@ -97,15 +97,6 @@ def test_matq_equality_ignores_representation():
     assert hash(a) == hash(b)
 
 
-@given(square_matq(3))
-def test_matq_inverse(a):
-    if det_int_of(a) == 0:
-        return
-    inv = inverse(a)
-    assert (a @ inv).is_identity()
-    assert (inv @ a).is_identity()
-
-
 def det_int_of(a: MatQ) -> Fraction:
     n = a.rows
     total = Fraction(0)
@@ -121,11 +112,6 @@ def det_int_of(a: MatQ) -> Fraction:
             term *= rows[i][perm[i]]
         total += term
     return total
-
-
-def test_inverse_of_singular_raises():
-    with pytest.raises(PreconditionError):
-        inverse(MatQ([[1, 1], [1, 1]]))
 
 
 @given(square_matq(2), st.integers(min_value=0, max_value=6))
@@ -606,27 +592,6 @@ def frac_matrix(rows, cols):
     )
 
 
-def oracle_rref(rows, ncols):
-    """(pivot columns, nonzero RREF rows) by Fraction Gauss-Jordan."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        p = m[r][c]
-        m[r] = [v / p for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv.append(c)
-        r += 1
-    return piv, m[:r]
-
-
 def oracle_basis(rows, ncols) -> MatQ:
     _, rref = oracle_rref(rows, ncols)
     return MatQ(rref) if rref else zeros(0, ncols)
@@ -791,20 +756,6 @@ def test_kernel_and_image_rejects_mismatched_dimensions():
         kernel_and_image(MatQ.identity(3), SubspaceQ.full(2))
     with pytest.raises(PreconditionError):
         kernel_and_image(MatQ([[1, 0]]), SubspaceQ.full(2))
-
-
-@given(square_matq(3))
-def test_rational_inverse_matches_oracle(a):
-    rows = fraction_rows(a)
-    aug = [
-        list(r) + [Fraction(int(i == j)) for j in range(3)] for i, r in enumerate(rows)
-    ]
-    piv, rref = oracle_rref(aug, 6)
-    if piv[:3] != [0, 1, 2]:
-        with pytest.raises(PreconditionError):
-            inverse(a)
-        return
-    assert inverse(a) == MatQ([r[3:] for r in rref])
 
 
 @given(frac_matrix(3, 4), st.lists(fractions, min_size=4, max_size=4))
