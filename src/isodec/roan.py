@@ -12,32 +12,31 @@ exact order d_{i-1}, and Y_s = 0.  The pieces B_i are exactly the nonzero
 isotypical components of the cyclic action.  A cyclic group has one
 rational irreducible per order, so ``verify_roan_matching`` looks up the
 component of order d_i for each piece B_i and checks that the two are equal
-subspaces, and that every component of an order the walk did not produce
+subspaces, and that every component of an order the split did not produce
 is zero.
 
-``roan_decomposition`` finds the d_i without a characteristic polynomial, by
-a walk over every divisor e of d in ascending order.  On the current Y, a
-subspace of Q^n, the kernel of 1 - alpha^e is the part of Y where alpha has
-eigenvalue order e: the orders below e that divide it were split off by
-earlier steps.  Kernel and image come out of one ``kernel_and_image`` on Y.
-The image is row-reduced once in Q^n; the kernel's coefficients solve the
-images at the image's r pivot columns, an r by dim Y system, and the kernel
-is then row-reduced once in Q^n.  An empty kernel means that e does not
-occur, and the step is skipped, as is every e with phi(e) > dim Y.  A
-nonempty step makes e the next d_i, and its image is the new Y.  alpha is
-restricted only to the pieces, for their certificates.  Each power is built
-from an earlier one: alpha^e = (alpha^e')^(e/e'), with e' the largest
-divisor of e that the walk has already formed, and a power is dropped once
-no later divisor would be built from it.
+``roan_decomposition`` finds the B_i without a characteristic polynomial,
+by splitting the set of divisors of d.  A piece is carried as its basis
+rows in Q^n, alpha restricted to it, and its candidates: the divisors e of
+d with phi(e) <= its dim, as an eigenvalue of order e comes with its phi(e)
+Galois conjugates.  A piece with several candidates is split by the e among
+them that about half of them divide: the kernel of 1 - alpha^e is the part
+where the eigenvalue orders divide e, and takes those candidates, and the
+image takes the rest.  Both come out of one ``kernel_and_image`` at the
+piece's own dimension.  alpha is restricted to each nonzero side, and the
+side's rows are lifted to Q^n by one product.  A piece with one candidate e
+is the B_i of d_i = e.  The d_i are the pieces' orders ascending, and dim
+Y_i is n less the dims of the first i pieces.
 
 Each piece is certified by Phi_e(alpha|B) = 0, the e-th cyclotomic
 polynomial evaluated by Horner's rule; for an operator of finite order this
-holds exactly when every eigenvalue on B has order e.  The pieces must be
-alpha-invariant, the last Y must be zero, and the stacked bases of the
-pieces must span the whole space (one elimination).  Together these imply
-alpha^d = 1, so the full d-th power is formed only when a certificate
-fails, to tell an operator that is not of order dividing d
-(PreconditionError) from a failed internal check (InternalCheckError).
+holds exactly when every eigenvalue on B has order e.  Every side must be
+alpha-invariant (``restrict_operator`` checks it), and the stacked bases of
+the pieces must span the whole space (one elimination), which fails when a
+nonzero side runs out of candidates.  Together these imply alpha^d = 1, so
+the full d-th power is formed only when a certificate fails, to tell an
+operator that is not of order dividing d (PreconditionError) from a failed
+internal check (InternalCheckError).
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ from .numtheory import divisors, totient
 from .ratlinalg import (
     MatQ,
     SubspaceQ,
+    _dot_rows,
     cyclotomic,
     image_space,  # unused; bench/tests/test_bench.py checks its traced binding
     kernel_and_image,
@@ -93,9 +93,9 @@ def roan_decomposition(m: MatQ, d: int) -> RoanReport:
         raise PreconditionError("matrix must be square")
     if d >= 1:
         try:
-            return _divisor_walk(m, d)
+            return _split(m, d)
         except (InternalCheckError, PreconditionError) as exc:
-            # restrict_operator raises PreconditionError on a piece that is
+            # restrict_operator raises PreconditionError on a side that is
             # not invariant.  The certificates imply m**d = I, so that power
             # is formed only here, to name the cause of a failure.
             if (m ** d).is_identity():
@@ -103,40 +103,35 @@ def roan_decomposition(m: MatQ, d: int) -> RoanReport:
     raise PreconditionError(f"matrix does not satisfy M^{d} = I")
 
 
-def _divisor_walk(m: MatQ, d: int) -> RoanReport:
+def _split(m: MatQ, d: int) -> RoanReport:
     n = m.rows
-    eye = MatQ.identity(n)
-    y = SubspaceQ.full(n)
-    orders, dims, components = [], [n], []
-    divs = divisors(d)
-    powers = {1: m}  # k -> m ** k, while a later divisor is built from it
-    for i, e in enumerate(divs):
-        if totient(e) > y.dim:
-            continue
-        base = _base(powers, e)
-        power = powers[e] = powers[base] ** (e // base)
-        powers = {k: powers[k] for k in {_base(powers, f) for f in divs[i + 1 :]}}
-        b, rest = kernel_and_image(eye - power, y)
-        if not b.dim:
-            continue
-        if not _vanishes_at(cyclotomic(e), restrict_operator(m, b)):
-            raise InternalCheckError(
-                f"kernel piece for order {e} has an eigenvalue of another order"
-            )
-        orders.append(e)
-        components.append((e, b))
-        y = rest
-        dims.append(y.dim)
-    if y.dim != 0:
-        raise InternalCheckError("filtration does not terminate at zero")
-    if SubspaceQ(n, [row for _, b in components for row in b.basis.num]).dim != n:
+    pieces = [(MatQ.identity(n).num, m, divisors(d))]  # rows, alpha on it, candidates
+    leaves = []
+    while pieces:
+        rows, a, cands = pieces.pop()
+        cands = [e for e in cands if totient(e) <= a.rows]
+        if len(cands) == 1:
+            e = cands[0]
+            if not _vanishes_at(cyclotomic(e), a):
+                raise InternalCheckError(
+                    f"kernel piece for order {e} has an eigenvalue of another order"
+                )
+            leaves.append((e, SubspaceQ(n, rows)))
+        elif cands:  # none are left on a 0 x 0 piece, or on input not of order d
+            gaps = [abs(2 * sum(not c % f for f in cands) - len(cands)) for c in cands]
+            e = cands[gaps.index(min(gaps))]
+            t = MatQ.identity(a.rows) - a ** e
+            sides = kernel_and_image(t, SubspaceQ.full(a.rows))
+            for side, divides in zip(sides, (True, False)):
+                if side.dim:
+                    lifted = _dot_rows(side.basis.num, list(zip(*rows)))
+                    part = [f for f in cands if (e % f == 0) == divides]
+                    pieces.append((lifted, restrict_operator(a, side), part))
+    leaves.sort(key=lambda leaf: leaf[0])
+    dims = [n - sum(b.dim for _, b in leaves[:i]) for i in range(len(leaves) + 1)]
+    if SubspaceQ(n, [row for _, b in leaves for row in b.basis.num]).dim != n:
         raise InternalCheckError("kernel pieces do not span the whole space")
-    return RoanReport(n, d, tuple(orders), tuple(dims), tuple(components))
-
-
-def _base(powers: dict[int, MatQ], e: int) -> int:
-    """The largest k with a formed power m ** k that divides e."""
-    return max(k for k in powers if e % k == 0)
+    return RoanReport(n, d, tuple(e for e, _ in leaves), tuple(dims), tuple(leaves))
 
 
 def _vanishes_at(monic: tuple[int, ...], a: MatQ) -> bool:
@@ -175,7 +170,7 @@ def verify_roan_matching(action: GAction) -> RoanMatchReport:
 
     A cyclic group has one rational irreducible per order, so the
     components are looked up by order: the piece of order d_i must equal
-    the component of order d_i, and every component of an order the walk
+    the component of order d_i, and every component of an order the split
     did not produce must vanish.  Any failure raises InternalCheckError.
     """
     roan = _cyclic_roan(action)

@@ -4,14 +4,17 @@ The package keeps matrices and subspaces as integer numerators over one
 denominator and never needs these views itself; the tests use them to
 compare against plain Fraction arithmetic.  ``char_poly`` and
 ``eigenvalue_orders`` give the eigenvalue orders of a finite-order matrix by
-factoring its characteristic polynomial, a route independent of Roan's
-divisor walk in ``isodec.roan``.  ``algebra_matrix`` is the |G|-term
-matrix of a group-algebra element, the reference the factored idempotents
-of ``isodec.action`` are checked against.  ``rational_irreps_by_walk`` is the
-walk over all |G| characters and their Galois orbits (``galois_orbit``),
-the reference the Sylow construction of ``isodec.chars.rational_irreps`` is
-checked against.  ``oracle_rref`` is Fraction Gauss-Jordan, and
-``inverse`` reads a rational inverse off it; the package forms no inverse.
+factoring its characteristic polynomial, a route independent of the split
+of the divisor set in ``isodec.roan``.  ``roan_walk`` is Roan's filtration
+walked over every divisor in ascending order on ambient kernels and images,
+the reference that split is checked against.  ``algebra_matrix`` is the
+|G|-term matrix of a group-algebra element, the reference the factored
+idempotents of ``isodec.action`` are checked against.
+``rational_irreps_by_walk`` is the walk over all |G| characters and their
+Galois orbits (``galois_orbit``), the reference the Sylow construction of
+``isodec.chars.rational_irreps`` is checked against.  ``oracle_rref`` is
+Fraction Gauss-Jordan, and ``inverse`` reads a rational inverse off it; the
+package forms no inverse.
 """
 
 from __future__ import annotations
@@ -27,12 +30,15 @@ from isodec import (
     MatQ,
     PreconditionError,
     RationalIrrep,
+    RoanReport,
     SubspaceQ,
     char_kernel,
     cyclotomic,
+    restrict_operator,
 )
 from isodec.numtheory import divisors, totient
-from isodec.ratlinalg import _divmod_monic
+from isodec.ratlinalg import _divmod_monic, kernel_and_image
+from isodec.roan import _vanishes_at
 
 
 def fraction_rows(m: MatQ) -> tuple[tuple[Fraction, ...], ...]:
@@ -167,6 +173,53 @@ def eigenvalue_orders(m: MatQ, d: int) -> tuple[int, ...]:
     if not integral or p != (1,):
         raise InternalCheckError("characteristic polynomial did not factor into cyclotomics")
     return tuple(orders)
+
+
+def roan_walk(m: MatQ, d: int) -> RoanReport:
+    """Roan's filtration of a matrix with m**d = I, by a walk over every
+    divisor e of d in ascending order.
+
+    On the current Y, a subspace of Q^n, the kernel of 1 - m^e is the part
+    where m has eigenvalue order e: the orders below e that divide it were
+    split off by earlier steps.  A nonempty kernel makes e the next order,
+    and the image is the new Y; steps with phi(e) > dim Y are skipped.  Each
+    power is built from an earlier one, alpha^e = (alpha^e')^(e/e') with e'
+    the largest divisor of e already formed, and a power is dropped once no
+    later divisor would be built from it.
+    """
+    n = m.rows
+    eye = MatQ.identity(n)
+    y = SubspaceQ.full(n)
+    orders, dims, components = [], [n], []
+    divs = divisors(d)
+    powers = {1: m}  # k -> m ** k, while a later divisor is built from it
+    for i, e in enumerate(divs):
+        if totient(e) > y.dim:
+            continue
+        base = _base(powers, e)
+        power = powers[e] = powers[base] ** (e // base)
+        powers = {k: powers[k] for k in {_base(powers, f) for f in divs[i + 1 :]}}
+        b, rest = kernel_and_image(eye - power, y)
+        if not b.dim:
+            continue
+        if not _vanishes_at(cyclotomic(e), restrict_operator(m, b)):
+            raise InternalCheckError(
+                f"kernel piece for order {e} has an eigenvalue of another order"
+            )
+        orders.append(e)
+        components.append((e, b))
+        y = rest
+        dims.append(y.dim)
+    if y.dim != 0:
+        raise InternalCheckError("filtration does not terminate at zero")
+    if SubspaceQ(n, [row for _, b in components for row in b.basis.num]).dim != n:
+        raise InternalCheckError("kernel pieces do not span the whole space")
+    return RoanReport(n, d, tuple(orders), tuple(dims), tuple(components))
+
+
+def _base(powers: dict[int, MatQ], e: int) -> int:
+    """The largest k with a formed power m ** k that divides e."""
+    return max(k for k in powers if e % k == 0)
 
 
 @lru_cache(maxsize=8)

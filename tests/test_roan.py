@@ -11,6 +11,7 @@ from isodec import (
     InternalCheckError,
     MatQ,
     PreconditionError,
+    RoanReport,
     SubspaceQ,
     action_matrix,
     companion_matrix,
@@ -26,7 +27,7 @@ from isodec import (
 from isodec.actionfile import ActionFile, serialize_action_file
 from isodec.fixtures import FixtureSpec
 from isodec.numtheory import divisors, totient
-from oracles import eigenvalue_orders
+from oracles import eigenvalue_orders, roan_walk
 
 from test_action import rationally_conjugated
 from test_cli import run_cli
@@ -80,31 +81,6 @@ def test_filtration_of_regular_shift():
     ]
 
 
-def test_filtration_builds_each_power_from_an_earlier_one(monkeypatch):
-    # alpha^e = (alpha^e')^(e/e'), e' the largest divisor of e formed so far;
-    # a power is dropped once no later divisor is built from it
-    exponents, held = [], {}
-    power, base = MatQ.__pow__, roan_module._base
-
-    def recording_power(m, n):
-        exponents.append(n)
-        return power(m, n)
-
-    def recording_base(powers, e):
-        held[e] = set(powers)  # the last lookup for e is e's own step
-        return base(powers, e)
-
-    monkeypatch.setattr(MatQ, "__pow__", recording_power)
-    monkeypatch.setattr(roan_module, "_base", recording_base)
-    report = roan_decomposition(perm_matrix(12), 12)
-    assert report.orders == (1, 2, 3, 4, 6, 12)
-    # e = 1, 2, 3, then 4 = 2 * 2, 6 = 3 * 2, 12 = 6 * 2
-    assert exponents == [1, 2, 3, 2, 2, 2]
-    # by e = 4, alpha^1 is gone; 12 is built from alpha^6 alone
-    assert held[4] == {2, 3}
-    assert held[12] == {6}
-
-
 def test_filtration_pieces_are_independent():
     report = roan_decomposition(perm_matrix(10), 10)
     pieces = [s for _, s in report.components]
@@ -136,6 +112,33 @@ def test_filtration_rejects_an_operator_without_m_d_equal_to_i(m, d):
         roan_decomposition(m, d)
 
 
+def test_filtration_of_the_zero_space():
+    # no piece, so no split: the empty filtration of Q^0
+    for d in (1, 6):
+        assert roan_decomposition(MatQ([]), d) == RoanReport(0, d, (), (0,), ())
+
+
+@pytest.mark.parametrize("n", [12, 240])
+def test_each_split_after_the_first_runs_below_the_ambient_dimension(monkeypatch, n):
+    dims = []
+    real = roan_module.kernel_and_image
+
+    def recording(t, y):
+        dims.append(y.ambient_dim)
+        return real(t, y)
+
+    monkeypatch.setattr(roan_module, "kernel_and_image", recording)
+    report = roan_decomposition(perm_matrix(n), n)
+    candidates = [e for e in divisors(n) if totient(e) <= n]
+    assert report.orders == tuple(candidates)
+    assert 1 <= len(dims) <= len(candidates) - 1
+    assert dims[0] == n and max(dims[1:], default=0) < n
+
+
+def _swapped(kernel, image):
+    return image, kernel
+
+
 def _overlapping(kernel, image):
     return kernel, SubspaceQ(kernel.ambient_dim, kernel.basis.num + image.basis.num)
 
@@ -145,32 +148,54 @@ def _all_in_the_kernel(kernel, image):
     return SubspaceQ(n, kernel.basis.num + image.basis.num), SubspaceQ.zero(n)
 
 
+def _no_kernel(kernel, image):
+    return SubspaceQ.zero(kernel.ambient_dim), image
+
+
 def _one_kernel_vector(kernel, image):
     return SubspaceQ(kernel.ambient_dim, kernel.basis.num[:1]), image
 
 
-def _no_kernel(kernel, image):
-    return SubspaceQ.zero(kernel.ambient_dim), image
+def _one_image_vector(kernel, image):
+    return kernel, SubspaceQ(image.ambient_dim, image.basis.num[:1])
+
+
+def _with_split(monkeypatch, split):
+    real = roan_module.kernel_and_image
+    monkeypatch.setattr(
+        roan_module, "kernel_and_image", lambda t, y: split(*real(t, y))
+    )
 
 
 @pytest.mark.parametrize(
     "split, m, d, message",
     [
+        # candidates on the wrong side: a piece has eigenvalues of another order
         (_overlapping, perm_matrix(6), 6, "another order"),
         (_all_in_the_kernel, perm_matrix(6), 6, "another order"),
+        # a side dropped
         (_one_kernel_vector, MatQ.identity(3), 2, "span"),
         # a single vector of an order-3 piece is not an invariant subspace
-        (_one_kernel_vector, perm_matrix(3), 3, "not invariant"),
-        (_no_kernel, perm_matrix(4), 4, "terminate"),
+        (_one_image_vector, perm_matrix(3), 3, "not invariant"),
+        (_no_kernel, perm_matrix(4), 4, "span"),
+        (_no_kernel, MatQ.identity(3), 2, "span"),
+        (_swapped, perm_matrix(6), 6, "another order"),
+        # both swapped pieces have the right dim: only Phi_e sees the swap
+        (_swapped, MatQ([[1, 0], [0, -1]]), 2, "another order"),
     ],
 )
 def test_a_wrong_split_fails_a_certificate(monkeypatch, split, m, d, message):
-    real = roan_module.kernel_and_image
-    monkeypatch.setattr(
-        roan_module, "kernel_and_image", lambda t, y: split(*real(t, y))
-    )
+    _with_split(monkeypatch, split)
     with pytest.raises(InternalCheckError, match=message):
         roan_decomposition(m, d)
+
+
+def test_a_wrong_split_past_leaves_without_phi_e_fails_the_span_check(monkeypatch):
+    # the swap leaves sides too small for their candidates
+    _with_split(monkeypatch, _swapped)
+    monkeypatch.setattr(roan_module, "_vanishes_at", lambda monic, a: True)
+    with pytest.raises(InternalCheckError, match="span"):
+        roan_decomposition(perm_matrix(6), 6)
 
 
 def test_filtration_on_conjugated_fixture_matches_ground_truth():
@@ -359,3 +384,36 @@ def test_matching_on_random_rational_conjugates(group_mult, seed):
     orders = eigenvalue_orders(m, n)
     assert roan_decomposition(m, n).orders == orders
     assert match.roan.orders == orders
+
+
+@st.composite
+def cyclic_operators(draw):
+    """A generator of a cyclic action of order n <= 30 on at most 14
+    dimensions, and an exponent that n divides: ``regular(n)``, or
+    ``random-conjugated`` Z/n with drawn multiplicities (not always a
+    faithful action), either one possibly conjugated over Q."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=14))
+        af = make_fixture(FixtureSpec("regular", n=n))
+    else:
+        group, mult = draw(cyclic_multiplicities())
+        n = group.order
+        spec = FixtureSpec(
+            "random-conjugated",
+            moduli=(n,),
+            multiplicities=mult,
+            seed=draw(st.integers(min_value=0, max_value=2**16)),
+        )
+        af = make_fixture(spec)
+    action = af.action
+    if draw(st.booleans()):
+        action = rationally_conjugated(action, draw(st.integers(0, 2**16)))
+    m = action_matrix(action, action.group.element((1,)))
+    return m, n * draw(st.sampled_from((1, 2, 3)))
+
+
+@given(cyclic_operators())
+@settings(max_examples=40, deadline=None)
+def test_the_split_equals_the_divisor_walk(operator):
+    m, d = operator
+    assert roan_decomposition(m, d) == roan_walk(m, d)
