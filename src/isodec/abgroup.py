@@ -8,8 +8,9 @@ the Hermite normal form of its preimage lattice L in Z^k, where
 
 so H = L/R, [G : H] = det(L) and membership is exact back-substitution.
 The invariant factors of G/H are the Smith invariants of the same basis
-matrix.  When G/H is cyclic of order n, its subgroups are the images of the
-multiples m * G, so the overgroup of index n/p over H is H + (n/p) * G, and a
+matrix, read off its Hermite form (`Subgroup.quotient_invariants`).  When
+G/H is cyclic of order n, its subgroups are the images of the multiples
+m * G, so the overgroup of index n/p over H is H + (n/p) * G, and a
 generator is read by membership tests alone.
 """
 
@@ -22,7 +23,7 @@ from math import lcm, prod
 
 from .errors import PreconditionError
 from .numtheory import divisors, prime_divisors
-from .ratlinalg import MatZ, _hermite, snf_invariants
+from .ratlinalg import MatZ, _divisor_chain, _hermite, snf_invariants
 
 __all__ = [
     "FinAbGroup",
@@ -194,7 +195,7 @@ class Subgroup:
         if not all(len(r) == k and {*map(type, r)} <= {int} for r in all_rows):
             raise PreconditionError(f"lattice rows must be ints, {k} in each row")
         all_rows += group.relation_rows()
-        return cls(group, MatZ(_hermite(all_rows)))
+        return cls(group, MatZ._raw(tuple(map(tuple, _hermite(all_rows)))))
 
     @classmethod
     def whole(cls, group: FinAbGroup) -> "Subgroup":
@@ -213,6 +214,29 @@ class Subgroup:
     @property
     def order(self) -> int:
         return self.group.order // self.index
+
+    @property
+    def quotient_invariants(self) -> tuple[int, ...]:
+        """The invariant factors of G/H, leading 1s included: exactly
+        ``snf_invariants(self.hnf_basis)``, read off the Hermite form.
+
+        A pivot 1 has only zeros above it (they lie in [0, 1)), so its column
+        is e_i, and column operations clear the rest of its row: each such
+        row and column splits off as an invariant 1.  The rows with pivot
+        > 1, at their pivot columns, are upper triangular; when that block is
+        diagonal (always so for an elementary abelian G, whose L contains
+        p Z^k), its diagonal only needs sorting into d1 | d2 | ...  Any
+        other block takes one Smith pass at its own size.
+        """
+        e = self.hnf_basis.entries
+        big = [i for i, row in enumerate(e) if row[i] > 1]
+        units = (1,) * (len(e) - len(big))
+        if not any(e[i][j] for n, i in enumerate(big) for j in big[n + 1 :]):
+            return units + _divisor_chain([e[i][i] for i in big])
+        if units:
+            block = MatZ._raw(tuple(tuple(e[i][j] for j in big) for i in big))
+            return units + snf_invariants(block)
+        return snf_invariants(self.hnf_basis)
 
     def contains_exps(self, exps) -> bool:
         return _solve_upper(self.hnf_basis.entries, exps) is not None
@@ -282,14 +306,14 @@ class QuotientInfo:
 def index_and_quotient(group: FinAbGroup, h: Subgroup) -> QuotientInfo:
     """Index and invariant factors of G/H; a generator coset when cyclic.
 
-    The invariants are the Smith invariants of the subgroup basis.  When G/H
-    is cyclic of order n, the generator is the first element in index order
-    whose order in G/H is n, that is, with (n/p) * x outside H for every
-    prime p | n (the identity when n = 1).
+    The invariants are ``h.quotient_invariants``.  When G/H is cyclic of
+    order n, the generator is the first element in index order whose order
+    in G/H is n, that is, with (n/p) * x outside H for every prime p | n
+    (the identity when n = 1).
     """
     if h.group != group:
         raise PreconditionError("subgroup of a different group")
-    invariants = snf_invariants(h.hnf_basis)
+    invariants = h.quotient_invariants
     is_cyclic = _is_cyclic(invariants)
     generator = None
     if is_cyclic:
@@ -342,7 +366,7 @@ def all_subgroups(group: FinAbGroup) -> tuple[Subgroup, ...]:
         # below: the rows i+1, ..., k-1 already chosen, each of full width
         if i < 0:
             # each row is in HNF by construction and passed its relation check
-            found.append(Subgroup._raw(group, MatZ(tuple(below))))
+            found.append(Subgroup._raw(group, MatZ._raw(tuple(below))))
             return
         tail_basis = [row[i + 1 :] for row in below]
         pivots = [row[l] for l, row in enumerate(below, start=i + 1)]
@@ -368,7 +392,7 @@ def minimal_overgroups(group: FinAbGroup, k_sub: Subgroup) -> tuple[Subgroup, ..
     """
     if k_sub.group != group:
         raise PreconditionError("subgroup of a different group")
-    if not _is_cyclic(snf_invariants(k_sub.hnf_basis)):
+    if not _is_cyclic(k_sub.quotient_invariants):
         raise PreconditionError("minimal overgroups require a cyclic quotient G/K")
     n = k_sub.index
     base = list(k_sub.hnf_basis.entries)

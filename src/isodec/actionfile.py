@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .abgroup import FinAbGroup
 from .action import GAction, validate_action
@@ -141,8 +142,56 @@ def load_action_file(text: str, max_order: int | None = None) -> ActionFile:
 
 
 def _json_text(obj) -> str:
-    """Canonical JSON text: indent 2, sorted keys, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: indent 2, sorted keys, trailing newline.
+
+    For a document of dicts with string keys, lists, strings, numbers,
+    bools and None, the bytes are exactly ``json.dumps(obj, indent=2,
+    sort_keys=True) + "\\n"``.  With an indent, `json` runs its pure-Python
+    encoder; this writer walks the containers itself and leaves the scalars
+    to `json`'s C string encoder, to ``int.__repr__`` (a list of ints in one
+    join) and, for the rest, to ``json.dumps``.
+    """
+    # small parts joined once: returning each container's text and joining
+    # those held larger transient strings and raised peak RSS on `lattice`
+    parts: list[str] = []
+    _write_json(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(obj, nl: str, out) -> None:
+    """Write obj through out; nl is a newline and the indent of obj's line."""
+    if isinstance(obj, str):
+        out(encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = nl + "  "
+        if all(type(v) is int for v in obj):
+            out("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, v in sorted(obj.items()):
+            out(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    elif type(obj) is int:
+        out(int.__repr__(obj))
+    else:
+        out(json.dumps(obj))
 
 
 def serialize_action_file(af: ActionFile) -> str:

@@ -131,8 +131,8 @@ def common_kernel(group: FinAbGroup, characters) -> Subgroup:
         for j, n in enumerate(group.moduli)
     ]
     rows += [[n_all * (i == t) for t in range(m)] + [0] * k for i in range(m)]
-    kernel_rows = [r[m:] for r in _hermite(rows)[m:]]
-    return Subgroup(group, MatZ(kernel_rows))
+    kernel_rows = tuple(tuple(r[m:]) for r in _hermite(rows)[m:])
+    return Subgroup(group, MatZ._raw(kernel_rows))
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,8 @@ def rational_irreps(group: FinAbGroup) -> tuple[RationalIrrep, ...]:
         for _, b, _ in combo:
             a = [(x + y) % m for x, y, m in zip(a, b, moduli)]
         try:
-            kernel = Subgroup(group, MatZ(_crt_hnf([h for _, _, h in combo], k)))
+            kernel_hnf = _crt_hnf([h for _, _, h in combo], k)
+            kernel = Subgroup(group, MatZ._raw(kernel_hnf))
         except PreconditionError as err:
             raise InternalCheckError(
                 f"combined kernel is not a subgroup: {err}"

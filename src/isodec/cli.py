@@ -44,7 +44,7 @@ from .actionfile import (
 from .chars import RationalIrrep, rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
 from .fixtures import FIXTURE_KINDS, FixtureSpec, _fixture_parameters, make_fixture
-from .ratlinalg import _parse_rational, snf_invariants
+from .ratlinalg import _parse_rational
 from .roan import RoanReport, _cyclic_roan, verify_roan_matching
 
 __all__ = ["main"]
@@ -299,10 +299,10 @@ def _cmd_characters(args) -> int:
 def _cmd_subgroups(args) -> int:
     group = _parse_group_arg(args.group, args.max_order)
     subs = all_subgroups(group)
-    # the quotient's invariants only: no generator, so no Smith transforms
+    # the quotient's invariants only: no generator
     infos = []
     for s in subs:
-        inv = [d for d in snf_invariants(s.hnf_basis) if d > 1]
+        inv = [d for d in s.quotient_invariants if d > 1]
         infos.append((s, inv, len(inv) <= 1))
     if args.kernels:
         infos = [(s, inv, cyclic) for s, inv, cyclic in infos if cyclic]

@@ -333,6 +333,14 @@ class MatZ:
         object.__setattr__(self, "entries", rows)
 
     @classmethod
+    def _raw(cls, rows: tuple[tuple[int, ...], ...]) -> "MatZ":
+        """A matrix of rows the package built itself, already a non-empty
+        rectangular tuple of int tuples: the entries are not checked again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "MatZ":
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
@@ -469,7 +477,12 @@ class SubspaceQ:
 
     @classmethod
     def full(cls, n: int) -> "SubspaceQ":
-        return cls(n, MatQ.identity(n).num)
+        """Q^n, whose RREF basis is the identity: nothing to reduce."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ambient_dim", n)
+        object.__setattr__(s, "basis", MatQ.identity(n))
+        object.__setattr__(s, "pivot_cols", tuple(range(n)))
+        return s
 
     @property
     def dim(self) -> int:
@@ -654,8 +667,9 @@ def snf_invariants(M: MatZ) -> tuple[int, ...]:
     smallest nonzero entry of the remaining block to the pivot and clears
     its row and column, again until both are clean; then each pair of
     diagonal entries becomes its gcd and lcm, which sorts every prime's
-    exponents into d1 | d2 | ...  This is how the quotient G/H of a subgroup
-    lattice and a group's own invariants are read.
+    exponents into d1 | d2 | ... (`_divisor_chain`).  A subgroup lattice
+    reads G/H off its Hermite form first (`Subgroup.quotient_invariants`),
+    and only a block that is not diagonal comes here.
     """
     if M.rows != M.cols:
         raise PreconditionError("Smith invariants of a non-square matrix")
@@ -690,7 +704,13 @@ def snf_invariants(M: MatZ) -> tuple[int, ...]:
                         clean = False
             if clean:
                 break
-    d = [abs(a[t][t]) for t in range(k)]
+    return _divisor_chain([abs(a[t][t]) for t in range(k)])
+
+
+def _divisor_chain(d: list[int]) -> tuple[int, ...]:
+    """The invariant factors d1 | d2 | ... of the diagonal d (modified in
+    place): each pair of entries becomes its gcd and lcm."""
+    k = len(d)
     for i in range(k):
         for j in range(i + 1, k):
             d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])

@@ -23,6 +23,7 @@ from isodec import (
     index_and_quotient,
     minimal_overgroups,
     rational_irreps,
+    snf_invariants,
     subgroup_from_generators,
 )
 from isodec.abgroup import _solve_upper
@@ -247,6 +248,36 @@ def test_quotient_invariants_match_order_counting(gg):
         x = info.generator
         orders = [m for m in sorted(counts) if sub.contains_exps((m * x).exps)]
         assert orders[0] == info.index
+
+
+def test_quotient_invariants_read_the_tails_not_only_the_pivots():
+    # pivots {2, 2}, but 2 * (1, 0) is not in H, so (1, 0) has order 4 and
+    # G/H is cyclic: a reading of the pivots alone would give (2, 2)
+    g = FinAbGroup((4, 4))
+    h = Subgroup(g, MatZ(((2, 1), (0, 2))))
+    assert h.quotient_invariants == (1, 4)
+    assert index_and_quotient(g, h).invariants == (1, 4)
+    assert Subgroup(g, MatZ(((2, 0), (0, 2)))).quotient_invariants == (2, 2)
+    assert Subgroup(g, MatZ(((1, 3), (0, 4)))).quotient_invariants == (1, 4)
+
+
+# ranks 1-4, repeated primes included; order <= 256 keeps the lattices small
+lattice_group = (
+    st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9]), min_size=1, max_size=4)
+    .filter(lambda mods: prod(mods) <= 256)
+    .map(lambda mods: FinAbGroup(tuple(mods)))
+)
+
+
+@given(lattice_group)
+@example(FinAbGroup((4, 4)))
+@example(FinAbGroup((2, 4, 8)))
+@example(FinAbGroup((6, 6, 6)))
+@example(FinAbGroup((4, 4, 4, 4)))
+@settings(max_examples=30, deadline=None)
+def test_quotient_invariants_equal_the_smith_invariants_of_the_basis(group):
+    for s in all_subgroups(group):
+        assert s.quotient_invariants == snf_invariants(s.hnf_basis)
 
 
 # --------------------------------------------------------- minimal overgroups

@@ -17,6 +17,7 @@ from isodec import (
     load_action_file,
     serialize_action_file,
 )
+from isodec.actionfile import _json_text
 from isodec.fixtures import FixtureSpec, make_fixture
 from oracles import fraction_rows, inverse
 from test_action import rationally_conjugated
@@ -158,6 +159,36 @@ def test_serialization_is_canonical():
         "generators": [[[1]]],
         "name": "a",
     }
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(
+        lambda n: st.sampled_from([n, -n])
+    ),
+    # quotes, backslashes, control characters and non-ASCII text
+    st.text(alphabet=st.sampled_from('a"\\\n\t\x00\x1f\x7fé€😀 ')),
+    st.text(),
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        st.lists(st.integers(), max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_documents)
+@example({"": [], "a": {}, "b": [[], {}, [[]], {"c": {}}], "d": [True, 0, None]})
+@example([[1, 2], [True, False], [-(2**70), 2**70], [0, None]])
+def test_json_text_equals_the_indented_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_fractions_survive_round_trip():

@@ -79,7 +79,8 @@ COMMANDS = [
     ([], ["verify", "{dir}/rc6.json", "--json"], 0),
     ([], ["characters", "--group", "6"], 0),
     ([], ["characters", "--group", "8,9", "--json"], 0),
-    ([], ["subgroups", "--group", "2,2"], 0),
+    # (4, 4) has the lattice ((2, 1), (0, 2)), whose G/H takes a Smith pass
+    ([], ["subgroups", "--group", "4,4"], 0),
     ([], ["subgroups", "--group", "8,9", "--kernels", "--json"], 0),
     (
         [("bad.json", {"group": [2], "generators": [[[0, 1], [1, 1]]]})],

@@ -270,6 +270,15 @@ def test_subspace_reads_fraction_string_and_scaled_integer_rows_alike():
         SubspaceQ(3, [[Fraction(1, 2), 1, 0], [Fraction(1, 3), 1]])
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_full_space_is_the_reduced_identity(n):
+    # SubspaceQ.full builds its basis without an elimination
+    full, reduced = SubspaceQ.full(n), SubspaceQ(n, MatQ.identity(n).num)
+    assert full == reduced
+    assert full.basis.shape == reduced.basis.shape
+    assert full.pivot_cols == reduced.pivot_cols
+
+
 def test_kernel_image_on_known_matrix():
     m = MatQ([[1, 1, 0], [0, 0, 0], [1, 1, 0]])
     assert kernel_space(m).dim == 2
