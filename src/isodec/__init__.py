@@ -7,30 +7,8 @@ rational representation and computes that decomposition in exact rational
 arithmetic: no floats, no numerical tolerance, every result certified by
 independent internal cross-checks.
 
-``char_poly``, ``eigenvalue_orders``, ``algebra_matrix``, ``inverse``,
-``Character.galois_orbit`` and the Fraction views ``MatQ.trace``,
-``MatQ.fraction_rows``, ``SubspaceQ.basis_rows``, ``coordinates_of`` and
-``contains_vector`` are no longer part of the API; the test suite keeps them
-as oracles in ``tests/oracles.py`` (``galois_orbit`` as a function of a
-character).  ``sum_spaces`` is
-gone too: a sum of subspaces is one ``SubspaceQ`` of the stacked basis rows.
-
-No command, acceptance criterion or benchmark reached the following, so
-they are gone as well: ``hnf``, ``MatZ.to_matq``, ``MatQ.entry``,
-``MatQ.zeros``, ``MatQ.from_jsonable`` and ``MatZ.from_jsonable`` (use
-``MatZ(rows)``); ``IsotypicalReport.action``; ``RoanReport.filtration``, of
-which ``filtration_dims`` keeps the dimensions; ``SubspaceQ``'s,
-``Subgroup``'s and ``GroupAlgebraElem``'s ``to_jsonable`` and
-``from_jsonable``; ``Subgroup.group_invariants`` and ``Subgroup.contains``
-(use ``contains_exps``); ``FinAbGroup.invariants`` and ``is_cyclic`` (use
-``index_and_quotient`` of the trivial subgroup); ``GroupElement``'s ``+``,
-``-``, negation, ``is_identity`` and ``order``; ``RationalIrrep.is_trivial``;
-and ``GroupAlgebraElem``'s ``coeff``, ``terms``, ``scale``, negation and
-``is_idempotent``, with ``qalgebra.from_terms`` (build an element as
-``GroupAlgebraElem(group, nums, den)``).  ``tests/test_public_surface.py``
-keeps it that way.  The reports are plain data: the ``to_jsonable`` of
-``IsotypicalReport``, ``RoanReport`` and ``RoanMatchReport`` and
-``action_file_to_jsonable`` are gone, as the JSON documents are the CLI's.
+Names that have left the API, and where their work went (most live on as
+test oracles in ``tests/oracles.py``), are listed in ``CHANGES.md``.
 """
 
 from .abgroup import (

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm, prod
 
 from .errors import PreconditionError
@@ -205,9 +205,10 @@ class Subgroup:
     def trivial(cls, group: FinAbGroup) -> "Subgroup":
         return cls.from_lattice_rows(group, ())
 
-    @property
+    @cached_property
     def index(self) -> int:
-        """[G : H] = det of the basis (triangular, so the diagonal product)."""
+        """[G : H] = det of the basis (triangular, so the diagonal product),
+        computed once per instance."""
         e = self.hnf_basis.entries
         return prod(e[i][i] for i in range(self.group.rank))
 

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .abgroup import (
     FinAbGroup,
@@ -91,7 +91,9 @@ from .numtheory import factorint, prime_divisors
 from .ratlinalg import (
     MatQ,
     SubspaceQ,
+    _combination,
     _dot_rows,
+    _plus_identity,
     image_space,
     intersect_spaces,
     kernel_and_image,
@@ -185,44 +187,18 @@ def _orbit(step: MatQ, start: MatQ, count: int) -> list[MatQ]:
     return out
 
 
-def _combination(shape: tuple[int, int], terms, den: int) -> MatQ:
-    """(1/den) * the sum of c * M over (c, M) pairs, integer c, M of this
-    shape.
-
-    Accumulates integer numerators over a running common denominator (the
-    lcm of the matrices' denominators), so the sum is exact and builds no
-    Fractions.
-    """
-    rows, cols = shape
-    acc = [[0] * cols for _ in range(rows)]
-    acc_den = 1
-    for num, m in terms:
-        new_den = lcm(acc_den, m.den)
-        s = new_den // acc_den
-        t = num * (new_den // m.den)
-        if s != 1:
-            acc = [[v * s for v in r] for r in acc]
-        for r, mr in zip(acc, m.num):
-            for j, v in enumerate(mr):
-                if v:
-                    r[j] += t * v
-        acc_den = new_den
-    return MatQ._raw(acc, acc_den * den, cols)
-
-
 def fixed_subvariety(action: GAction, h: Subgroup) -> SubspaceQ:
     """A^H: the common kernel of rho(h) - 1 over the non-identity HNF
     generators h of H, one elimination of their stacked rows (the image of
     the averaging idempotent p_H)."""
     if h.group != action.group:
         raise PreconditionError("subgroup of a different group")
-    eye = MatQ.identity(action.dim)
     # each block's own denominator only scales its rows, not the kernel
     rows = [
         row
         for g in h.generators()
         if any(g.exps)
-        for row in (action_matrix(action, g) - eye).num
+        for row in _plus_identity(action_matrix(action, g), -1).num
     ]
     return kernel_space(MatQ._raw(rows, 1, action.dim))
 
@@ -244,12 +220,11 @@ def complementary_subvariety(action: GAction, k_sub: Subgroup, h: Subgroup) -> S
         raise PreconditionError(
             "the complement P(A^K/A^H) requires K to be contained in H"
         )
-    eye = MatQ.identity(action.dim)
     yt = fixed_subvariety(action, k_sub).basis.transpose()
     cols = []
     for g in h.generators():
         if any(g.exps):
-            cols.extend(zip(*((action_matrix(action, g) - eye) @ yt).num))
+            cols.extend(zip(*(_plus_identity(action_matrix(action, g), -1) @ yt).num))
     return SubspaceQ(action.dim, cols)
 
 
@@ -304,7 +279,10 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
         terms = ((ramanujan_sum(n, i * s), vi) for i, vi in enumerate(v))
         by_idempotent = image_space(_combination(v[0].shape, terms, n))
         # (n/p) x = (r/p) s x: rho((n/p) x) - 1 on A^K is v[r/p] - v[0]
-        parts = [image_space(v[r // p] - v[0]) for p in primes]
+        parts = [
+            image_space(_combination(v[0].shape, ((1, v[r // p]), (-1, v[0])), 1))
+            for p in primes
+        ]
         by_intersection = reduce(intersect_spaces, parts)
     if by_intersection != by_idempotent:
         raise InternalCheckError(
@@ -381,10 +359,9 @@ def _sylow_split(action: GAction) -> dict[tuple[int, ...], SubspaceQ]:
     order p^i, and the image is the rest, of order above p^i.  What remains
     has order p^a.  The rho(p^i * s) come from ``_sylow_powers``.
     """
-    eye = MatQ.identity(action.dim)
     pieces = {(): SubspaceQ.full(action.dim)}
     for j, p, a in _sylow_parts(action.group):
-        ts = [m - eye for m in _sylow_powers(action, j, p, a)]
+        ts = [_plus_identity(m, -1) for m in _sylow_powers(action, j, p, a)]
         split = {}
         for sig, y in pieces.items():
             for i, t in enumerate(ts):

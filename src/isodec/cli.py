@@ -28,7 +28,6 @@ non-cyclic group); 4 internal cross-check failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -64,7 +63,8 @@ def _action_lines(action: GAction, *more: str) -> list[str]:
 
 
 def _fmt_intmat(rows) -> str:
-    return json.dumps([list(r) for r in rows])
+    # an int list's repr is its JSON text
+    return str([list(r) for r in rows])
 
 
 def _render_table(headers, rows) -> list[str]:

@@ -27,7 +27,9 @@ is read and written without a Fraction.  `fractions.Fraction` remains only
 where a rational crosses the public face: `mul_vector` and the parsed
 value of a `"p/q"` string; `SubspaceQ` reads non-integer rows through
 `MatQ` too.  No floating point appears anywhere.  One elimination serves
-kernel, image and, through `kernel_and_image`, intersection.
+kernel, image and, through `kernel_and_image`, intersection.  `MatQ` has
+products but no sums: one `_combination` serves every sum of matrices, and
+`_plus_identity` every shift by a multiple of I.
 
 Sparse rows.  Permutation and monomial matrices, such as those of the
 regular representation, have one nonzero per row.  A row counts as sparse
@@ -222,30 +224,6 @@ class MatQ:
         d = self.den * vden
         return tuple(Fraction(row[0], d) for row in _dot_rows(self.num, vnum))
 
-    def __add__(self, other: "MatQ") -> "MatQ":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} + {other.shape}")
-        l = lcm(self.den, other.den)
-        sa, sb = l // self.den, l // other.den
-        num = [
-            [a * sa + b * sb for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.num, other.num)
-        ]
-        return MatQ._raw(num, l, ncols=self.cols)
-
-    def __sub__(self, other: "MatQ") -> "MatQ":
-        return self + (-other)
-
-    def __neg__(self) -> "MatQ":
-        return MatQ._raw([[-v for v in row] for row in self.num], self.den, ncols=self.cols)
-
-    def __mul__(self, scalar) -> "MatQ":
-        q = _parse_rational(scalar)
-        num = [[v * q.numerator for v in row] for row in self.num]
-        return MatQ._raw(num, self.den * q.denominator, ncols=self.cols)
-
-    __rmul__ = __mul__
-
     def __pow__(self, n: int) -> "MatQ":
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
@@ -312,6 +290,40 @@ def _normalize_int_rows(rows, den: int):
     if g > 1:
         return tuple(tuple(v // g for v in row) for row in rows), den // g
     return tuple(map(tuple, rows)), den
+
+
+def _combination(shape: tuple[int, int], terms, den: int) -> MatQ:
+    """(1/den) * the sum of c * M over (c, M) pairs, integer c, M of this
+    shape.
+
+    Accumulates integer numerators over a running common denominator (the
+    lcm of the matrices' denominators), so the sum is exact and builds no
+    Fractions.
+    """
+    rows, cols = shape
+    acc = [[0] * cols for _ in range(rows)]
+    acc_den = 1
+    for num, m in terms:
+        new_den = lcm(acc_den, m.den)
+        s = new_den // acc_den
+        t = num * (new_den // m.den)
+        if s != 1:
+            acc = [[v * s for v in r] for r in acc]
+        for r, mr in zip(acc, m.num):
+            for j, v in enumerate(mr):
+                if v:
+                    r[j] += t * v
+        acc_den = new_den
+    return MatQ._raw(acc, acc_den * den, cols)
+
+
+def _plus_identity(m: MatQ, c: int) -> MatQ:
+    """m + c * I for a square m and an integer c: c * den is added to the
+    diagonal numerators."""
+    rows = [list(r) for r in m.num]
+    for i, r in enumerate(rows):
+        r[i] += c * m.den
+    return MatQ._raw(rows, m.den, ncols=m.cols)
 
 
 @dataclass(frozen=True)

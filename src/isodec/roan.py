@@ -56,6 +56,7 @@ from .ratlinalg import (
     MatQ,
     SubspaceQ,
     _dot_rows,
+    _plus_identity,
     cyclotomic,
     image_space,  # unused; bench/tests/test_bench.py checks its traced binding
     kernel_and_image,
@@ -120,8 +121,8 @@ def _split(m: MatQ, d: int) -> RoanReport:
         elif cands:  # none are left on a 0 x 0 piece, or on input not of order d
             gaps = [abs(2 * sum(not c % f for f in cands) - len(cands)) for c in cands]
             e = cands[gaps.index(min(gaps))]
-            t = MatQ.identity(a.rows) - a ** e
-            sides = kernel_and_image(t, SubspaceQ.full(a.rows))
+            # a^e - 1 has the kernel and image of 1 - a^e
+            sides = kernel_and_image(_plus_identity(a**e, -1), SubspaceQ.full(a.rows))
             for side, divides in zip(sides, (True, False)):
                 if side.dim:
                     lifted = _dot_rows(side.basis.num, list(zip(*rows)))
@@ -137,10 +138,9 @@ def _split(m: MatQ, d: int) -> RoanReport:
 def _vanishes_at(monic: tuple[int, ...], a: MatQ) -> bool:
     """Whether a monic integer polynomial (ascending coefficients, degree
     >= 1) is zero at the square matrix a, by Horner's rule."""
-    eye = MatQ.identity(a.rows)
-    value = a + eye * monic[-2]
+    value = _plus_identity(a, monic[-2])
     for c in reversed(monic[:-2]):
-        value = value @ a + eye * c
+        value = _plus_identity(value @ a, c)
     return value.is_zero()
 
 

@@ -188,7 +188,6 @@ def roan_walk(m: MatQ, d: int) -> RoanReport:
     later divisor would be built from it.
     """
     n = m.rows
-    eye = MatQ.identity(n)
     y = SubspaceQ.full(n)
     orders, dims, components = [], [n], []
     divs = divisors(d)
@@ -199,7 +198,7 @@ def roan_walk(m: MatQ, d: int) -> RoanReport:
         base = _base(powers, e)
         power = powers[e] = powers[base] ** (e // base)
         powers = {k: powers[k] for k in {_base(powers, f) for f in divs[i + 1 :]}}
-        b, rest = kernel_and_image(eye - power, y)
+        b, rest = kernel_and_image(_one_minus(power), y)
         if not b.dim:
             continue
         if not _vanishes_at(cyclotomic(e), restrict_operator(m, b)):
@@ -215,6 +214,12 @@ def roan_walk(m: MatQ, d: int) -> RoanReport:
     if SubspaceQ(n, [row for _, b in components for row in b.basis.num]).dim != n:
         raise InternalCheckError("kernel pieces do not span the whole space")
     return RoanReport(n, d, tuple(orders), tuple(dims), tuple(components))
+
+
+def _one_minus(m: MatQ) -> MatQ:
+    """1 - m, entry by entry from the Fraction rows of a square m."""
+    rows = fraction_rows(m)
+    return MatQ([[int(i == j) - v for j, v in enumerate(r)] for i, r in enumerate(rows)])
 
 
 def _base(powers: dict[int, MatQ], e: int) -> int:

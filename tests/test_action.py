@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -35,7 +36,7 @@ from isodec.qalgebra import (
 )
 import isodec.action as action_module
 from isodec.action import _signature, _sylow_parts
-from oracles import algebra_matrix, inverse, rho_table
+from oracles import algebra_matrix, fraction_rows, inverse, rho_table
 
 from test_cli import run_cli
 
@@ -47,14 +48,16 @@ def assert_routes_match_expanded_sums(action):
     component the image of e_W."""
     group = action.group
     subgroups = all_subgroups(group)
-    avg = {h: algebra_matrix(action, averaging_idempotent(h)) for h in subgroups}
+    avg = {h: averaging_idempotent(h) for h in subgroups}
     for h in subgroups:
-        assert fixed_subvariety(action, h) == image_space(avg[h])
+        p_h = algebra_matrix(action, avg[h])
+        assert fixed_subvariety(action, h) == image_space(p_h)
     for k in subgroups:
         for h in subgroups:
             if k.is_contained_in(h):
+                # the difference is taken in Q[G], before any matrix is formed
                 assert complementary_subvariety(action, k, h) == image_space(
-                    avg[k] - avg[h]
+                    algebra_matrix(action, avg[k] - avg[h])
                 )
     for w in rational_irreps(group):
         assert isotypical_component(action, w) == image_space(
@@ -264,7 +267,10 @@ def test_algebra_matrix_is_linear_and_multiplicative():
         y = random_elem()
         mx = algebra_matrix(af.action, x)
         my = algebra_matrix(af.action, y)
-        assert algebra_matrix(af.action, x + y) == mx + my
+        assert fraction_rows(algebra_matrix(af.action, x + y)) == tuple(
+            tuple(map(add, rx, ry))
+            for rx, ry in zip(fraction_rows(mx), fraction_rows(my))
+        )
         assert algebra_matrix(af.action, x * y) == mx @ my
     assert algebra_matrix(af.action, identity(group)).is_identity()
 

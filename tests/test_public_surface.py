@@ -15,6 +15,7 @@ not by its name, so a method that shares its name with another (``order``,
 
 from __future__ import annotations
 
+import functools
 import importlib
 import inspect
 import json
@@ -98,9 +99,11 @@ def _modules():
 
 def _functions_of(member):
     """The plain functions behind a function, cached function, classmethod,
-    staticmethod or property."""
+    staticmethod, property or cached property."""
     if isinstance(member, property):
         return [member.fget]
+    if isinstance(member, functools.cached_property):
+        return [member.func]
     if isinstance(member, (classmethod, staticmethod)):
         member = member.__func__
     member = inspect.unwrap(member)

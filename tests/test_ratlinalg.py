@@ -21,7 +21,12 @@ from isodec import (
     restrict_operator,
     snf_invariants,
 )
-from isodec.ratlinalg import _divmod_monic, kernel_and_image
+from isodec.ratlinalg import (
+    _combination,
+    _divmod_monic,
+    _plus_identity,
+    kernel_and_image,
+)
 from oracles import (
     basis_rows,
     char_poly,
@@ -66,18 +71,60 @@ def test_module_doctests():
 
 @given(square_matq(3), square_matq(3), square_matq(3))
 def test_matq_ring_identities(a, b, c):
-    assert (a + b) @ c == a @ c + b @ c
     assert (a @ b) @ c == a @ (b @ c)
     assert a @ MatQ.identity(3) == a
     assert MatQ.identity(3) @ a == a
-    assert a - a == zeros(3, 3)
+
+
+def scaled(a: MatQ, q) -> MatQ:
+    """q * a, as a MatQ of Fraction rows."""
+    return MatQ([[q * v for v in row] for row in fraction_rows(a)])
 
 
 @given(square_matq(3))
 def test_matq_scaling_normalizes(a):
-    assert a * Fraction(2, 3) * Fraction(3, 2) == a
-    assert (-a) + a == zeros(3, 3)
+    assert scaled(scaled(a, Fraction(2, 3)), Fraction(3, 2)) == a
     assert a.transpose().transpose() == a
+
+
+@given(st.integers(0, 4).flatmap(square_matq), st.integers(-6, 6))
+@example(zeros(0, 0), 5)
+@example(MatQ([[-2, 0], [0, -2]]), 2)  # a zero result
+@example(MatQ([["1/2", 1], [0, "-1/3"]]), -1)
+def test_plus_identity_matches_the_fraction_sum(m, c):
+    expected = MatQ(
+        [[v + c * (i == j) for j, v in enumerate(row)]
+         for i, row in enumerate(fraction_rows(m))]
+    )
+    shifted = _plus_identity(m, c)
+    assert shifted == expected
+    assert shifted.shape == m.shape
+    if shifted.is_zero():
+        assert shifted.den == 1
+
+
+@st.composite
+def combination_case(draw):
+    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rows = st.lists(st.lists(fractions, min_size=c, max_size=c), min_size=r, max_size=r)
+    mat = rows.map(lambda rs: MatQ(rs) if rs else zeros(0, c))
+    terms = draw(st.lists(st.tuples(st.integers(-4, 4), mat), max_size=4))
+    return (r, c), terms, draw(st.integers(1, 6))
+
+
+@given(combination_case())
+@example(((1, 1), [(1, MatQ([["1/2"]])), (-3, MatQ([["1/3"]]))], 2))
+@example(((2, 2), [], 3))
+def test_combination_matches_the_fraction_sum(case):
+    (r, c), terms, den = case
+    expected = [
+        [sum((k * fraction_rows(m)[i][j] for k, m in terms), Fraction(0)) / den
+         for j in range(c)]
+        for i in range(r)
+    ]
+    total = _combination((r, c), terms, den)
+    assert total == (MatQ(expected) if r else zeros(0, c))
+    assert total.shape == (r, c)
 
 
 def test_transpose_of_matrices_without_rows_or_columns():
@@ -92,7 +139,7 @@ def test_transpose_of_matrices_without_rows_or_columns():
 
 def test_matq_equality_ignores_representation():
     a = MatQ([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)]])
-    b = MatQ.identity(2) * Fraction(1, 2)
+    b = scaled(MatQ.identity(2), Fraction(1, 2))
     assert a == b
     assert hash(a) == hash(b)
 
@@ -555,8 +602,11 @@ def test_charpoly_matches_cofactor_expansion(a):
     p = char_poly(a)
     # evaluate det(xI - A) at a few points and compare
     for x in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)):
-        xi = MatQ.identity(3) * x
-        assert horner(p, x) == det_int_of(xi - a)
+        x_minus_a = MatQ(
+            [[x * (i == j) - v for j, v in enumerate(row)]
+             for i, row in enumerate(fraction_rows(a))]
+        )
+        assert horner(p, x) == det_int_of(x_minus_a)
 
 
 def test_charpoly_trace_and_det_coefficients():
@@ -818,8 +868,9 @@ def sparse_matrix(nrows, ncols):
 
 
 def as_matq(rows, ncols, den=1) -> MatQ:
-    m = MatQ(rows) if rows else zeros(0, ncols)
-    return m * Fraction(1, den)
+    if not rows:
+        return zeros(0, ncols)
+    return MatQ([[Fraction(v, den) for v in row] for row in rows])
 
 
 def oracle_product(a, b, inner, ncols):
