@@ -14,10 +14,8 @@ test oracles in ``tests/oracles.py``), are listed in ``CHANGES.md``.
 from .abgroup import (
     FinAbGroup,
     GroupElement,
-    QuotientInfo,
     Subgroup,
     all_subgroups,
-    index_and_quotient,
     minimal_overgroups,
     subgroup_from_generators,
 )
@@ -78,10 +76,8 @@ __all__ = [
     "FinAbGroup",
     "GroupElement",
     "Subgroup",
-    "QuotientInfo",
     "subgroup_from_generators",
     "all_subgroups",
-    "index_and_quotient",
     "minimal_overgroups",
     "Character",
     "RationalIrrep",

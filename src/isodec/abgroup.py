@@ -11,7 +11,7 @@ The invariant factors of G/H are the Smith invariants of the same basis
 matrix, read off its Hermite form (`Subgroup.quotient_invariants`).  When
 G/H is cyclic of order n, its subgroups are the images of the multiples
 m * G, so the overgroup of index n/p over H is H + (n/p) * G, and a
-generator is read by membership tests alone.
+generator is read by membership tests alone (`Subgroup.quotient_generator`).
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ __all__ = [
     "FinAbGroup",
     "GroupElement",
     "Subgroup",
-    "QuotientInfo",
     "subgroup_from_generators",
-    "index_and_quotient",
     "all_subgroups",
     "minimal_overgroups",
 ]
@@ -239,6 +237,23 @@ class Subgroup:
             return units + snf_invariants(block)
         return snf_invariants(self.hnf_basis)
 
+    def quotient_generator(self) -> GroupElement | None:
+        """A generator of G/H when it is cyclic, else None.
+
+        For cyclic G/H of order n this is the first element x in index order
+        whose order in G/H is n, that is, with (n/p) * x outside H for every
+        prime p | n (the identity when H = G).
+        """
+        if not _is_cyclic(self.quotient_invariants):
+            return None
+        n = self.index
+        cofactors = [n // p for p in prime_divisors(n)]
+        return next(
+            GroupElement(self.group, x)
+            for x in self.group.exponent_tuples()
+            if not any(self.contains_exps([c * e for e in x]) for c in cofactors)
+        )
+
     def contains_exps(self, exps) -> bool:
         return _solve_upper(self.hnf_basis.entries, exps) is not None
 
@@ -292,40 +307,6 @@ def subgroup_from_generators(group: FinAbGroup, gens) -> Subgroup:
             raise PreconditionError("generator from a different group")
         rows.append(g.exps)
     return Subgroup.from_lattice_rows(group, rows)
-
-
-@dataclass(frozen=True)
-class QuotientInfo:
-    """Structure of G/H: order, invariant factors, and a generator when cyclic."""
-
-    index: int
-    invariants: tuple[int, ...]
-    is_cyclic: bool
-    generator: GroupElement | None
-
-
-def index_and_quotient(group: FinAbGroup, h: Subgroup) -> QuotientInfo:
-    """Index and invariant factors of G/H; a generator coset when cyclic.
-
-    The invariants are ``h.quotient_invariants``.  When G/H is cyclic of
-    order n, the generator is the first element in index order whose order
-    in G/H is n, that is, with (n/p) * x outside H for every prime p | n
-    (the identity when n = 1).
-    """
-    if h.group != group:
-        raise PreconditionError("subgroup of a different group")
-    invariants = h.quotient_invariants
-    is_cyclic = _is_cyclic(invariants)
-    generator = None
-    if is_cyclic:
-        n = h.index
-        cofactors = [n // p for p in prime_divisors(n)]
-        generator = next(
-            GroupElement(group, x)
-            for x in group.exponent_tuples()
-            if not any(h.contains_exps([c * e for e in x]) for c in cofactors)
-        )
-    return QuotientInfo(h.index, invariants, is_cyclic, generator)
 
 
 # all_subgroups refuses a group with more candidate bases than this

@@ -79,12 +79,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd, prod
 
-from .abgroup import (
-    FinAbGroup,
-    GroupElement,
-    Subgroup,
-    index_and_quotient,
-)
+from .abgroup import FinAbGroup, GroupElement, Subgroup
 from .chars import RationalIrrep, common_kernel, ramanujan_sum, rational_irreps
 from .errors import InternalCheckError, PreconditionError, ValidationError
 from .numtheory import factorint, prime_divisors
@@ -261,10 +256,10 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     if w.group != action.group:
         raise PreconditionError("representation of a different group")
     k_sub = w.kernel
-    info = index_and_quotient(action.group, k_sub)
-    if not info.is_cyclic:
+    x = k_sub.quotient_generator()
+    if x is None:
         raise PreconditionError("minimal overgroups require a cyclic quotient G/K")
-    n, x = info.index, info.generator
+    n = k_sub.index
     primes = prime_divisors(n)
     a_k = fixed_subvariety(action, k_sub)
     if n == 1:

@@ -147,8 +147,9 @@ def _json_text(obj) -> str:
     For a document of dicts with string keys, lists, strings, numbers,
     bools and None, the bytes are exactly ``json.dumps(obj, indent=2,
     sort_keys=True) + "\\n"``.  With an indent, `json` runs its pure-Python
-    encoder; this writer walks the containers itself and leaves the scalars
-    to `json`'s C string encoder, to ``int.__repr__`` (a list of ints in one
+    encoder; this writer walks the containers itself, writes ``true``,
+    ``false`` and ``null`` as they are, and leaves the other scalars to
+    `json`'s C string encoder, to ``int.__repr__`` (a list of ints in one
     join) and, for the rest, to ``json.dumps``.
     """
     # small parts joined once: returning each container's text and joining
@@ -190,6 +191,12 @@ def _write_json(obj, nl: str, out) -> None:
         out(nl + "}")
     elif type(obj) is int:
         out(int.__repr__(obj))
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif obj is None:
+        out("null")
     else:
         out(json.dumps(obj))
 

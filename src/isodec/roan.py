@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroup import Subgroup, index_and_quotient
+from .abgroup import Subgroup
 from .action import (
     GAction,
     IsotypicalReport,
@@ -158,10 +158,10 @@ class RoanMatchReport:
 def _cyclic_roan(action: GAction) -> RoanReport:
     """Roan's decomposition of alpha = rho(x), x a generator of the cyclic G."""
     group = action.group
-    info = index_and_quotient(group, Subgroup.trivial(group))
-    if not info.is_cyclic:
+    x = Subgroup.trivial(group).quotient_generator()
+    if x is None:
         raise PreconditionError("Roan's decomposition requires a cyclic group")
-    return roan_decomposition(action_matrix(action, info.generator), group.order)
+    return roan_decomposition(action_matrix(action, x), group.order)
 
 
 def verify_roan_matching(action: GAction) -> RoanMatchReport:

@@ -20,7 +20,6 @@ from isodec import (
     PreconditionError,
     Subgroup,
     all_subgroups,
-    index_and_quotient,
     minimal_overgroups,
     rational_irreps,
     snf_invariants,
@@ -75,15 +74,14 @@ def test_element_order_divides_group_exponent(gg):
 
 def test_group_invariants_and_cyclicity():
     def whole(moduli):
-        g = FinAbGroup(moduli)
-        return index_and_quotient(g, Subgroup.trivial(g))
+        return Subgroup.trivial(FinAbGroup(moduli))
 
-    assert whole((8, 9)).invariants == (1, 72)
-    assert whole((8, 9)).is_cyclic
-    assert whole((2, 2)).invariants == (2, 2)
-    assert not whole((2, 2)).is_cyclic
-    assert whole((1,)).is_cyclic
-    assert whole((2, 3, 5)).is_cyclic
+    assert whole((8, 9)).quotient_invariants == (1, 72)
+    assert whole((8, 9)).quotient_generator() is not None
+    assert whole((2, 2)).quotient_invariants == (2, 2)
+    assert whole((2, 2)).quotient_generator() is None
+    assert whole((1,)).quotient_generator() is not None
+    assert whole((2, 3, 5)).quotient_generator() is not None
 
 
 def test_bad_moduli_rejected():
@@ -219,20 +217,17 @@ def test_invalid_hnf_rejected():
 def test_quotient_known_examples():
     g = FinAbGroup((8, 9))
     k = subgroup_from_generators(g, [(2, 3)])
-    info = index_and_quotient(g, k)
-    assert info.index == 6
-    assert info.invariants == (1, 6)
-    assert info.is_cyclic
+    assert k.index == 6
+    assert k.quotient_invariants == (1, 6)
+    x = k.quotient_generator()
+    assert x is not None
     # the generator coset really has order 6 in G/K
-    x = info.generator
     assert [m for m in range(1, 7) if k.contains_exps((m * x).exps)] == [6]
 
-    g22 = FinAbGroup((2, 2))
-    info22 = index_and_quotient(g22, Subgroup.trivial(g22))
-    assert info22.index == 4
-    assert info22.invariants == (2, 2)
-    assert not info22.is_cyclic
-    assert info22.generator is None
+    trivial22 = Subgroup.trivial(FinAbGroup((2, 2)))
+    assert trivial22.index == 4
+    assert trivial22.quotient_invariants == (2, 2)
+    assert trivial22.quotient_generator() is None
 
 
 @given(group_and_generators())
@@ -240,14 +235,13 @@ def test_quotient_known_examples():
 def test_quotient_invariants_match_order_counting(gg):
     group, gens = gg
     sub = subgroup_from_generators(group, gens)
-    info = index_and_quotient(group, sub)
     counts = quotient_order_counts(group, sub)
     for m, count in counts.items():
-        assert count == prod(gcd(d, m) for d in info.invariants)
-    if info.is_cyclic and info.index > 1:
-        x = info.generator
+        assert count == prod(gcd(d, m) for d in sub.quotient_invariants)
+    x = sub.quotient_generator()
+    if x is not None and sub.index > 1:
         orders = [m for m in sorted(counts) if sub.contains_exps((m * x).exps)]
-        assert orders[0] == info.index
+        assert orders[0] == sub.index
 
 
 def test_quotient_invariants_read_the_tails_not_only_the_pivots():
@@ -256,7 +250,7 @@ def test_quotient_invariants_read_the_tails_not_only_the_pivots():
     g = FinAbGroup((4, 4))
     h = Subgroup(g, MatZ(((2, 1), (0, 2))))
     assert h.quotient_invariants == (1, 4)
-    assert index_and_quotient(g, h).invariants == (1, 4)
+    assert h.quotient_generator() == g.element((1, 0))
     assert Subgroup(g, MatZ(((2, 0), (0, 2)))).quotient_invariants == (2, 2)
     assert Subgroup(g, MatZ(((1, 3), (0, 4)))).quotient_invariants == (1, 4)
 
@@ -308,15 +302,14 @@ def test_minimal_overgroups_requires_cyclic_quotient():
 def test_minimal_overgroups_count_and_primality(gg):
     group, gens = gg
     sub = subgroup_from_generators(group, gens)
-    info = index_and_quotient(group, sub)
-    if not info.is_cyclic:
+    if sub.quotient_generator() is None:
         return
     over = minimal_overgroups(group, sub)
-    assert len(over) == len(prime_divisors(info.index)) if info.index > 1 else not over
+    assert len(over) == len(prime_divisors(sub.index)) if sub.index > 1 else not over
     for h in over:
         assert sub.is_contained_in(h)
         ratio = sub.index // h.index
-        assert ratio in prime_divisors(info.index)
+        assert ratio in prime_divisors(sub.index)
 
 
 @given(group_and_generators())
@@ -324,11 +317,10 @@ def test_minimal_overgroups_count_and_primality(gg):
 def test_minimal_overgroups_independent_of_generator_choice(gg):
     group, gens = gg
     sub = subgroup_from_generators(group, gens)
-    info = index_and_quotient(group, sub)
-    if not info.is_cyclic or info.index == 1:
+    if sub.quotient_generator() is None or sub.index == 1:
         return
     canonical = minimal_overgroups(group, sub)
-    n = info.index
+    n = sub.index
     # H_p = <K, (n/p) g> for every coset generator g of G/K is the same list
     for g in group.elements():
         orders = [m for m in range(1, n + 1) if sub.contains_exps((m * g).exps)]
@@ -352,17 +344,17 @@ def test_minimal_overgroups_independent_of_generator_choice(gg):
 def test_quotient_generator_is_the_first_element_of_full_order(gg):
     group, gens = gg
     sub = subgroup_from_generators(group, gens)
-    info = index_and_quotient(group, sub)
-    if not info.is_cyclic:
-        assert info.generator is None
+    x = sub.quotient_generator()
+    if len([d for d in sub.quotient_invariants if d > 1]) > 1:
+        assert x is None
         return
-    n = info.index
+    n = sub.index
     first = next(
         g
         for g in group.elements()
         if min(m for m in range(1, n + 1) if sub.contains_exps((m * g).exps)) == n
     )
-    assert info.generator == first
+    assert x == first
 
 
 def test_quotient_generator_scan_is_fast_on_every_kernel():
@@ -371,8 +363,7 @@ def test_quotient_generator_scan_is_fast_on_every_kernel():
     kernels = [w.kernel for w in rational_irreps(group)]
     start = time.perf_counter()
     for k in kernels:
-        info = index_and_quotient(group, k)
-        assert info.is_cyclic
+        assert k.quotient_generator() is not None
     assert time.perf_counter() - start < 1
 
 

@@ -418,12 +418,21 @@ def malformed_action_files(draw):
     text='{"group":[1],"generators":[[[1]]],"ground_truth":[{"kernel_hnf":[[]],"multiplicity":1}]}'
 )
 def test_malformed_action_files_exit_2(text, tmp_path):
-    # a defect in the file is a ValidationError, and the CLI turns it into
-    # exit 2 with a message: never a traceback, and never exit 4
+    # a defect in the file is a ValidationError, and every command that reads
+    # a file turns it into exit 2 with a message: never a traceback, and
+    # never exit 4
     with pytest.raises(ValidationError):
         load_action_file(text)
     path = tmp_path / "action.json"
     path.write_text(text)
-    code, out, err = run_cli(["decompose", str(path)])
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    file = str(path)
+    for argv in (
+        ["decompose", file],
+        ["roan", file],
+        ["verify", file],
+        ["roan", file, "--json"],
+        ["verify", file, "--json"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
