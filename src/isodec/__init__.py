@@ -16,7 +16,6 @@ from .abgroup import (
     GroupElement,
     Subgroup,
     all_subgroups,
-    minimal_overgroups,
     subgroup_from_generators,
 )
 from .action import (
@@ -78,7 +77,6 @@ __all__ = [
     "Subgroup",
     "subgroup_from_generators",
     "all_subgroups",
-    "minimal_overgroups",
     "Character",
     "RationalIrrep",
     "char_kernel",

@@ -10,8 +10,9 @@ so H = L/R, [G : H] = det(L) and membership is exact back-substitution.
 The invariant factors of G/H are the Smith invariants of the same basis
 matrix, read off its Hermite form (`Subgroup.quotient_invariants`).  When
 G/H is cyclic of order n, its subgroups are the images of the multiples
-m * G, so the overgroup of index n/p over H is H + (n/p) * G, and a
-generator is read by membership tests alone (`Subgroup.quotient_generator`).
+m * G, so the overgroup of index n/p over H is H + (n/p) * G
+(`Subgroup.minimal_overgroups`), and a generator is read by membership
+tests alone (`Subgroup.quotient_generator`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "Subgroup",
     "subgroup_from_generators",
     "all_subgroups",
-    "minimal_overgroups",
 ]
 
 
@@ -61,9 +61,6 @@ class FinAbGroup:
     @property
     def exponent(self) -> int:
         return lcm(*self.moduli)
-
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
 
     def element(self, exps) -> "GroupElement":
         return GroupElement(self, tuple(exps))
@@ -137,9 +134,6 @@ class GroupElement:
 
     __mul__ = __rmul__
 
-    def index(self) -> int:
-        return self.group.index_of(self.exps)
-
     def __repr__(self):
         return f"GroupElement{self.exps}"
 
@@ -197,7 +191,8 @@ class Subgroup:
 
     @classmethod
     def whole(cls, group: FinAbGroup) -> "Subgroup":
-        return cls.from_lattice_rows(group, MatZ.identity(group.rank).entries)
+        """G itself: the identity basis spans Z^k, which holds every relation."""
+        return cls._raw(group, MatZ.diagonal((1,) * group.rank))
 
     @classmethod
     def trivial(cls, group: FinAbGroup) -> "Subgroup":
@@ -253,6 +248,22 @@ class Subgroup:
             for x in self.group.exponent_tuples()
             if not any(self.contains_exps([c * e for e in x]) for c in cofactors)
         )
+
+    def minimal_overgroups(self) -> tuple["Subgroup", ...]:
+        """The overgroups H ⊇ K = self with [H : K] prime, for cyclic G/K:
+        one per prime p | n = [G : K], the preimage H_p = K + (n/p) G of the
+        subgroup of order p of G/K, in ``sort_key`` order."""
+        if not _is_cyclic(self.quotient_invariants):
+            raise PreconditionError("minimal overgroups require a cyclic quotient G/K")
+        group, n = self.group, self.index
+        base = list(self.hnf_basis.entries)
+        out = [
+            Subgroup.from_lattice_rows(
+                group, base + list(MatZ.diagonal((n // p,) * group.rank).entries)
+            )
+            for p in prime_divisors(n)
+        ]
+        return tuple(sorted(out, key=lambda s: s.sort_key))
 
     def contains_exps(self, exps) -> bool:
         return _solve_upper(self.hnf_basis.entries, exps) is not None
@@ -363,25 +374,3 @@ def all_subgroups(group: FinAbGroup) -> tuple[Subgroup, ...]:
     extend(k - 1, [])
     return tuple(sorted(found, key=lambda s: s.sort_key))
 
-
-def minimal_overgroups(group: FinAbGroup, k_sub: Subgroup) -> tuple[Subgroup, ...]:
-    """The overgroups H ⊇ K with [H : K] prime, for K with cyclic quotient.
-
-    For cyclic G/K of order n there is exactly one such H per prime p | n,
-    the preimage of the subgroup of order p of G/K, namely H_p = K + (n/p) G;
-    so the number of minimal overgroups equals the number of distinct primes
-    dividing [G : K].
-    """
-    if k_sub.group != group:
-        raise PreconditionError("subgroup of a different group")
-    if not _is_cyclic(k_sub.quotient_invariants):
-        raise PreconditionError("minimal overgroups require a cyclic quotient G/K")
-    n = k_sub.index
-    base = list(k_sub.hnf_basis.entries)
-    out = [
-        Subgroup.from_lattice_rows(
-            group, base + list(MatZ.diagonal((n // p,) * group.rank).entries)
-        )
-        for p in prime_divisors(n)
-    ]
-    return tuple(sorted(out, key=lambda s: s.sort_key))

@@ -97,9 +97,6 @@ class Character:
             raise InternalCheckError("character value is not an n-th root of unity")
         return q % n
 
-    def kernel(self) -> Subgroup:
-        return char_kernel(self)
-
     def __repr__(self):
         return f"Character{self.exps}"
 

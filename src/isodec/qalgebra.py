@@ -1,16 +1,18 @@
 """The rational group algebra Q[G] of a finite abelian group.
 
 Elements are dense coefficient vectors indexed by group-element index, stored
-as integer numerators over one positive common denominator.  The module
-provides the three idempotent constructions the decomposition rests on:
+as integer numerators over one positive common denominator; the unit is
+(1, 0, ..., 0), since the identity element has index 0.  The module provides
+the three idempotent constructions the decomposition rests on:
 
 * ``averaging_idempotent(H)``     p_H = (1/|H|) sum of the elements of H,
 * ``central_idempotent(W)``       e_W with coefficients c_n(m(g)) / |G|,
   where c_n is a Ramanujan sum and m(g) the root exponent of a character
   generating W,
 * ``product_formula_idempotent(K)``  the product of (p_K - p_H) over the
-  minimal overgroups H of K, which equals e_W for the irreducible W with
-  kernel K.  The identity of the last two is a key internal cross-check.
+  minimal overgroups H of K (``K.minimal_overgroups()``), which equals e_W
+  for the irreducible W with kernel K.  The identity of the last two is a key
+  internal cross-check.
 """
 
 from __future__ import annotations
@@ -18,14 +20,12 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from math import gcd
 
-from .abgroup import FinAbGroup, Subgroup, minimal_overgroups
+from .abgroup import FinAbGroup, Subgroup
 from .chars import RationalIrrep, ramanujan_sum
 from .errors import PreconditionError
 
 __all__ = [
     "GroupAlgebraElem",
-    "identity",
-    "zero",
     "averaging_idempotent",
     "central_idempotent",
     "product_formula_idempotent",
@@ -133,16 +133,6 @@ class GroupAlgebraElem:
         return "GroupAlgebraElem(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def zero(group: FinAbGroup) -> GroupAlgebraElem:
-    return GroupAlgebraElem(group, [0] * group.order)
-
-
-def identity(group: FinAbGroup) -> GroupAlgebraElem:
-    nums = [0] * group.order
-    nums[group.identity().index()] = 1
-    return GroupAlgebraElem(group, nums)
-
-
 def averaging_idempotent(h: Subgroup) -> GroupAlgebraElem:
     """p_H = (1/|H|) sum of the elements of H."""
     group = h.group
@@ -175,7 +165,7 @@ def product_formula_idempotent(k_sub: Subgroup) -> GroupAlgebraElem:
     equals the central idempotent e_W; the empty product (K = G) is p_G
     itself, matching the trivial representation.
     """
-    over = minimal_overgroups(k_sub.group, k_sub)
+    over = k_sub.minimal_overgroups()
     p_k = averaging_idempotent(k_sub)
     if not over:
         return p_k

@@ -353,10 +353,6 @@ class MatZ:
         return m
 
     @classmethod
-    def identity(cls, n: int) -> "MatZ":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    @classmethod
     def diagonal(cls, diag) -> "MatZ":
         diag = list(diag)
         n = len(diag)

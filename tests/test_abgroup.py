@@ -20,7 +20,6 @@ from isodec import (
     PreconditionError,
     Subgroup,
     all_subgroups,
-    minimal_overgroups,
     rational_irreps,
     snf_invariants,
     subgroup_from_generators,
@@ -54,13 +53,13 @@ def test_element_arithmetic_and_order():
     assert x * 3 == 3 * x
     assert (-1 * x).exps == (6, 6)
     # 12 is the order: the least multiple that reaches the identity
-    assert [m for m in range(1, 13) if m * x == g.identity()] == [12]
+    assert [m for m in range(1, 13) if m * x == g.element((0, 0))] == [12]
 
 
 def test_element_index_round_trip():
     g = FinAbGroup((4, 3, 2))
     for i, x in enumerate(g.elements()):
-        assert x.index() == i
+        assert g.index_of(x.exps) == i
         assert g.element_of_index(i) == x
     assert len(list(g.elements())) == 24
 
@@ -69,7 +68,7 @@ def test_element_index_round_trip():
 def test_element_order_divides_group_exponent(gg):
     group, gens = gg
     for exps in gens:
-        assert group.exponent * group.element(exps) == group.identity()
+        assert group.exponent * group.element(exps) == group.element((0,) * group.rank)
 
 
 def test_group_invariants_and_cyclicity():
@@ -280,7 +279,7 @@ def test_quotient_invariants_equal_the_smith_invariants_of_the_basis(group):
 def test_minimal_overgroups_known_example():
     g = FinAbGroup((8, 9))
     k = subgroup_from_generators(g, [(2, 3)])
-    over = minimal_overgroups(g, k)
+    over = k.minimal_overgroups()
     assert [h.hnf_basis.entries for h in over] == [((2, 0), (0, 1)), ((1, 0), (0, 3))]
     assert [k.index // h.index for h in over] == [3, 2]
     assert all(k.is_contained_in(h) for h in over)
@@ -288,13 +287,13 @@ def test_minimal_overgroups_known_example():
 
 def test_minimal_overgroups_of_whole_group_is_empty():
     g = FinAbGroup((6,))
-    assert minimal_overgroups(g, Subgroup.whole(g)) == ()
+    assert Subgroup.whole(g).minimal_overgroups() == ()
 
 
 def test_minimal_overgroups_requires_cyclic_quotient():
     g = FinAbGroup((2, 2))
-    with pytest.raises(PreconditionError):
-        minimal_overgroups(g, Subgroup.trivial(g))
+    with pytest.raises(PreconditionError, match="require a cyclic quotient"):
+        Subgroup.trivial(g).minimal_overgroups()
 
 
 @given(group_and_generators())
@@ -304,12 +303,18 @@ def test_minimal_overgroups_count_and_primality(gg):
     sub = subgroup_from_generators(group, gens)
     if sub.quotient_generator() is None:
         return
-    over = minimal_overgroups(group, sub)
+    over = sub.minimal_overgroups()
     assert len(over) == len(prime_divisors(sub.index)) if sub.index > 1 else not over
     for h in over:
         assert sub.is_contained_in(h)
         ratio = sub.index // h.index
         assert ratio in prime_divisors(sub.index)
+    # against brute force: every subgroup that holds sub with prime index
+    assert set(over) == {
+        h
+        for h in all_subgroups(group)
+        if sub.is_contained_in(h) and sub.index // h.index in prime_divisors(sub.index)
+    }
 
 
 @given(group_and_generators())
@@ -319,7 +324,7 @@ def test_minimal_overgroups_independent_of_generator_choice(gg):
     sub = subgroup_from_generators(group, gens)
     if sub.quotient_generator() is None or sub.index == 1:
         return
-    canonical = minimal_overgroups(group, sub)
+    canonical = sub.minimal_overgroups()
     n = sub.index
     # H_p = <K, (n/p) g> for every coset generator g of G/K is the same list
     for g in group.elements():

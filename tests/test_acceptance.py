@@ -24,10 +24,12 @@ from isodec import (
     Character,
     FinAbGroup,
     FixtureSpec,
+    GroupAlgebraElem,
     Subgroup,
     all_subgroups,
     averaging_idempotent,
     central_idempotent,
+    char_kernel,
     complementary_subvariety,
     fixed_subvariety,
     image_space,
@@ -35,7 +37,6 @@ from isodec import (
     isotypical_component,
     isotypical_decomposition,
     make_fixture,
-    minimal_overgroups,
     product_formula_idempotent,
     ramanujan_sum,
     rational_irreps,
@@ -43,8 +44,6 @@ from isodec import (
     verify_roan_matching,
 )
 from isodec.numtheory import totient
-from isodec.qalgebra import identity as algebra_identity
-from isodec.qalgebra import zero as algebra_zero
 from oracles import algebra_matrix
 
 GROUPS_LE_100 = [
@@ -71,10 +70,13 @@ def test_criterion_1_idempotent_identities(criterion):
         for moduli in GROUPS_LE_100:
             group = FinAbGroup(moduli)
             es = [central_idempotent(w) for w in rational_irreps(group)]
-            assert reduce(lambda a, b: a + b, es) == algebra_identity(group)
+            # the unit of Q[G]: the identity element has index 0
+            unit = GroupAlgebraElem(group, [1] + [0] * (group.order - 1))
+            zero = GroupAlgebraElem(group, [0] * group.order)
+            assert reduce(lambda a, b: a + b, es) == unit
             for i, e in enumerate(es):
                 for j, f in enumerate(es):
-                    expected = e if i == j else algebra_zero(group)
+                    expected = e if i == j else zero
                     assert e * f == expected
             subs = all_subgroups(group)
             for _ in range(200):
@@ -118,11 +120,10 @@ def test_criterion_3_dual_routes_and_ground_truth(criterion):
                 )
                 action = af.action
                 assert action.dim <= 24
-                group = action.group
                 report = isotypical_decomposition(action)
                 for comp in report.components:
                     k = comp.irrep.kernel
-                    overs = minimal_overgroups(group, k)
+                    overs = k.minimal_overgroups()
                     if overs:
                         route_a = complementary_subvariety(action, k, overs[0])
                         for h in overs[1:]:
@@ -227,9 +228,9 @@ def test_criterion_5_worked_example(criterion, tmp_path):
         af = make_fixture(FixtureSpec("paper-example", p=2, q=3))
         group = af.action.group
         assert group.moduli == (8, 9)
-        k_sub = Character(group, (4, 3)).kernel()
+        k_sub = char_kernel(Character(group, (4, 3)))
         assert k_sub.hnf_basis.entries == ((2, 0), (0, 3))
-        overs = minimal_overgroups(group, k_sub)
+        overs = k_sub.minimal_overgroups()
         assert len(overs) == 2
         assert sorted(k_sub.index // h.index for h in overs) == [2, 3]
         a_w = intersect_spaces(
@@ -250,9 +251,9 @@ def test_criterion_5_worked_example(criterion, tmp_path):
         af22 = make_fixture(FixtureSpec("paper-example", p=2, q=2))
         group = af22.action.group
         assert group.moduli == (8, 4)
-        k_sub = Character(group, (4, 2)).kernel()
+        k_sub = char_kernel(Character(group, (4, 2)))
         assert k_sub.index == 2 and k_sub.quotient_generator() is not None
-        assert list(minimal_overgroups(group, k_sub)) == [Subgroup.whole(group)]
+        assert list(k_sub.minimal_overgroups()) == [Subgroup.whole(group)]
         a_w = complementary_subvariety(af22.action, k_sub, Subgroup.whole(group))
         [w2] = [w for w in rational_irreps(group) if w.kernel == k_sub]
         assert a_w == isotypical_component(af22.action, w2)

@@ -667,11 +667,26 @@ _MODULI = st.one_of(
 )
 
 
+# the file commands' inputs: every fixture golden, a text golden (not JSON),
+# a JSON golden with no "generators", and a path that does not exist
+_FILES = [str(p) for p in sorted(GOLDEN_DIR.glob("fixture-*.json"))] + [
+    str(GOLDEN_DIR / name)
+    for name in ["characters-6.txt", "characters-8-9.json", "no-such-file.json"]
+]
+
+
 @st.composite
 def _argv(draw):
-    """argv for characters, subgroups or fixture, valid or not."""
-    command = draw(st.sampled_from(["characters", "subgroups", "fixture"]))
-    if command == "fixture":
+    """argv for any subcommand, valid or not."""
+    command = draw(st.sampled_from(
+        ["characters", "subgroups", "fixture", "decompose", "roan", "verify"]
+    ))
+    if command in ("decompose", "roan", "verify"):
+        # --check-plausibility is decompose's own: roan and verify refuse it
+        flags = st.sampled_from(["--json", "--check-plausibility"])
+        argv = [command, draw(st.sampled_from(_FILES))]
+        argv += draw(st.lists(flags, unique=True))
+    elif command == "fixture":
         kind = draw(st.sampled_from(FIXTURE_KINDS))
         count = {"regular": 1, "paper-example": 2}.get(kind, 0)  # positional
         params = draw(st.lists(st.integers(-1, 7), min_size=count, max_size=count))

@@ -13,7 +13,6 @@ from isodec import (
     char_kernel,
     isotypical_decomposition,
     make_fixture,
-    minimal_overgroups,
     rational_irreps,
     serialize_action_file,
 )
@@ -140,7 +139,7 @@ def test_paper_example_second_case_kernel_shape():
     assert k.quotient_generator() is not None
     # order 16 and exponent 8: k is Z/8 x Z/2, not cyclic
     assert max(element_order(group, x.exps) for x in k.elements()) == 8
-    over = minimal_overgroups(group, k)
+    over = k.minimal_overgroups()
     assert len(over) == 1
     assert over[0].index == 1  # the only minimal overgroup is G itself
 
