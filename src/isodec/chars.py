@@ -206,6 +206,8 @@ def _crt_hnf(hnfs, k: int) -> tuple[tuple[int, ...], ...]:
     fixed modulo each diagonal entry by back-substituting the row so far
     through that HNF; CRT puts it into [0, d_j).
     """
+    if len(hnfs) == 1:
+        return hnfs[0]
     rows = []
     for i in range(k):
         d = prod(h[i][i] for h in hnfs)

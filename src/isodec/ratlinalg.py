@@ -31,13 +31,23 @@ kernel, image and, through `kernel_and_image`, intersection.  `MatQ` has
 products but no sums: one `_combination` serves every sum of matrices, and
 `_plus_identity` every shift by a multiple of I.
 
-Sparse rows.  Permutation and monomial matrices, such as those of the
-regular representation, have one nonzero per row.  A row counts as sparse
-when at most a quarter of its entries are nonzero, a test made at C speed
-(`_is_sparse`).  Products (`_dot_rows`) and eliminations (`_row_reduce`)
-then work only at the nonzeros of sparse rows and keep the full dot product
-or row update for the others.  Both add up the same integer terms, so every
-result is the same exact integer matrix as the dense computation gives.
+Products.  One kernel, `_dot_rows`, forms every integer product, and it
+takes one of three paths per row of the left factor.  Permutation and
+monomial matrices, such as those of the regular representation, have one
+nonzero per row; a row counts as sparse when at most a quarter of its
+entries are nonzero, a test made at C speed (`_is_sparse`), and a sparse
+row is formed from the rows of the right factor at its nonzeros.  With at
+least 12 columns and 8 dense rows, the dense rows go through Kronecker
+substitution (`_packed_rows`): each row of the right factor is packed once
+into one integer of 16-, 32- or 64-bit fields, and each dense row of the
+product is then one C-level sum of big-integer products, unpacked with
+`struct`.  The fields are wide enough that no entry carries into the next;
+a product whose entries might not fit 64 bits, and a smaller shape, takes
+the full dot products.  So an n by n product makes n interpreter-level
+calls, not n^2.  Eliminations (`_row_reduce`) likewise update only at the
+nonzeros of a sparse pivot row.  Every path adds up the same integer terms,
+so every result is the same exact integer matrix as the dense computation
+gives.
 An elimination also pivots, in each column, on the candidate row with the
 fewest nonzeros (ties to the smallest |pivot|), a Markowitz-style choice
 that keeps sparse rows sparse and intermediate entries small.  The reduced
@@ -48,10 +58,11 @@ subspace comes out the same.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, mul
 
@@ -117,6 +128,55 @@ def _nonzero_cols(row) -> list[int]:
     return list(compress(range(len(row)), row))
 
 
+# field width k -> struct code of a signed k-bit field
+_FIELDS = ((16, "h"), (32, "i"), (64, "q"))
+# the packed path pays off from this many output columns and dense rows on
+# (a replay of the benchmark's products, in BENCH_31.json)
+_PACK_MIN_COLS = 12
+_PACK_MIN_ROWS = 8
+
+
+def _packed_rows(rows, bt) -> list[list[int]] | None:
+    """The dense rows of the product a @ bt^T by Kronecker substitution
+    (see ``_dot_rows``), or None when inner * max|a| * max|b| is 2^63 or
+    more.
+
+    With k the field width and h = 2^(k-1), row t of b (column t of bt)
+    becomes P_t = sum_j (b_tj + h) 2^(kj) - H, with H = sum_j h 2^(kj): one
+    signed `struct.pack` of all of b, then one XOR with H per row, which
+    flips each field's top bit and so turns the k-bit two's complement of
+    b_tj into b_tj + h.  A product row is sum_t a_t P_t + H, whose field j
+    holds c_j + h; the same XOR turns it back into the two's complement of
+    c_j, and one signed `struct.unpack` of all the rows, joined, reads
+    every entry.
+    """
+    inner, n = len(bt[0]), len(bt)
+    amax = max(max(map(max, rows)), -min(map(min, rows)))
+    bmax = max(max(map(max, bt)), -min(map(min, bt)))
+    bound = inner * amax * bmax
+    for k, code in _FIELDS:
+        if bound < 1 << (k - 1):
+            break
+    else:
+        return None
+    width = n * k // 8
+    offset = (1 << (k - 1)) * ((1 << (k * n)) - 1) // ((1 << k) - 1)  # H
+    # fields of b_tj mod 2^k, and of b_tj + h after the XOR
+    data = struct.pack(f"<{inner * n}{code}", *chain.from_iterable(zip(*bt)))
+    packed = [
+        (int.from_bytes(data[i : i + width], "little") ^ offset) - offset
+        for i in range(0, len(data), width)
+    ]
+    vals = struct.unpack(
+        f"<{len(rows) * n}{code}",
+        b"".join(
+            (sum(map(mul, row, packed), offset) ^ offset).to_bytes(width, "little")
+            for row in rows
+        ),
+    )
+    return [list(vals[i : i + n]) for i in range(0, len(vals), n)]
+
+
 def _dot_rows(a, bt) -> list[list[int]]:
     """The integer product a @ bt^T: entry (i, j) is row i of a dotted with
     row j of bt.  The one dot-product kernel behind every integer product.
@@ -124,17 +184,37 @@ def _dot_rows(a, bt) -> list[list[int]]:
     A row of a is sparse when at most a quarter of its entries are nonzero
     (see ``_is_sparse``).  A sparse row is formed as a combination of the
     rows of b (the columns of bt): one plain copy for an entry 1 and one
-    scaled copy for any other nonzero entry.  A dense row takes the full
-    dot product with every column.  Both add the same integer products, so
-    the result is the same exact integer matrix.
+    scaled copy for any other nonzero entry.
+
+    With at least ``_PACK_MIN_COLS`` columns and ``_PACK_MIN_ROWS`` dense
+    rows, the dense rows are formed by Kronecker substitution
+    (``_packed_rows``): each row t of b is packed once into the integer
+    P_t = sum_j b_tj 2^(kj), and a row of the product is the one C-level
+    sum sum_t a_t P_t = sum_j c_j 2^(kj), read back k bits at a time.  The
+    read is exact when every c_j lies in [-2^(k-1), 2^(k-1)): offset by
+    h = 2^(k-1), each field then holds c_j + h in [0, 2^k) and carries
+    nothing into the next.  |c_j| <= inner * max|a| * max|b| over the
+    dense rows (and |b_tj| <= that bound, since a dense row has a nonzero
+    entry), so k is the smallest of 16, 32 and 64 with that bound below
+    2^(k-1); from 2^63 on, and for smaller shapes, a dense row takes the
+    full dot product with every column.  Each path adds the same integer
+    products, so the result is the same exact integer matrix.
     """
     if not bt:  # no columns: b would have no rows for a sparse row to take
         return [[] for _ in a]
+    sparse = list(map(_is_sparse, a))
+    dense = [row for row, s in zip(a, sparse) if not s]
+    formed = None
+    if len(bt) >= _PACK_MIN_COLS and len(dense) >= _PACK_MIN_ROWS:
+        formed = _packed_rows(dense, bt)
+    if formed is None:
+        formed = [[sum(map(mul, row, col)) for col in bt] for row in dense]
+    formed = iter(formed)
     b = None  # the rows of b, formed for the first sparse row of a
     out = []
-    for row in a:
-        if not _is_sparse(row):
-            out.append([sum(map(mul, row, col)) for col in bt])
+    for row, s in zip(a, sparse):
+        if not s:
+            out.append(next(formed))
             continue
         if b is None:
             b = list(zip(*bt))
@@ -262,6 +342,8 @@ class MatQ:
 
     def to_jsonable(self) -> list:
         d = self.den
+        if d == 1:  # an integer entry is written as itself
+            return [list(row) for row in self.num]
         return [[_rational_to_jsonable(v, d) for v in row] for row in self.num]
 
     def __eq__(self, other) -> bool:

@@ -219,6 +219,21 @@ def test_rational_irreps_certifies_the_orbit_size(monkeypatch):
         rational_irreps(FinAbGroup((6,)))
 
 
+def test_a_p_group_class_kernel_is_its_own_hnf(monkeypatch):
+    # one Sylow part: each class kernel is one lattice, already in HNF
+    real = chars_module._crt_hnf
+    handed_back = []
+
+    def spy(hnfs, k):
+        out = real(hnfs, k)
+        handed_back.append(len(hnfs) == 1 and out is hnfs[0])
+        return out
+
+    monkeypatch.setattr(chars_module, "_crt_hnf", spy)
+    assert_irreps_equal_the_walk((2, 4, 8))
+    assert handed_back and all(handed_back)
+
+
 def test_rational_irreps_certifies_the_combined_kernel_is_a_subgroup(monkeypatch):
     # an entry above its diagonal entry: not a Hermite normal form
     monkeypatch.setattr(chars_module, "_crt_hnf", lambda hnfs, k: ((1, 5), (0, 2)))

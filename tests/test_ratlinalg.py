@@ -906,6 +906,155 @@ def test_products_with_sparse_rows_match_the_oracle(case, den_a, den_b):
         assert list(as_matq(a, k, den_a).mul_vector(vec)) == expected_vec
 
 
+# --------------------------------------------- packed dense rows in the kernel
+#
+# With at least _PACK_MIN_COLS columns and _PACK_MIN_ROWS dense rows, a
+# product packs each row of the right factor into one integer of k-bit
+# fields, k the smallest of 16, 32 and 64 with inner * max|a| * max|b| below
+# 2^(k-1); from 2^63 on, and below the crossover, it takes the dot products.
+# These tests put entries of the product at +bound and -bound, for bounds
+# just below and at each limit, and compare against Fraction arithmetic.
+
+# bound -> (inner, max|a|, max|b|) with inner * max|a| * max|b| == bound
+BOUND_FACTORS = {
+    2**15 - 1: (7, 31, 151),
+    2**15: (8, 64, 64),
+    2**31 - 1: (1, 1, 2**31 - 1),
+    2**31: (8, 2**14, 2**14),
+    2**63 - 1: (7, 7 * 73 * 127, 20303320287433),
+    2**63: (8, 2**30, 2**30),
+}
+
+
+class PackedRowsSpy:
+    """Records what each `_packed_rows` call returned (None: too wide)."""
+
+    def __init__(self, mp):
+        self.returned = []
+        real = ratlinalg._packed_rows
+
+        def spy(rows, bt):
+            out = real(rows, bt)
+            self.returned.append(out)
+            return out
+
+        mp.setattr(ratlinalg, "_packed_rows", spy)
+
+
+def dot_rows_checked(a, b, inner, ncols, as_tuples):
+    """`_dot_rows` on rows given as lists or tuples, checked against the
+    Fraction product and for leaving its inputs as they were."""
+    wrap = tuple if as_tuples else list
+    a_in = [wrap(row) for row in a]
+    bt_in = [wrap(col) for col in zip(*b)] if b else [wrap(())] * ncols
+    before = ([tuple(r) for r in a_in], [tuple(c) for c in bt_in])
+    out = ratlinalg._dot_rows(a_in, bt_in)
+    assert out == oracle_product(a, b, inner, ncols)
+    assert all(type(row) is list for row in out)
+    assert ([tuple(r) for r in a_in], [tuple(c) for c in bt_in]) == before
+    return out
+
+
+@st.composite
+def extreme_case(draw, bound, above):
+    """(a, b) with max|a| and max|b| from BOUND_FACTORS: dense row 0 against
+    column 0 of b gives +bound and dense row 1 gives -bound; the other dense
+    rows are drawn, and sparse rows (zero, or one nonzero) sit among them.
+    `above`: at least 8 dense rows and 12 columns; else fewer of one."""
+    inner, amax, bmax = BOUND_FACTORS[bound]
+    if above:
+        ndense, ncols = draw(st.integers(8, 11)), draw(st.integers(12, 16))
+    elif draw(st.booleans()):
+        ndense, ncols = draw(st.integers(2, 7)), draw(st.integers(1, 16))
+    else:
+        ndense, ncols = draw(st.integers(2, 11)), draw(st.integers(1, 11))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=inner, max_size=inner))
+    dense_entry = st.integers(-amax, amax).filter(bool)
+    a = [[s * amax for s in signs], [-s * amax for s in signs]]
+    for _ in range(ndense - 2):
+        a.append(draw(st.lists(dense_entry, min_size=inner, max_size=inner)))
+    for _ in range(draw(st.integers(0, 4))):
+        row = [0] * inner
+        if inner >= 4 and draw(st.booleans()):
+            row[draw(st.integers(0, inner - 1))] = draw(st.integers(-(2**70), 2**70))
+        a.insert(draw(st.integers(0, len(a))), row)
+    b = [
+        draw(st.lists(st.integers(-bmax, bmax), min_size=ncols, max_size=ncols))
+        for _ in range(inner)
+    ]
+    for t, s in enumerate(signs):
+        b[t][0] = s * bmax
+    return a, b, inner, ncols
+
+
+@pytest.mark.parametrize("above", [True, False], ids=["above", "below"])
+@pytest.mark.parametrize("bound", sorted(BOUND_FACTORS))
+@given(data=st.data(), as_tuples=st.booleans())
+@settings(max_examples=15)
+def test_products_at_the_field_limits_match_the_oracle(bound, above, data, as_tuples):
+    a, b, inner, ncols = data.draw(extreme_case(bound, above))
+    with pytest.MonkeyPatch.context() as mp:
+        spy = PackedRowsSpy(mp)
+        out = dot_rows_checked(a, b, inner, ncols, as_tuples)
+    assert {bound, -bound} <= {row[0] for row in out}
+    # past 2^63 the packing declines; below the crossover it is not tried
+    assert len(spy.returned) == int(above)
+    assert all((r is None) == (bound >= 2**63) for r in spy.returned)
+
+
+def test_mul_vector_and_small_shapes_take_the_dot_products():
+    m = MatQ([[16 * i + j - 100 for j in range(16)] for i in range(16)])
+    with pytest.MonkeyPatch.context() as mp:
+        spy = PackedRowsSpy(mp)
+        assert m.mul_vector([1] * 16) == tuple(Fraction(sum(r)) for r in m.num)
+        # 7 dense rows by 16 columns, then 16 dense rows by 11 columns
+        a, b = [r[:11] for r in m.num[:7]], [r[:16] for r in m.num[:11]]
+        assert (MatQ(a) @ MatQ(b)).num == tuple(map(tuple, oracle_product(a, b, 11, 16)))
+        c = [r[:11] for r in m.num]
+        assert (m @ MatQ(c)).num == tuple(map(tuple, oracle_product(m.num, c, 16, 11)))
+        assert spy.returned == []
+        assert (m @ m).num == tuple(map(tuple, oracle_product(m.num, m.num, 16, 16)))
+        assert len(spy.returned) == 1 and spy.returned[0] is not None
+
+
+@st.composite
+def wide_product_case(draw):
+    """(a, b, inner, ncols) of up to 14 rows, 10 inner and 16 columns, with
+    entries below 2^bits for a drawn bits, so that every field width and
+    the fallback occur; two rows in three are dense, the others sparse
+    (zero, one or a quarter nonzero), so shapes fall on both sides of the
+    crossover."""
+    r, k, m = draw(st.integers(0, 14)), draw(st.integers(0, 10)), draw(st.integers(0, 16))
+    bits = draw(st.sampled_from([3, 12, 28, 40]))
+    entry = st.integers(-(2**bits), 2**bits)
+    a = []
+    for _ in range(r):
+        if draw(st.integers(0, 2)):
+            a.append(draw(st.lists(entry, min_size=k, max_size=k)))
+        else:
+            a.extend(draw(mixed_rows(1, k)))
+    b = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
+    return a, b, k, m
+
+
+@given(wide_product_case(), st.booleans(), st.integers(1, 4))
+@example(([], [[1] * 16] * 3, 3, 16), False, 1)  # no rows
+@example(([[1, 2, 3, 4]] * 12, [[]] * 4, 4, 0), True, 1)  # no columns
+@example(([[]] * 12, [], 0, 16), False, 2)  # inner dimension 0
+@settings(max_examples=150)
+def test_products_of_mixed_rows_match_the_oracle(case, as_tuples, den):
+    a, b, inner, ncols = case
+    dot_rows_checked(a, b, inner, ncols, as_tuples)
+    product = as_matq(a, inner, den) @ as_matq(b, ncols)
+    expected = [[v / den for v in row] for row in oracle_product(a, b, inner, ncols)]
+    assert product.shape == (len(a), ncols)
+    assert [list(row) for row in fraction_rows(product)] == expected
+    if ncols:
+        vec = [row[0] for row in b]
+        expected_vec = [row[0] for row in expected]
+        assert list(as_matq(a, inner, den).mul_vector(vec)) == expected_vec
+
+
 @given(
     st.integers(0, 8).flatmap(
         lambda n: st.tuples(st.just(n), sparse_matrix(n, n), mixed_rows(n // 2 + 1, n))
