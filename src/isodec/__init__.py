@@ -11,13 +11,7 @@ Names that have left the API, and where their work went (most live on as
 test oracles in ``tests/oracles.py``), are listed in ``CHANGES.md``.
 """
 
-from .abgroup import (
-    FinAbGroup,
-    GroupElement,
-    Subgroup,
-    all_subgroups,
-    subgroup_from_generators,
-)
+from .abgroup import FinAbGroup, GroupElement, Subgroup, all_subgroups
 from .action import (
     GAction,
     IsotypicalComponent,
@@ -75,7 +69,6 @@ __all__ = [
     "FinAbGroup",
     "GroupElement",
     "Subgroup",
-    "subgroup_from_generators",
     "all_subgroups",
     "Character",
     "RationalIrrep",

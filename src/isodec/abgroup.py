@@ -1,8 +1,11 @@
 """Finite abelian groups presented by moduli, and their subgroups as lattices.
 
 A group G = Z/n_1 x ... x Z/n_k is written additively; an element is its
-exponent tuple reduced componentwise.  A subgroup H is stored canonically as
-the Hermite normal form of its preimage lattice L in Z^k, where
+exponent tuple reduced componentwise.  ``GroupElement`` and
+``chars.Character`` share that one rule (``_Exponents``: one int per
+modulus, each reduced mod its modulus) and stay distinct types.  A subgroup
+H is stored canonically as the Hermite normal form of its preimage lattice
+L in Z^k (``Subgroup.from_lattice_rows`` takes any spanning rows), where
 
     R  =  the relation lattice generated by n_j * e_j,   R ⊆ L ⊆ Z^k,
 
@@ -30,7 +33,6 @@ __all__ = [
     "FinAbGroup",
     "GroupElement",
     "Subgroup",
-    "subgroup_from_generators",
     "all_subgroups",
 ]
 
@@ -61,9 +63,6 @@ class FinAbGroup:
     @property
     def exponent(self) -> int:
         return lcm(*self.moduli)
-
-    def element(self, exps) -> "GroupElement":
-        return GroupElement(self, tuple(exps))
 
     def elements(self):
         """All elements in index order (leftmost coordinate most significant)."""
@@ -109,8 +108,11 @@ def _relation_rows(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """An element of a FinAbGroup, written additively."""
+class _Exponents:
+    """One int per modulus of ``group``, each reduced mod its modulus: the
+    rule shared by ``GroupElement`` and ``chars.Character``, which inherit
+    the frozen dataclass whole (an instance equals only one of its own
+    class).  ``_noun`` and ``_entries`` name each in refusal messages."""
 
     group: FinAbGroup
     exps: tuple[int, ...]
@@ -119,13 +121,20 @@ class GroupElement:
         mods = self.group.moduli
         if len(self.exps) != len(mods):
             raise PreconditionError(
-                f"element has {len(self.exps)} coordinates, group has rank {len(mods)}"
+                f"{self._noun} has {len(self.exps)} {self._entries}, "
+                f"group has rank {len(mods)}"
             )
         if not {*map(type, self.exps)} <= {int}:
-            raise PreconditionError("element coordinates must be ints")
+            raise PreconditionError(f"{self._noun} {self._entries} must be ints")
         object.__setattr__(
             self, "exps", tuple(e % n for e, n in zip(self.exps, mods))
         )
+
+
+class GroupElement(_Exponents):
+    """An element of a FinAbGroup, written additively."""
+
+    _noun, _entries = "element", "coordinates"
 
     def __rmul__(self, k: int) -> "GroupElement":
         if not isinstance(k, int):
@@ -188,11 +197,6 @@ class Subgroup:
             raise PreconditionError(f"lattice rows must be ints, {k} in each row")
         all_rows += group.relation_rows()
         return cls(group, MatZ._raw(tuple(map(tuple, _hermite(all_rows)))))
-
-    @classmethod
-    def whole(cls, group: FinAbGroup) -> "Subgroup":
-        """G itself: the identity basis spans Z^k, which holds every relation."""
-        return cls._raw(group, MatZ.diagonal((1,) * group.rank))
 
     @classmethod
     def trivial(cls, group: FinAbGroup) -> "Subgroup":
@@ -268,11 +272,6 @@ class Subgroup:
     def contains_exps(self, exps) -> bool:
         return _solve_upper(self.hnf_basis.entries, exps) is not None
 
-    def elements(self):
-        for exps in self.group.exponent_tuples():
-            if self.contains_exps(exps):
-                yield GroupElement(self.group, exps)
-
     def generators(self) -> tuple[GroupElement, ...]:
         """The basis rows as group elements (they generate H)."""
         return tuple(GroupElement(self.group, row) for row in self.hnf_basis.entries)
@@ -306,18 +305,6 @@ def _solve_upper(basis_entries, vec) -> list[int] | None:
             for j in range(i + 1, len(v)):
                 v[j] -= q * row[j]
     return v
-
-
-def subgroup_from_generators(group: FinAbGroup, gens) -> Subgroup:
-    """The subgroup generated by the given elements (empty set -> trivial)."""
-    rows = []
-    for g in gens:
-        if not isinstance(g, GroupElement):
-            g = group.element(g)
-        elif g.group != group:
-            raise PreconditionError("generator from a different group")
-        rows.append(g.exps)
-    return Subgroup.from_lattice_rows(group, rows)
 
 
 # all_subgroups refuses a group with more candidate bases than this

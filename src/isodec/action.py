@@ -253,9 +253,9 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     rho((n/p) x) is formed.  Disagreement raises InternalCheckError — it
     would mean the algebra identity behind the construction failed.
     """
-    if w.group != action.group:
-        raise PreconditionError("representation of a different group")
     k_sub = w.kernel
+    if k_sub.group != action.group:
+        raise PreconditionError("representation of a different group")
     x = k_sub.quotient_generator()
     if x is None:
         raise PreconditionError("minimal overgroups require a cyclic quotient G/K")

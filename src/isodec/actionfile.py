@@ -8,7 +8,7 @@ The format::
       "name": "optional label",
       "ground_truth": [                            optional, for fixtures
         {"kernel_hnf": [[2, 0], [0, 3]], "multiplicity": 2}, ...
-      ]
+      ]                                            at most one entry per kernel
     }
 
 Matrix entries are JSON integers or strings of exactly the form ``"p"`` or
@@ -116,6 +116,7 @@ def load_action_file(text: str, max_order: int | None = None) -> ActionFile:
         if not isinstance(gt, list):
             raise ValidationError("'ground_truth' must be a list")
         rows = []
+        entry_of: dict[tuple, int] = {}  # kernel -> its entry number
         for i, item in enumerate(gt):
             where = f"ground_truth entry {i + 1}"
             if not isinstance(item, dict):
@@ -136,6 +137,12 @@ def load_action_file(text: str, max_order: int | None = None) -> ActionFile:
                 raise ValidationError(
                     f"{where}: 'multiplicity' must be a non-negative integer"
                 )
+            if k.entries in entry_of:
+                raise ValidationError(
+                    f"{where}: kernel {[list(r) for r in k.entries]} repeats "
+                    f"ground_truth entry {entry_of[k.entries]}"
+                )
+            entry_of[k.entries] = i + 1
             rows.append((k, m))
         ground_truth = tuple(rows)
     return ActionFile(action, ground_truth)

@@ -5,12 +5,14 @@ A character of G = Z/n_1 x ... x Z/n_k is determined by exponents
 
     val(g)  =  sum_j (N / n_j) * a_j * g_j   (mod N).
 
-All character data is kept as exact integer exponents; no complex floats ever
+All character data is kept as exact integer exponents, under the rule an
+element's exponents obey (``abgroup._Exponents``); no complex floats ever
 appear.  Characters with the same kernel form one Galois orbit and correspond
 to a single irreducible rational representation, whose degree is phi(n) for
 n the order of the character (equivalently, n = [G : kernel] and the quotient
 G/kernel is cyclic).  The canonical representative of the orbit is the
-exponent tuple that is lexicographically smallest.
+exponent tuple that is lexicographically smallest.  A ``RationalIrrep`` is
+identified by its kernel K, which carries the group and the canonical order.
 
 An orbit is a cyclic subgroup of the dual, which is isomorphic to G, and a
 cyclic group is the product of its Sylow parts.  So ``rational_irreps``
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import mul
 
-from .abgroup import FinAbGroup, GroupElement, Subgroup
+from .abgroup import FinAbGroup, GroupElement, Subgroup, _Exponents
 from .errors import InternalCheckError, PreconditionError
 from .numtheory import factorint, moebius, totient
 from .ratlinalg import MatQ, MatZ, _hermite, companion_matrix, cyclotomic
@@ -43,35 +45,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Exponents):
     """The character g -> exp(2*pi*i * val(g) / N) given by exponents a_j."""
 
-    group: FinAbGroup
-    exps: tuple[int, ...]
-
-    def __post_init__(self):
-        mods = self.group.moduli
-        if len(self.exps) != len(mods):
-            raise PreconditionError(
-                f"character has {len(self.exps)} exponents, group has rank {len(mods)}"
-            )
-        if not {*map(type, self.exps)} <= {int}:
-            raise PreconditionError("character exponents must be ints")
-        object.__setattr__(
-            self, "exps", tuple(a % n for a, n in zip(self.exps, mods))
-        )
-
-    @property
-    def modulus(self) -> int:
-        """N = lcm of the moduli; values live among the N-th roots of unity."""
-        return self.group.exponent
+    _noun, _entries = "character", "exponents"
 
     def value_exponent(self, g: GroupElement) -> int:
         """val(g) in Z/N, so the value of the character is zeta_N ** val(g)."""
         if g.group != self.group:
             raise PreconditionError("element of a different group")
-        n_all = self.modulus
+        n_all = self.group.exponent
         return (
             sum(
                 (n_all // n) * a * e
@@ -92,7 +75,7 @@ class Character:
         """
         n = self.order()
         v = self.value_exponent(g) * n
-        q, r = divmod(v, self.modulus)
+        q, r = divmod(v, self.group.exponent)
         if r:
             raise InternalCheckError("character value is not an n-th root of unity")
         return q % n
@@ -146,14 +129,6 @@ class RationalIrrep:
     order: int
     degree: int
     representative: Character
-
-    @property
-    def group(self) -> FinAbGroup:
-        return self.kernel.group
-
-    @property
-    def sort_key(self):
-        return self.kernel.sort_key
 
     def __repr__(self):
         return (
@@ -304,7 +279,7 @@ def rational_irreps(group: FinAbGroup) -> tuple[RationalIrrep, ...]:
         total_degree += degree
     if total_degree != group.order:
         raise InternalCheckError("degrees of rational irreducibles do not sum to |G|")
-    return tuple(sorted(irreps, key=lambda w: w.sort_key))
+    return tuple(sorted(irreps, key=lambda w: w.kernel.sort_key))
 
 
 def ramanujan_sum(n: int, k: int) -> int:
@@ -334,4 +309,4 @@ def irrep_model(w: RationalIrrep) -> tuple[MatQ, ...]:
     """
     c = companion_matrix(cyclotomic(w.order))
     rep = w.representative
-    return tuple(c ** rep.root_exponent(g) for g in w.group.generator_elements())
+    return tuple(c ** rep.root_exponent(g) for g in rep.group.generator_elements())

@@ -256,7 +256,7 @@ def _check_ground_truth(af: ActionFile, report: IsotypicalReport) -> str:
             raise ValidationError(
                 f"ground truth names an unknown kernel {_fmt_intmat(k.entries)}"
             )
-        expected[k.entries] += m
+        expected[k.entries] = m
     bad = {k: (expected[k], computed[k]) for k in computed if expected[k] != computed[k]}
     if bad:
         details = "; ".join(

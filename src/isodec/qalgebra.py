@@ -2,8 +2,10 @@
 
 Elements are dense coefficient vectors indexed by group-element index, stored
 as integer numerators over one positive common denominator; the unit is
-(1, 0, ..., 0), since the identity element has index 0.  The module provides
-the three idempotent constructions the decomposition rests on:
+(1, 0, ..., 0), since the identity element has index 0.  A sum and a
+difference are one combination (``_combine``), a product a convolution.
+The module provides the three idempotent constructions the decomposition
+rests on:
 
 * ``averaging_idempotent(H)``     p_H = (1/|H|) sum of the elements of H,
 * ``central_idempotent(W)``       e_W with coefficients c_n(m(g)) / |G|,
@@ -78,23 +80,18 @@ class GroupAlgebraElem:
         if self.group != other.group:
             raise PreconditionError("elements of different group algebras")
 
-    def __add__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
+    def _combine(self, other: "GroupAlgebraElem", sign: int) -> "GroupAlgebraElem":
+        """self + sign * other, over the product of the denominators."""
         self._check(other)
         a, b = self.den, other.den
-        return GroupAlgebraElem(
-            self.group,
-            [x * b + y * a for x, y in zip(self.nums, other.nums)],
-            a * b,
-        )
+        nums = [x * b + sign * y * a for x, y in zip(self.nums, other.nums)]
+        return GroupAlgebraElem(self.group, nums, a * b)
+
+    def __add__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
-        self._check(other)
-        a, b = self.den, other.den
-        return GroupAlgebraElem(
-            self.group,
-            [x * b - y * a for x, y in zip(self.nums, other.nums)],
-            a * b,
-        )
+        return self._combine(other, -1)
 
     def __mul__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
         """Convolution product: (x*y)(g) = sum over h of x(h) y(g-h)."""
@@ -150,7 +147,7 @@ def central_idempotent(w: RationalIrrep) -> GroupAlgebraElem:
     character, and c_n a Ramanujan sum — the exact value of the orbit-summed
     character at g.
     """
-    group = w.group
+    group = w.kernel.group
     n = w.order
     rep = w.representative
     c_table = [ramanujan_sum(n, k) for k in range(n)]

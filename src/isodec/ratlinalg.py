@@ -327,18 +327,17 @@ class MatQ:
         return (self.rows, self.cols)
 
     def is_identity(self) -> bool:
+        n = self.rows
         return (
-            self.rows == self.cols
+            n == self.cols
             and self.den == 1
             and all(
-                v == (1 if i == j else 0)
-                for i, row in enumerate(self.num)
-                for j, v in enumerate(row)
+                row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self.num)
             )
         )
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.num for v in row)
+        return not any(map(any, self.num))
 
     def to_jsonable(self) -> list:
         d = self.den

@@ -62,11 +62,11 @@ def add_exps(group: FinAbGroup, x, y) -> tuple[int, ...]:
 
 
 def closure(group: FinAbGroup, gens) -> frozenset:
-    """The subgroup generated by `gens`, as a frozenset of exponent tuples."""
+    """The subgroup generated by exponent tuples `gens`, as a frozenset of
+    reduced exponent tuples."""
     identity = (0,) * group.rank
     elems = {identity}
     frontier = [identity]
-    gens = [(group.element(g) if isinstance(g, tuple) else g).exps for g in gens]
     while frontier:
         x = frontier.pop()
         for g in gens:
@@ -96,7 +96,7 @@ def closure_subgroups(group: FinAbGroup) -> set[frozenset]:
         for exps in group.exponent_tuples():
             if exps in s:
                 continue
-            t = closure(group, [group.element(e) for e in s] + [group.element(exps)])
+            t = closure(group, [*s, exps])
             if t not in found:
                 found.add(t)
                 queue.append(t)
@@ -104,7 +104,8 @@ def closure_subgroups(group: FinAbGroup) -> set[frozenset]:
 
 
 def subgroup_element_set(sub: Subgroup) -> frozenset:
-    return frozenset(g.exps for g in sub.elements())
+    """The exponent tuples of G that H contains."""
+    return frozenset(filter(sub.contains_exps, sub.group.exponent_tuples()))
 
 
 def quotient_order_counts(group: FinAbGroup, sub: Subgroup) -> dict[int, int]:
@@ -117,8 +118,9 @@ def quotient_order_counts(group: FinAbGroup, sub: Subgroup) -> dict[int, int]:
     counts = {}
     coset_reps = []
     seen = set()
+    members = subgroup_element_set(sub)
     for g in group.elements():
-        key = min(add_exps(group, g.exps, h.exps) for h in sub.elements())
+        key = min(add_exps(group, g.exps, h) for h in members)
         if key not in seen:
             seen.add(key)
             coset_reps.append(g)

@@ -301,4 +301,4 @@ def rational_irreps_by_walk(group) -> tuple[RationalIrrep, ...]:
         irreps.append(RationalIrrep(kernel, n, totient(n), orbit[0]))
     if sum(w.degree for w in irreps) != group.order:
         raise InternalCheckError("degrees of rational irreducibles do not sum to |G|")
-    return tuple(sorted(irreps, key=lambda w: w.sort_key))
+    return tuple(sorted(irreps, key=lambda w: w.kernel.sort_key))

@@ -16,13 +16,13 @@ from conftest import (
 from isodec import (
     Character,
     FinAbGroup,
+    GroupElement,
     MatZ,
     PreconditionError,
     Subgroup,
     all_subgroups,
     rational_irreps,
     snf_invariants,
-    subgroup_from_generators,
 )
 from isodec.abgroup import _solve_upper
 from isodec.numtheory import divisors, prime_divisors
@@ -48,12 +48,12 @@ def group_and_generators(draw, max_gens=3):
 
 def test_element_arithmetic_and_order():
     g = FinAbGroup((8, 9))
-    x = g.element((2, 3))
+    x = GroupElement(g, (2, 3))
     assert (3 * x).exps == (6, 0)
     assert x * 3 == 3 * x
     assert (-1 * x).exps == (6, 6)
     # 12 is the order: the least multiple that reaches the identity
-    assert [m for m in range(1, 13) if m * x == g.element((0, 0))] == [12]
+    assert [m for m in range(1, 13) if m * x == GroupElement(g, (0, 0))] == [12]
 
 
 def test_element_index_round_trip():
@@ -67,8 +67,9 @@ def test_element_index_round_trip():
 @given(group_and_generators(max_gens=1))
 def test_element_order_divides_group_exponent(gg):
     group, gens = gg
+    zero = GroupElement(group, (0,) * group.rank)
     for exps in gens:
-        assert group.exponent * group.element(exps) == group.element((0,) * group.rank)
+        assert group.exponent * GroupElement(group, exps) == zero
 
 
 def test_group_invariants_and_cyclicity():
@@ -101,12 +102,37 @@ def test_non_integer_moduli_rejected(moduli):
 @pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
 def test_group_types_refuse_non_integers(value):
     group = FinAbGroup((4, 6))
-    with pytest.raises(PreconditionError, match="must be ints"):
-        group.element((1, value))
-    with pytest.raises(PreconditionError, match="must be ints"):
-        Character(group, (value, 1))
+    for exponents in (GroupElement, Character):
+        with pytest.raises(PreconditionError, match="must be ints"):
+            exponents(group, (1, value))
+        with pytest.raises(PreconditionError, match="must be ints"):
+            exponents(group, (value, 1))
     with pytest.raises(PreconditionError, match="must be ints"):
         Subgroup.from_lattice_rows(group, [(value, 0)])
+
+
+def test_group_types_refuse_a_wrong_number_of_exponents():
+    group = FinAbGroup((4, 6))
+    for exponents in (GroupElement, Character):
+        for exps in ((), (1,), (1, 2, 3)):
+            with pytest.raises(PreconditionError, match="group has rank 2"):
+                exponents(group, exps)
+
+
+def test_group_types_reduce_each_exponent_mod_its_modulus():
+    group = FinAbGroup((4, 6))
+    for exponents in (GroupElement, Character):
+        assert exponents(group, (5, -7)).exps == (1, 5)
+        assert exponents(group, (-4, 18)) == exponents(group, (0, 0))
+        assert exponents(group, (3, 11)).exps == (3, 5)
+
+
+def test_characters_and_elements_stay_apart():
+    group = FinAbGroup((4, 6))
+    assert Character(group, (1, 2)) != GroupElement(group, (1, 2))
+    assert 3 * GroupElement(group, (1, 2)) == GroupElement(group, (3, 0))
+    with pytest.raises(TypeError):
+        3 * Character(group, (1, 2))
 
 
 def test_lattice_rows_must_match_the_rank():
@@ -119,7 +145,7 @@ def test_lattice_rows_must_match_the_rank():
 
 def test_subgroup_known_example():
     g = FinAbGroup((8, 9))
-    k = subgroup_from_generators(g, [(2, 3)])
+    k = Subgroup.from_lattice_rows(g, [(2, 3)])
     assert k.hnf_basis.entries == ((2, 0), (0, 3))
     assert k.index == 6
     assert k.order == 12
@@ -129,7 +155,7 @@ def test_subgroup_known_example():
 @settings(max_examples=60)
 def test_subgroup_matches_closure_oracle(gg):
     group, gens = gg
-    sub = subgroup_from_generators(group, gens)
+    sub = Subgroup.from_lattice_rows(group, gens)
     assert subgroup_element_set(sub) == closure(group, gens)
     assert sub.order * sub.index == group.order
 
@@ -138,7 +164,7 @@ def test_subgroup_matches_closure_oracle(gg):
 @settings(max_examples=40)
 def test_subgroup_canonical_under_generator_changes(gg):
     group, gens = gg
-    sub = subgroup_from_generators(group, gens)
+    sub = Subgroup.from_lattice_rows(group, gens)
     # generating set reversed, repeated, and padded with sums
     doubled = list(reversed(gens)) + gens
     if len(gens) >= 2:
@@ -146,12 +172,12 @@ def test_subgroup_canonical_under_generator_changes(gg):
             (a + b) % n for a, b, n in zip(gens[0], gens[1], group.moduli)
         )
         doubled.append(s)
-    assert subgroup_from_generators(group, doubled) == sub
+    assert Subgroup.from_lattice_rows(group, doubled) == sub
 
 
 def test_whole_and_trivial():
     g = FinAbGroup((4, 6))
-    w = Subgroup.whole(g)
+    w = Subgroup(g, MatZ.diagonal((1, 1)))
     t = Subgroup.trivial(g)
     assert w.index == 1 and w.order == 24
     assert t.order == 1 and t.index == 24
@@ -180,8 +206,8 @@ def group_and_two_generator_sets(draw):
 @settings(max_examples=40)
 def test_containment_matches_element_sets(gg):
     group, gens1, gens2 = gg
-    a = subgroup_from_generators(group, gens1)
-    b = subgroup_from_generators(group, gens2)
+    a = Subgroup.from_lattice_rows(group, gens1)
+    b = Subgroup.from_lattice_rows(group, gens2)
     assert a.is_contained_in(b) == (
         subgroup_element_set(a) <= subgroup_element_set(b)
     )
@@ -189,16 +215,16 @@ def test_containment_matches_element_sets(gg):
 
 def test_subgroup_own_invariants():
     g = FinAbGroup((8, 9))
-    h = subgroup_from_generators(g, [(4, 0), (0, 3)])
+    h = Subgroup.from_lattice_rows(g, [(4, 0), (0, 3)])
     # order 6 with an element of order 6: cyclic
     assert h.order == 6
-    assert max(element_order(g, x.exps) for x in h.elements()) == 6
+    assert max(element_order(g, x) for x in subgroup_element_set(h)) == 6
     g84 = FinAbGroup((8, 4))
-    k = subgroup_from_generators(g84, [(1, 3), (0, 2)])
+    k = Subgroup.from_lattice_rows(g84, [(1, 3), (0, 2)])
     # the motivating index-2 kernel: order 16 and exponent 8, so itself a
     # product Z/8 x Z/2, not cyclic
     assert k.index == 2
-    assert max(element_order(g84, x.exps) for x in k.elements()) == 8
+    assert max(element_order(g84, x) for x in subgroup_element_set(k)) == 8
 
 
 def test_invalid_hnf_rejected():
@@ -215,7 +241,7 @@ def test_invalid_hnf_rejected():
 
 def test_quotient_known_examples():
     g = FinAbGroup((8, 9))
-    k = subgroup_from_generators(g, [(2, 3)])
+    k = Subgroup.from_lattice_rows(g, [(2, 3)])
     assert k.index == 6
     assert k.quotient_invariants == (1, 6)
     x = k.quotient_generator()
@@ -233,7 +259,7 @@ def test_quotient_known_examples():
 @settings(max_examples=40)
 def test_quotient_invariants_match_order_counting(gg):
     group, gens = gg
-    sub = subgroup_from_generators(group, gens)
+    sub = Subgroup.from_lattice_rows(group, gens)
     counts = quotient_order_counts(group, sub)
     for m, count in counts.items():
         assert count == prod(gcd(d, m) for d in sub.quotient_invariants)
@@ -249,7 +275,7 @@ def test_quotient_invariants_read_the_tails_not_only_the_pivots():
     g = FinAbGroup((4, 4))
     h = Subgroup(g, MatZ(((2, 1), (0, 2))))
     assert h.quotient_invariants == (1, 4)
-    assert h.quotient_generator() == g.element((1, 0))
+    assert h.quotient_generator() == GroupElement(g, (1, 0))
     assert Subgroup(g, MatZ(((2, 0), (0, 2)))).quotient_invariants == (2, 2)
     assert Subgroup(g, MatZ(((1, 3), (0, 4)))).quotient_invariants == (1, 4)
 
@@ -278,7 +304,7 @@ def test_quotient_invariants_equal_the_smith_invariants_of_the_basis(group):
 
 def test_minimal_overgroups_known_example():
     g = FinAbGroup((8, 9))
-    k = subgroup_from_generators(g, [(2, 3)])
+    k = Subgroup.from_lattice_rows(g, [(2, 3)])
     over = k.minimal_overgroups()
     assert [h.hnf_basis.entries for h in over] == [((2, 0), (0, 1)), ((1, 0), (0, 3))]
     assert [k.index // h.index for h in over] == [3, 2]
@@ -287,7 +313,7 @@ def test_minimal_overgroups_known_example():
 
 def test_minimal_overgroups_of_whole_group_is_empty():
     g = FinAbGroup((6,))
-    assert Subgroup.whole(g).minimal_overgroups() == ()
+    assert Subgroup(g, MatZ.diagonal((1,))).minimal_overgroups() == ()
 
 
 def test_minimal_overgroups_requires_cyclic_quotient():
@@ -300,7 +326,7 @@ def test_minimal_overgroups_requires_cyclic_quotient():
 @settings(max_examples=40)
 def test_minimal_overgroups_count_and_primality(gg):
     group, gens = gg
-    sub = subgroup_from_generators(group, gens)
+    sub = Subgroup.from_lattice_rows(group, gens)
     if sub.quotient_generator() is None:
         return
     over = sub.minimal_overgroups()
@@ -321,7 +347,7 @@ def test_minimal_overgroups_count_and_primality(gg):
 @settings(max_examples=30)
 def test_minimal_overgroups_independent_of_generator_choice(gg):
     group, gens = gg
-    sub = subgroup_from_generators(group, gens)
+    sub = Subgroup.from_lattice_rows(group, gens)
     if sub.quotient_generator() is None or sub.index == 1:
         return
     canonical = sub.minimal_overgroups()
@@ -333,7 +359,9 @@ def test_minimal_overgroups_independent_of_generator_choice(gg):
             continue
         alt = sorted(
             (
-                subgroup_from_generators(group, list(sub.generators()) + [(n // p) * g])
+                Subgroup.from_lattice_rows(
+                    group, [h.exps for h in sub.generators()] + [((n // p) * g).exps]
+                )
                 for p in prime_divisors(n)
             ),
             key=lambda h: h.sort_key,
@@ -348,7 +376,7 @@ def test_minimal_overgroups_independent_of_generator_choice(gg):
 @settings(max_examples=40)
 def test_quotient_generator_is_the_first_element_of_full_order(gg):
     group, gens = gg
-    sub = subgroup_from_generators(group, gens)
+    sub = Subgroup.from_lattice_rows(group, gens)
     x = sub.quotient_generator()
     if len([d for d in sub.quotient_invariants if d > 1]) > 1:
         assert x is None

@@ -25,6 +25,7 @@ from isodec import (
     FinAbGroup,
     FixtureSpec,
     GroupAlgebraElem,
+    MatZ,
     Subgroup,
     all_subgroups,
     averaging_idempotent,
@@ -40,7 +41,6 @@ from isodec import (
     product_formula_idempotent,
     ramanujan_sum,
     rational_irreps,
-    subgroup_from_generators,
     verify_roan_matching,
 )
 from isodec.numtheory import totient
@@ -81,12 +81,12 @@ def test_criterion_1_idempotent_identities(criterion):
             subs = all_subgroups(group)
             for _ in range(200):
                 n_sub = subs[rng.randrange(len(subs))]
-                elems = list(n_sub.elements())
+                elems = list(filter(n_sub.contains_exps, group.exponent_tuples()))
                 gens = [
                     elems[rng.randrange(len(elems))]
                     for _ in range(rng.randrange(4))
                 ]
-                h_sub = subgroup_from_generators(group, gens)
+                h_sub = Subgroup.from_lattice_rows(group, gens)
                 assert h_sub.is_contained_in(n_sub)
                 p_n = averaging_idempotent(n_sub)
                 assert p_n * averaging_idempotent(h_sub) == p_n
@@ -253,8 +253,9 @@ def test_criterion_5_worked_example(criterion, tmp_path):
         assert group.moduli == (8, 4)
         k_sub = char_kernel(Character(group, (4, 2)))
         assert k_sub.index == 2 and k_sub.quotient_generator() is not None
-        assert list(k_sub.minimal_overgroups()) == [Subgroup.whole(group)]
-        a_w = complementary_subvariety(af22.action, k_sub, Subgroup.whole(group))
+        whole = Subgroup(group, MatZ.diagonal((1,) * group.rank))
+        assert list(k_sub.minimal_overgroups()) == [whole]
+        a_w = complementary_subvariety(af22.action, k_sub, whole)
         [w2] = [w for w in rational_irreps(group) if w.kernel == k_sub]
         assert a_w == isotypical_component(af22.action, w2)
         assert a_w.dim == 1

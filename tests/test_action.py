@@ -5,12 +5,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import perm_matrix
+from conftest import perm_matrix, subgroup_element_set
 from isodec import (
     FinAbGroup,
+    GroupElement,
     all_subgroups,
     MatQ,
     PreconditionError,
+    Subgroup,
     SubspaceQ,
     ValidationError,
     action_matrix,
@@ -22,7 +24,6 @@ from isodec import (
     isotypical_decomposition,
     make_fixture,
     rational_irreps,
-    subgroup_from_generators,
     validate_action,
 )
 from isodec.actionfile import serialize_action_file
@@ -185,9 +186,9 @@ def test_action_matrix_is_a_homomorphism():
     af = make_fixture(FixtureSpec("semisimple", moduli=(4, 3)))
     rng = random.Random(1)
     for _ in range(20):
-        g = group.element(tuple(rng.randrange(n) for n in group.moduli))
-        h = group.element(tuple(rng.randrange(n) for n in group.moduli))
-        g_plus_h = group.element(tuple(a + b for a, b in zip(g.exps, h.exps)))
+        g = GroupElement(group, tuple(rng.randrange(n) for n in group.moduli))
+        h = GroupElement(group, tuple(rng.randrange(n) for n in group.moduli))
+        g_plus_h = GroupElement(group, tuple(a + b for a, b in zip(g.exps, h.exps)))
         assert action_matrix(af.action, g_plus_h) == action_matrix(
             af.action, g
         ) @ action_matrix(af.action, h)
@@ -228,7 +229,7 @@ def test_action_kernel_equals_brute_force_kernel(moduli, trivial_on):
     # only irreducibles whose kernel holds trivial_on (of order 6 except on
     # (1, 5), so with parts at two primes) appear
     group = FinAbGroup(moduli)
-    forced = subgroup_from_generators(group, trivial_on)
+    forced = Subgroup.from_lattice_rows(group, trivial_on)
     af = make_fixture(
         FixtureSpec(
             "random-conjugated",
@@ -243,9 +244,9 @@ def test_action_kernel_equals_brute_force_kernel(moduli, trivial_on):
             for g in group.elements()
             if rho_table(action)[group.index_of(g.exps)].is_identity()
         }
-        assert {g.exps for g in forced.elements()} <= kernel
+        assert subgroup_element_set(forced) <= kernel
         report = isotypical_decomposition(action)
-        assert {g.exps for g in report.action_kernel.elements()} == kernel
+        assert subgroup_element_set(report.action_kernel) == kernel
         assert not report.faithful
         assert "not faithful" in report.warnings[0]
 
@@ -284,7 +285,7 @@ def test_fixed_subvariety_dimensions_in_regular_representation():
     group = FinAbGroup((12,))
     action = validate_action(group, [perm_matrix(12)])
     for exps in [(0,), (6,), (4,), (3,), (2,), (1,)]:
-        h = subgroup_from_generators(group, [exps])
+        h = Subgroup.from_lattice_rows(group, [exps])
         assert fixed_subvariety(action, h).dim == h.index
 
 
@@ -311,8 +312,8 @@ def test_fixed_subvariety_dimension_oracle_on_semisimple_fixture():
 def test_complementary_subvariety_dimension_and_containment():
     group = FinAbGroup((12,))
     action = validate_action(group, [perm_matrix(12)])
-    k = subgroup_from_generators(group, [(6,)])
-    h = subgroup_from_generators(group, [(3,)])
+    k = Subgroup.from_lattice_rows(group, [(6,)])
+    h = Subgroup.from_lattice_rows(group, [(3,)])
     assert k.is_contained_in(h)
     a_k = fixed_subvariety(action, k)
     a_h = fixed_subvariety(action, h)
@@ -325,8 +326,8 @@ def test_complementary_subvariety_dimension_and_containment():
 def test_complementary_requires_containment():
     group = FinAbGroup((12,))
     action = validate_action(group, [perm_matrix(12)])
-    k = subgroup_from_generators(group, [(6,)])
-    h = subgroup_from_generators(group, [(4,)])
+    k = Subgroup.from_lattice_rows(group, [(6,)])
+    h = Subgroup.from_lattice_rows(group, [(4,)])
     with pytest.raises(PreconditionError):
         complementary_subvariety(action, h, k)
 
@@ -437,7 +438,7 @@ def test_factored_idempotents_on_rationally_conjugated_actions(moduli, seed):
 def test_factored_idempotents_on_non_faithful_actions(moduli, kernel_gens):
     # one copy of each class through G/S while the dimension stays <= 8
     group = FinAbGroup(moduli)
-    s = subgroup_from_generators(group, kernel_gens)
+    s = Subgroup.from_lattice_rows(group, kernel_gens)
     af = make_fixture(
         FixtureSpec(
             "semisimple", moduli=moduli, multiplicities=through_quotient(group, s, 8)
@@ -462,7 +463,7 @@ def test_factored_idempotents_where_a_fixed_part_is_zero():
     # Z/6 acting through an element of order 3: the order-2 class has
     # kernel 2Z/6, which fixes no nonzero vector
     action = validate_action(FinAbGroup((6,)), [MatQ([[0, -1], [1, -1]])])
-    two = subgroup_from_generators(action.group, [(2,)])
+    two = Subgroup.from_lattice_rows(action.group, [(2,)])
     assert fixed_subvariety(action, two).dim == 0
     assert any(w.kernel == two for w in rational_irreps(action.group))
     assert_routes_match_expanded_sums(action)
@@ -522,7 +523,7 @@ def candidate_actions(moduli, kernel_gens):
     integral = make_fixture(
         FixtureSpec("random-conjugated", moduli=moduli, seed=7, max_dim=10)
     ).action
-    s = subgroup_from_generators(group, kernel_gens)
+    s = Subgroup.from_lattice_rows(group, kernel_gens)
     non_faithful = make_fixture(
         FixtureSpec(
             "random-conjugated",

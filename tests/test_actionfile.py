@@ -114,6 +114,19 @@ def test_malformed_files_name_the_problem(text, message):
         ([{"kernel_hnf": [[True]], "multiplicity": 1}], "integer matrix"),
         ([{"kernel_hnf": {"a": 1}, "multiplicity": 1}], "integer matrix"),
         ([{"kernel_hnf": 3, "multiplicity": 1}], "integer matrix"),
+        # a second entry for one kernel, contradicting the first or not
+        (
+            [{"kernel_hnf": [[1]], "multiplicity": m} for m in (1, 1, 0)],
+            r"^ground_truth entry 2: kernel \[\[1\]\] repeats ground_truth entry 1$",
+        ),
+        (
+            [
+                {"kernel_hnf": [[1]], "multiplicity": 1},
+                {"kernel_hnf": [[2]], "multiplicity": 0},
+                {"kernel_hnf": [[1]], "multiplicity": 0},
+            ],
+            r"^ground_truth entry 3: kernel \[\[1\]\] repeats ground_truth entry 1$",
+        ),
     ],
 )
 def test_malformed_ground_truth(gt, message):

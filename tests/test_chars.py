@@ -8,6 +8,7 @@ from conftest import subgroup_element_set
 from isodec import (
     Character,
     FinAbGroup,
+    GroupElement,
     InternalCheckError,
     PreconditionError,
     char_kernel,
@@ -43,7 +44,7 @@ def test_value_exponent_is_additive(gc):
     xs = list(group.elements())
     a, b = xs[len(xs) // 3], xs[(2 * len(xs)) // 3]
     n_all = group.exponent
-    a_plus_b = group.element(tuple(x + y for x, y in zip(a.exps, b.exps)))
+    a_plus_b = GroupElement(group, tuple(x + y for x, y in zip(a.exps, b.exps)))
     assert chi.value_exponent(a_plus_b) == (
         chi.value_exponent(a) + chi.value_exponent(b)
     ) % n_all
@@ -134,7 +135,7 @@ def test_rational_irreps_partition_the_characters(moduli):
     assert sum(w.degree for w in irr) == group.order
     kernels = [w.kernel for w in irr]
     assert len(set(kernels)) == len(kernels)
-    assert [w.sort_key for w in irr] == sorted(w.sort_key for w in irr)
+    assert [k.sort_key for k in kernels] == sorted(k.sort_key for k in kernels)
     for w in irr:
         assert w.order == w.kernel.index
         assert w.degree == totient(w.order)

@@ -462,6 +462,23 @@ def test_ground_truth_mismatch_exits_2(tmp_path):
     assert err.startswith("error: decomposition differs from ground truth")
 
 
+def test_contradictory_ground_truth_exits_2(tmp_path):
+    # the two entries contradict each other, though their sum would match
+    path = tmp_path / "twice.json"
+    gt = [
+        {"kernel_hnf": [[1]], "multiplicity": 1},
+        {"kernel_hnf": [[1]], "multiplicity": 0},
+    ]
+    path.write_text(
+        json.dumps({"group": [2], "generators": [[[1]]], "ground_truth": gt})
+    )
+    code, out, err = run_cli(["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ground_truth entry 2: kernel [[1]] repeats ground_truth entry 1\n"
+    )
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run_cli([])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import element_order
+from conftest import element_order, subgroup_element_set
 import isodec.fixtures as fixtures_module
 from isodec import (
     Character,
@@ -138,7 +138,7 @@ def test_paper_example_second_case_kernel_shape():
     assert k.index == 2
     assert k.quotient_generator() is not None
     # order 16 and exponent 8: k is Z/8 x Z/2, not cyclic
-    assert max(element_order(group, x.exps) for x in k.elements()) == 8
+    assert max(element_order(group, x) for x in subgroup_element_set(k)) == 8
     over = k.minimal_overgroups()
     assert len(over) == 1
     assert over[0].index == 1  # the only minimal overgroup is G itself

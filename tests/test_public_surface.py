@@ -29,17 +29,13 @@ from test_cli import run_cli
 # Reached by no command, and kept for the reason given above each group.
 ALLOWED = {
     # the acceptance gate: the paper's formulas and the subgroup lattice
-    "abgroup.Subgroup.elements",
     "abgroup.Subgroup.is_contained_in",
     "abgroup.Subgroup.minimal_overgroups",
-    "abgroup.Subgroup.whole",
-    "abgroup.subgroup_from_generators",
     "action.complementary_subvariety",
     "qalgebra.averaging_idempotent",
     "qalgebra.central_idempotent",
     "qalgebra.product_formula_idempotent",
     # what only those names call
-    "abgroup.FinAbGroup.element",  # subgroup_from_generators
     "abgroup.FinAbGroup.elements",  # central_idempotent
     "abgroup.FinAbGroup.element_of_index",  # GroupAlgebraElem * and repr
     "abgroup.FinAbGroup.index_of",  # GroupAlgebraElem *

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from isodec import (
     FinAbGroup,
     GroupAlgebraElem,
+    MatZ,
     PreconditionError,
     Subgroup,
     averaging_idempotent,
     central_idempotent,
     product_formula_idempotent,
     rational_irreps,
-    subgroup_from_generators,
 )
 
 SMALL_MODULI = [(4,), (6,), (2, 2), (2, 4), (3, 3), (2, 2, 2)]
@@ -121,7 +121,7 @@ def test_non_int_numerators_and_denominators_refused(nums, den):
 
 def test_averaging_idempotent_of_known_subgroup():
     g = FinAbGroup((8, 9))
-    k = subgroup_from_generators(g, [(2, 3)])
+    k = Subgroup.from_lattice_rows(g, [(2, 3)])
     p = averaging_idempotent(k)
     assert p * p == p
     assert Fraction(p.nums[g.index_of((2, 3))], p.den) == Fraction(1, 12)
@@ -132,7 +132,7 @@ def test_averaging_idempotent_of_known_subgroup():
 def test_averaging_idempotent_of_whole_and_trivial():
     g = FinAbGroup((6,))
     assert averaging_idempotent(Subgroup.trivial(g)) == one(g)
-    p_g = averaging_idempotent(Subgroup.whole(g))
+    p_g = averaging_idempotent(Subgroup(g, MatZ.diagonal((1,))))
     assert p_g * p_g == p_g
     assert p_g.nums == (1,) * 6 and p_g.den == 6
 
@@ -143,12 +143,12 @@ def test_nested_averaging_absorbs():
     for moduli in SMALL_MODULI:
         group = FinAbGroup(moduli)
         for _ in range(10):
-            n_sub = subgroup_from_generators(
+            n_sub = Subgroup.from_lattice_rows(
                 group,
                 [tuple(rng.randrange(m) for m in group.moduli) for _ in range(2)],
             )
-            members = list(n_sub.elements())
-            h_sub = subgroup_from_generators(
+            members = list(filter(n_sub.contains_exps, group.exponent_tuples()))
+            h_sub = Subgroup.from_lattice_rows(
                 group, [rng.choice(members) for _ in range(2)]
             )
             assert h_sub.is_contained_in(n_sub)
@@ -190,7 +190,8 @@ def test_trivial_class_gives_group_average():
     group = FinAbGroup((2, 4))
     w = rational_irreps(group)[0]
     assert w.order == 1
-    assert central_idempotent(w) == averaging_idempotent(Subgroup.whole(group))
+    whole = Subgroup(group, MatZ.diagonal((1, 1)))
+    assert central_idempotent(w) == averaging_idempotent(whole)
 
 
 @pytest.mark.parametrize("moduli", SMALL_MODULI + [(8, 9), (12,)])

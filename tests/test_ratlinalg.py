@@ -575,6 +575,26 @@ def test_companion_matrix_of_known_polynomial():
     assert not (c**3).is_identity()
 
 
+@pytest.mark.parametrize(
+    "m, identity, zero",
+    [
+        (MatQ([]), True, True),  # 0 x 0
+        (MatQ._raw((), 1, 3), False, True),  # 0 x 3
+        (MatQ([[1, 0, 0], [0, 1, 0]]), False, False),  # non-square
+        (MatQ([["1/2", 0], [0, "1/2"]]), False, False),  # den > 1
+        (MatQ([[1, 0], [1, 1]]), False, False),  # a nonzero off the diagonal
+        (MatQ([[2, 0], [0, 1]]), False, False),
+        (MatQ([[0, 1], [1, 0]]), False, False),  # a permutation
+        (MatQ([[1, 0], [0, 0]]), False, False),
+        (MatQ([[0, 0], [0, 0]]), False, True),
+        (MatQ.identity(4), True, False),
+    ],
+)
+def test_is_identity_and_is_zero_on_edge_shapes(m, identity, zero):
+    assert m.is_identity() is identity
+    assert m.is_zero() is zero
+
+
 def test_companion_matrix_requires_a_monic_polynomial():
     for coeffs in ((1,), (1, 2), (1, 1, 0), ()):
         with pytest.raises(PreconditionError):

@@ -8,6 +8,7 @@ import isodec.roan as roan_module
 from conftest import perm_matrix
 from isodec import (
     FinAbGroup,
+    GroupElement,
     InternalCheckError,
     MatQ,
     PreconditionError,
@@ -61,7 +62,7 @@ def test_eigenvalue_orders_all_divide_exponent():
         af = make_fixture(
             FixtureSpec("random-conjugated", moduli=(12,), seed=seed, max_dim=10)
         )
-        g = af.action.group.element((1,))
+        g = GroupElement(af.action.group, (1,))
         from isodec import action_matrix
 
         m = action_matrix(af.action, g)
@@ -205,7 +206,7 @@ def test_filtration_on_conjugated_fixture_matches_ground_truth():
         af = make_fixture(
             FixtureSpec("random-conjugated", moduli=(8,), seed=seed, max_dim=12)
         )
-        m = action_matrix(af.action, af.action.group.element((1,)))
+        m = action_matrix(af.action, GroupElement(af.action.group, (1,)))
         report = roan_decomposition(m, 8)
         expected = {}
         for (k, mult), w in zip(af.ground_truth, rational_irreps(af.action.group)):
@@ -380,7 +381,7 @@ def test_matching_on_random_rational_conjugates(group_mult, seed):
     match = verify_roan_matching(action)
     assert [c.multiplicity for c in match.decomposition.components] == list(mult)
     # the characteristic polynomial is an independent oracle for the walk
-    m = action_matrix(action, group.element((1,)))
+    m = action_matrix(action, GroupElement(group, (1,)))
     orders = eigenvalue_orders(m, n)
     assert roan_decomposition(m, n).orders == orders
     assert match.roan.orders == orders
@@ -408,7 +409,7 @@ def cyclic_operators(draw):
     action = af.action
     if draw(st.booleans()):
         action = rationally_conjugated(action, draw(st.integers(0, 2**16)))
-    m = action_matrix(action, action.group.element((1,)))
+    m = action_matrix(action, GroupElement(action.group, (1,)))
     return m, n * draw(st.sampled_from((1, 2, 3)))
 
 
