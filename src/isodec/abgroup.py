@@ -231,10 +231,8 @@ class Subgroup:
         units = (1,) * (len(e) - len(big))
         if not any(e[i][j] for n, i in enumerate(big) for j in big[n + 1 :]):
             return units + _divisor_chain([e[i][i] for i in big])
-        if units:
-            block = MatZ._raw(tuple(tuple(e[i][j] for j in big) for i in big))
-            return units + snf_invariants(block)
-        return snf_invariants(self.hnf_basis)
+        block = MatZ._raw(tuple(tuple(e[i][j] for j in big) for i in big))
+        return units + snf_invariants(block)
 
     def quotient_generator(self) -> GroupElement | None:
         """A generator of G/H when it is cyclic, else None.
@@ -279,10 +277,7 @@ class Subgroup:
     def is_contained_in(self, other: "Subgroup") -> bool:
         if self.group != other.group:
             raise PreconditionError("subgroups of different groups")
-        return all(
-            _solve_upper(other.hnf_basis.entries, row) is not None
-            for row in self.hnf_basis.entries
-        )
+        return all(map(other.contains_exps, self.hnf_basis.entries))
 
     @property
     def sort_key(self):
@@ -321,8 +316,9 @@ def all_subgroups(group: FinAbGroup) -> tuple[Subgroup, ...]:
     when (n_i / d_i) * (a_{i,i+1}, ..., a_{i,k-1}) lies in the lattice of
     the rows below, restricted to the columns after i.  Each row is checked
     as soon as it is chosen, and only rows that pass are extended upward, so
-    the work follows the subgroups found, not the candidate bases.  Each
-    subgroup appears exactly once because the HNF basis is unique.
+    the work follows the subgroups found, not the candidate bases; partial
+    bases wait on an explicit stack, so no rank meets the recursion limit.
+    Each subgroup appears exactly once because the HNF basis is unique.
 
     Raises PreconditionError, before enumerating, when the count of
     candidate bases without that pruning, prod over columns of
@@ -341,13 +337,14 @@ def all_subgroups(group: FinAbGroup) -> tuple[Subgroup, ...]:
         raise PreconditionError("subgroup enumeration is too large for this group")
 
     found = []
-
-    def extend(i, below):
-        # below: the rows i+1, ..., k-1 already chosen, each of full width
+    # (i, below): the rows i+1, ..., k-1 already chosen, each of full width
+    stack = [(k - 1, [])]
+    while stack:
+        i, below = stack.pop()
         if i < 0:
             # each row is in HNF by construction and passed its relation check
             found.append(Subgroup._raw(group, MatZ._raw(tuple(below))))
-            return
+            continue
         tail_basis = [row[i + 1 :] for row in below]
         pivots = [row[l] for l, row in enumerate(below, start=i + 1)]
         tails = list(itertools.product(*(range(p) for p in pivots)))
@@ -356,8 +353,6 @@ def all_subgroups(group: FinAbGroup) -> tuple[Subgroup, ...]:
             head = (0,) * i + (d,)
             for tail in tails:
                 if _solve_upper(tail_basis, [m * a for a in tail]) is not None:
-                    extend(i - 1, [head + tail] + below)
-
-    extend(k - 1, [])
+                    stack.append((i - 1, [head + tail] + below))
     return tuple(sorted(found, key=lambda s: s.sort_key))
 

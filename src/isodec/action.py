@@ -182,6 +182,15 @@ def _orbit(step: MatQ, start: MatQ, count: int) -> list[MatQ]:
     return out
 
 
+def _shifted_generators(action: GAction, h: Subgroup) -> list[MatQ]:
+    """rho(g) - 1 for each non-identity HNF generator g of H."""
+    return [
+        _plus_identity(action_matrix(action, g), -1)
+        for g in h.generators()
+        if any(g.exps)
+    ]
+
+
 def fixed_subvariety(action: GAction, h: Subgroup) -> SubspaceQ:
     """A^H: the common kernel of rho(h) - 1 over the non-identity HNF
     generators h of H, one elimination of their stacked rows (the image of
@@ -189,12 +198,7 @@ def fixed_subvariety(action: GAction, h: Subgroup) -> SubspaceQ:
     if h.group != action.group:
         raise PreconditionError("subgroup of a different group")
     # each block's own denominator only scales its rows, not the kernel
-    rows = [
-        row
-        for g in h.generators()
-        if any(g.exps)
-        for row in _plus_identity(action_matrix(action, g), -1).num
-    ]
+    rows = [row for m in _shifted_generators(action, h) for row in m.num]
     return kernel_space(MatQ._raw(rows, 1, action.dim))
 
 
@@ -216,10 +220,7 @@ def complementary_subvariety(action: GAction, k_sub: Subgroup, h: Subgroup) -> S
             "the complement P(A^K/A^H) requires K to be contained in H"
         )
     yt = fixed_subvariety(action, k_sub).basis.transpose()
-    cols = []
-    for g in h.generators():
-        if any(g.exps):
-            cols.extend(zip(*(_plus_identity(action_matrix(action, g), -1) @ yt).num))
+    cols = [c for m in _shifted_generators(action, h) for c in zip(*(m @ yt).num)]
     return SubspaceQ(action.dim, cols)
 
 

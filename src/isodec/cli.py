@@ -9,9 +9,11 @@ Commands::
     subgroups --group …   all subgroups (or --kernels: cyclic-quotient ones)
     fixture <kind> …      generate a test action file of known decomposition
 
-This module writes every byte a command prints, text and JSON alike; the
-reports it prints are plain data.  The table ``_COMMANDS`` is the one place
-where a subcommand, its handler and its arguments are declared.
+Each handler returns a JSON document (a dict) or text lines, and ``main``
+writes them once the handler has returned, so a refused command prints
+nothing; only ``fixture`` writes its own file or stdout.  The table
+``_COMMANDS`` is the one place where a subcommand, its handler and its
+arguments are declared.
 
 Common flags: ``--json`` for machine output (default is aligned text),
 ``--max-order`` to cap the group order (default 10000), and
@@ -76,10 +78,6 @@ def _render_table(headers, rows) -> list[str]:
     return out
 
 
-def _print_json(obj) -> None:
-    sys.stdout.write(_json_text(obj))
-
-
 def _irrep_json(w: RationalIrrep) -> dict:
     """An irreducible class as ``characters`` writes it; ``decompose`` adds keys."""
     return {
@@ -127,30 +125,27 @@ def _load_file(path: str, max_order: int) -> ActionFile:
 # ---------------------------------------------------------------- decompose
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> dict | list[str]:
     af = _load_file(args.file, args.max_order)
     action = af.action
     report = isotypical_decomposition(action)
     if args.json:
-        _print_json(
-            {
-                "group": list(action.group.moduli),
-                "name": action.name,
-                "dim": action.dim,
-                "faithful": report.faithful,
-                "components": [
-                    {
-                        **_irrep_json(c.irrep),
-                        "multiplicity": c.multiplicity,
-                        "dim": c.dim,
-                        "basis": c.subspace.basis.to_jsonable(),
-                    }
-                    for c in report.components
-                ],
-                "warnings": list(report.warnings),
-            }
-        )
-        return 0
+        return {
+            "group": list(action.group.moduli),
+            "name": action.name,
+            "dim": action.dim,
+            "faithful": report.faithful,
+            "components": [
+                {
+                    **_irrep_json(c.irrep),
+                    "multiplicity": c.multiplicity,
+                    "dim": c.dim,
+                    "basis": c.subspace.basis.to_jsonable(),
+                }
+                for c in report.components
+            ],
+            "warnings": list(report.warnings),
+        }
     faithful = f"faithful {'yes' if report.faithful else 'no'}"
     lines = _action_lines(action, faithful) + [""]
     rows = []
@@ -177,54 +172,47 @@ def _cmd_decompose(args) -> int:
             lines += [f"warning: {w}" for w in report.warnings]
         else:
             lines.append("plausibility: no warnings")
-    print("\n".join(lines))
-    return 0
+    return lines
 
 
 # --------------------------------------------------------------------- roan
 
 
-def _cmd_roan(args) -> int:
+def _cmd_roan(args) -> dict | list[str]:
     af = _load_file(args.file, args.max_order)
     report = _cyclic_roan(af.action)
     if args.json:
-        _print_json(_roan_json(report))
-        return 0
+        return _roan_json(report)
     lines = _action_lines(af.action) + [
         f"eigenvalue orders: {', '.join(map(str, report.orders))}",
         f"filtration dims: {' > '.join(map(str, report.filtration_dims))}",
         "",
     ]
-    lines += _render_table(
+    return lines + _render_table(
         ("order", "dim"), [(d, s.dim) for d, s in report.components]
     )
-    print("\n".join(lines))
-    return 0
 
 
 # ------------------------------------------------------------------- verify
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict | list[str]:
     af = _load_file(args.file, args.max_order)
     match = verify_roan_matching(af.action)
     gt_status = _check_ground_truth(af, match.decomposition)
     if args.json:
-        _print_json(
-            {
-                "roan": _roan_json(match.roan),
-                "matches": [
-                    {"order": d, "kernel_hnf": k.hnf_basis.to_jsonable(), "dim": dim}
-                    for d, k, dim in match.matches
-                ],
-                "zero_components": [
-                    {"kernel_hnf": k.hnf_basis.to_jsonable()}
-                    for k in match.zero_components
-                ],
-                "ground_truth": gt_status,
-            }
-        )
-        return 0
+        return {
+            "roan": _roan_json(match.roan),
+            "matches": [
+                {"order": d, "kernel_hnf": k.hnf_basis.to_jsonable(), "dim": dim}
+                for d, k, dim in match.matches
+            ],
+            "zero_components": [
+                {"kernel_hnf": k.hnf_basis.to_jsonable()}
+                for k in match.zero_components
+            ],
+            "ground_truth": gt_status,
+        }
     lines = _action_lines(af.action) + [""]
     rows = [
         (d, dim, _fmt_intmat(k.hnf_basis.entries)) for d, k, dim in match.matches
@@ -237,8 +225,7 @@ def _cmd_verify(args) -> int:
     )
     lines.append(f"ground truth: {gt_status}")
     lines.append("verify: OK")
-    print("\n".join(lines))
-    return 0
+    return lines
 
 
 def _check_ground_truth(af: ActionFile, report: IsotypicalReport) -> str:
@@ -270,14 +257,11 @@ def _check_ground_truth(af: ActionFile, report: IsotypicalReport) -> str:
 # --------------------------------------------------------------- characters
 
 
-def _cmd_characters(args) -> int:
+def _cmd_characters(args) -> dict | list[str]:
     group = _parse_group_arg(args.group, args.max_order)
     irreps = rational_irreps(group)
     if args.json:
-        _print_json(
-            {"group": list(group.moduli), "irreps": [_irrep_json(w) for w in irreps]}
-        )
-        return 0
+        return {"group": list(group.moduli), "irreps": list(map(_irrep_json, irreps))}
     lines = [f"{_group_line(group)}: {len(irreps)} rational irreducible classes", ""]
     rows = [
         (
@@ -288,15 +272,13 @@ def _cmd_characters(args) -> int:
         )
         for w in irreps
     ]
-    lines += _render_table(("order", "degree", "representative", "kernel"), rows)
-    print("\n".join(lines))
-    return 0
+    return lines + _render_table(("order", "degree", "representative", "kernel"), rows)
 
 
 # ---------------------------------------------------------------- subgroups
 
 
-def _cmd_subgroups(args) -> int:
+def _cmd_subgroups(args) -> dict | list[str]:
     group = _parse_group_arg(args.group, args.max_order)
     subs = all_subgroups(group)
     # the quotient's invariants only: no generator
@@ -307,23 +289,20 @@ def _cmd_subgroups(args) -> int:
     if args.kernels:
         infos = [(s, inv, cyclic) for s, inv, cyclic in infos if cyclic]
     if args.json:
-        _print_json(
-            {
-                "group": list(group.moduli),
-                "kernels_only": bool(args.kernels),
-                "subgroups": [
-                    {
-                        "hnf": s.hnf_basis.to_jsonable(),
-                        "index": s.index,
-                        "order": s.order,
-                        "quotient_invariants": inv,
-                        "cyclic_quotient": cyclic,
-                    }
-                    for s, inv, cyclic in infos
-                ],
-            }
-        )
-        return 0
+        return {
+            "group": list(group.moduli),
+            "kernels_only": bool(args.kernels),
+            "subgroups": [
+                {
+                    "hnf": s.hnf_basis.to_jsonable(),
+                    "index": s.index,
+                    "order": s.order,
+                    "quotient_invariants": inv,
+                    "cyclic_quotient": cyclic,
+                }
+                for s, inv, cyclic in infos
+            ],
+        }
     what = "cyclic-quotient subgroups (kernels)" if args.kernels else "subgroups"
     lines = [f"{_group_line(group)}: {len(infos)} {what}", ""]
     rows = []
@@ -337,9 +316,7 @@ def _cmd_subgroups(args) -> int:
                 _fmt_intmat(s.hnf_basis.entries),
             )
         )
-    lines += _render_table(("index", "order", "quotient", "cyclic", "hnf"), rows)
-    print("\n".join(lines))
-    return 0
+    return lines + _render_table(("index", "order", "quotient", "cyclic", "hnf"), rows)
 
 
 # ------------------------------------------------------------------ fixture
@@ -357,7 +334,7 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     )
 
 
-def _cmd_fixture(args) -> int:
+def _cmd_fixture(args) -> None:
     options = {
         "--group": args.group,
         "--multiplicities": args.multiplicities,
@@ -384,7 +361,6 @@ def _cmd_fixture(args) -> int:
             ) from None
     else:
         sys.stdout.write(text)
-    return 0
 
 
 # ------------------------------------------------------------------- parser
@@ -471,7 +447,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -481,6 +457,11 @@ def main(argv=None) -> int:
     except InternalCheckError as e:
         print(f"internal check failed: {e}", file=sys.stderr)
         return 4
+    if isinstance(result, dict):
+        sys.stdout.write(_json_text(result))
+    elif result is not None:  # text lines; fixture wrote its own bytes
+        print("\n".join(result))
+    return 0
 
 
 if __name__ == "__main__":

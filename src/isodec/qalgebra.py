@@ -2,7 +2,9 @@
 
 Elements are dense coefficient vectors indexed by group-element index, stored
 as integer numerators over one positive common denominator; the unit is
-(1, 0, ..., 0), since the identity element has index 0.  A sum and a
+(1, 0, ..., 0), since the identity element has index 0.  Coefficients are
+normalized and written by the rules of a ``MatQ`` entry
+(``ratlinalg._normalize_int_rows`` and ``_rational_to_jsonable``).  A sum and a
 difference are one combination (``_combine``), a product a convolution.
 The module provides the three idempotent constructions the decomposition
 rests on:
@@ -20,11 +22,11 @@ rests on:
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from math import gcd
 
 from .abgroup import FinAbGroup, Subgroup
 from .chars import RationalIrrep, ramanujan_sum
 from .errors import PreconditionError
+from .ratlinalg import _normalize_int_rows, _rational_to_jsonable
 
 __all__ = [
     "GroupAlgebraElem",
@@ -65,10 +67,7 @@ class GroupAlgebraElem:
         if den < 0:
             nums = tuple(-v for v in nums)
             den = -den
-        g = gcd(den, *nums) if any(nums) else den
-        if g > 1:
-            nums = tuple(v // g for v in nums)
-            den //= g
+        (nums,), den = _normalize_int_rows((nums,), den)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
@@ -121,12 +120,12 @@ class GroupAlgebraElem:
         return hash((self.group, self.nums, self.den))
 
     def __repr__(self):
-        parts = []
-        for i, v in enumerate(self.nums):
-            if v:
-                g = gcd(v, self.den)
-                c = v // g if g == self.den else f"{v // g}/{self.den // g}"
-                parts.append(f"{c}*{self.group.element_of_index(i).exps}")
+        g = self.group
+        parts = [
+            f"{_rational_to_jsonable(v, self.den)}*{g.element_of_index(i).exps}"
+            for i, v in enumerate(self.nums)
+            if v
+        ]
         return "GroupAlgebraElem(" + (" + ".join(parts) if parts else "0") + ")"
 
 

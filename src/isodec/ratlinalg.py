@@ -254,28 +254,25 @@ class MatQ:
         if vals and any(len(r) != len(vals[0]) for r in vals):
             raise ValueError("ragged matrix")
         den = lcm(1, *(v.denominator for row in vals for v in row))
-        num, den = _normalize_int_rows(
+        self._set(
             [[v.numerator * (den // v.denominator) for v in row] for row in vals], den
         )
-        ncols = len(vals[0]) if vals else 0
+
+    def _set(self, num_rows, den: int, ncols: int = 0) -> None:
+        """Store integer rows over den >= 1, normalized; ncols for no rows."""
+        num, den = _normalize_int_rows(num_rows, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", len(num))
-        object.__setattr__(self, "cols", ncols)
+        object.__setattr__(self, "cols", len(num[0]) if num else ncols)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("MatQ is immutable")
 
     @classmethod
-    def _raw(cls, num_rows, den: int, ncols: int | None = None) -> "MatQ":
+    def _raw(cls, num_rows, den: int, ncols: int = 0) -> "MatQ":
         m = object.__new__(cls)
-        num, den = _normalize_int_rows(num_rows, den)
-        object.__setattr__(m, "num", num)
-        object.__setattr__(m, "den", den)
-        object.__setattr__(m, "rows", len(num))
-        object.__setattr__(
-            m, "cols", len(num[0]) if num else (0 if ncols is None else ncols)
-        )
+        m._set(num_rows, den, ncols)
         return m
 
     @classmethod
@@ -553,9 +550,12 @@ class SubspaceQ:
         if not all({*map(type, r)} <= {int} for r in rows):
             rows = MatQ(rows).num  # one denominator: the span is unchanged
         piv, rows = _row_reduce(rows, ambient_dim)
+        self._set(ambient_dim, _rref_over_lcm(piv, rows, ambient_dim), piv)
+
+    def _set(self, ambient_dim: int, basis: MatQ, pivot_cols) -> None:
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", _rref_over_lcm(piv, rows, ambient_dim))
-        object.__setattr__(self, "pivot_cols", tuple(piv))
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivot_cols", tuple(pivot_cols))
 
     def __setattr__(self, *a):
         raise AttributeError("SubspaceQ is immutable")
@@ -568,9 +568,7 @@ class SubspaceQ:
     def full(cls, n: int) -> "SubspaceQ":
         """Q^n, whose RREF basis is the identity: nothing to reduce."""
         s = object.__new__(cls)
-        object.__setattr__(s, "ambient_dim", n)
-        object.__setattr__(s, "basis", MatQ.identity(n))
-        object.__setattr__(s, "pivot_cols", tuple(range(n)))
+        s._set(n, MatQ.identity(n), range(n))
         return s
 
     @property

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 import time
 from math import gcd, prod
 
@@ -424,6 +426,21 @@ def test_all_subgroups_enumeration_limit():
     # about 9.8 million candidate bases, above the 2 million guard
     with pytest.raises(PreconditionError):
         all_subgroups(FinAbGroup((2,) * 10))
+
+
+def test_all_subgroups_needs_no_stack_frame_per_coordinate():
+    # factors Z/1 pass the order cap and the candidate guard, so a high rank
+    # reaches the enumeration
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        counts = [
+            len(all_subgroups(FinAbGroup(moduli)))
+            for moduli in ((1,) * 300, (2,) + (1,) * 300)
+        ]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert counts == [1, 2]
 
 
 def _all_subgroups_by_filtering(group):

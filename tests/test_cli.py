@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from isodec import (
     FinAbGroup,
+    InternalCheckError,
     MatZ,
     Subgroup,
     all_subgroups,
@@ -449,6 +450,50 @@ def test_non_cyclic_roan_and_verify_exit_3(tmp_path, monkeypatch):
         code, _, err = run_cli([cmd, str(path)])
         assert code == 3, cmd
         assert "cyclic" in err
+
+
+# each refusal, with the exit code it gives; "{file}" is the named input
+_REFUSALS = [
+    ("malformed", ["decompose", "{file}"], 2),
+    ("malformed", ["roan", "{file}"], 2),
+    ("malformed", ["verify", "{file}"], 2),
+    ("semisimple", ["roan", "{file}"], 3),
+    ("semisimple", ["verify", "{file}"], 3),
+    (None, ["characters", "--group", "0"], 2),
+    (None, ["subgroups", "--group", "0"], 2),
+    ("regular", ["decompose", "{file}"], 4),  # a cross-check made to fail
+]
+_REFUSAL_INPUTS = {
+    "semisimple": ["fixture", "semisimple", "--group", "2,2"],
+    "regular": ["fixture", "regular", "4"],
+}
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "file,argv,expected",
+    _REFUSALS,
+    ids=[f"{argv[0]}-{code}" for _, argv, code in _REFUSALS],
+)
+def test_a_refused_command_prints_nothing(
+    tmp_path, monkeypatch, file, argv, expected, output
+):
+    path = tmp_path / "input.json"
+    if file == "malformed":
+        path.write_text("{")
+    elif file is not None:
+        assert run_cli(_REFUSAL_INPUTS[file] + ["-o", str(path)])[0] == 0
+
+    def failed_check(action):
+        raise InternalCheckError("the two routes disagree")
+
+    if expected == 4:
+        monkeypatch.setattr("isodec.cli.isotypical_decomposition", failed_check)
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    code, out, err = run_cli(argv + output)
+    assert code == expected
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_ground_truth_mismatch_exits_2(tmp_path):

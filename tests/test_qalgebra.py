@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,37 @@ def test_mismatched_groups_rejected():
 def test_non_int_numerators_and_denominators_refused(nums, den):
     with pytest.raises(PreconditionError, match="must be ints"):
         GroupAlgebraElem(FinAbGroup((2,)), nums, den)
+
+
+@st.composite
+def group_nums_and_den(draw):
+    group = FinAbGroup(draw(st.sampled_from(SMALL_MODULI)))
+    nums = draw(
+        st.just([0] * group.order)
+        | st.lists(st.integers(-6, 6), min_size=group.order, max_size=group.order)
+    )
+    den = draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1]))
+    return group, nums, den
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_nums_and_den())
+def test_coefficients_are_stored_in_lowest_terms(gnd):
+    group, nums, den = gnd
+    x = GroupAlgebraElem(group, nums, den)
+    assert [Fraction(v, x.den) for v in x.nums] == [Fraction(v, den) for v in nums]
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1  # so den 1 for zero
+    with pytest.raises(PreconditionError, match="zero denominator"):
+        GroupAlgebraElem(group, nums, 0)
+    neg = -abs(den)
+    terms = [
+        f"{Fraction(v, neg)}*{group.element_of_index(i).exps}"
+        for i, v in enumerate(nums)
+        if v
+    ]
+    assert repr(GroupAlgebraElem(group, nums, neg)) == (
+        f"GroupAlgebraElem({' + '.join(terms) or 0})"
+    )
 
 
 # -------------------------------------------------------------- idempotents
