@@ -88,6 +88,7 @@ from .ratlinalg import (
     SubspaceQ,
     _combination,
     _dot_rows,
+    _images,
     _plus_identity,
     image_space,
     intersect_spaces,
@@ -219,9 +220,9 @@ def complementary_subvariety(action: GAction, k_sub: Subgroup, h: Subgroup) -> S
         raise PreconditionError(
             "the complement P(A^K/A^H) requires K to be contained in H"
         )
-    yt = fixed_subvariety(action, k_sub).basis.transpose()
-    cols = [c for m in _shifted_generators(action, h) for c in zip(*(m @ yt).num)]
-    return SubspaceQ(action.dim, cols)
+    a_k = fixed_subvariety(action, k_sub)
+    rows = [row for m in _shifted_generators(action, h) for row in _images(m, a_k)]
+    return SubspaceQ(action.dim, rows)
 
 
 def _average_over_g(action: GAction) -> MatQ:
@@ -407,7 +408,7 @@ def isotypical_decomposition(action: GAction) -> IsotypicalReport:
     irreps = rational_irreps(action.group)
     parts = _sylow_parts(action.group)
     pieces = {
-        sig: (list(zip(*y.basis.num)), _restricted(action, y))
+        sig: (y.basis.num, _restricted(action, y))
         for sig, y in _sylow_split(action).items()
     }
     zero = SubspaceQ.zero(action.dim)
@@ -418,9 +419,9 @@ def isotypical_decomposition(action: GAction) -> IsotypicalReport:
             s = zero
         else:
             # lifted: the component's coordinate rows times Y's basis rows
-            yt, on_y = piece
+            y_rows, on_y = piece
             coords = isotypical_component(on_y, w).basis.num
-            s = SubspaceQ(action.dim, _dot_rows(coords, yt))
+            s = SubspaceQ(action.dim, _dot_rows(coords, y_rows, action.dim))
         if s.dim % w.degree:
             raise InternalCheckError(
                 f"component dimension {s.dim} is not a multiple of degree {w.degree}"

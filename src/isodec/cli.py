@@ -9,9 +9,10 @@ Commands::
     subgroups --group …   all subgroups (or --kernels: cyclic-quotient ones)
     fixture <kind> …      generate a test action file of known decomposition
 
-Each handler returns a JSON document (a dict) or text lines, and ``main``
-writes them once the handler has returned, so a refused command prints
-nothing; only ``fixture`` writes its own file or stdout.  The table
+Each handler returns a JSON document (a dict), text lines, or a file's
+text (``fixture`` without ``-o``), and ``main``, the only writer of stdout,
+writes it once the handler has returned, so a refused command prints
+nothing.  The table
 ``_COMMANDS`` is the one place where a subcommand, its handler and its
 arguments are declared.
 
@@ -21,7 +22,8 @@ Common flags: ``--json`` for machine output (default is aligned text),
 from an abelian variety.  Output is deterministic: identical inputs and
 flags give identical bytes.
 
-Exit codes: 0 success; 2 invalid input (parse or validation failure, or a
+Exit codes: 0 success; 1 stdout closed by its reader before the end, with
+nothing on stderr; 2 invalid input (parse or validation failure, or a
 ``ground_truth`` claim that the decomposition refutes); 3 precondition
 failure (valid input outside the supported domain, e.g. ``roan`` on a
 non-cyclic group); 4 internal cross-check failure.
@@ -30,6 +32,7 @@ non-cyclic group); 4 internal cross-check failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 
@@ -334,7 +337,7 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     )
 
 
-def _cmd_fixture(args) -> None:
+def _cmd_fixture(args) -> str:
     options = {
         "--group": args.group,
         "--multiplicities": args.multiplicities,
@@ -351,16 +354,14 @@ def _cmd_fixture(args) -> None:
     spec = FixtureSpec(args.kind, **{f: v for f, v in fields.items() if v is not None})
     af = make_fixture(spec, args.max_order)
     text = serialize_action_file(af)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise ValidationError(
-                f"cannot write {args.output}: {e.strerror or e}"
-            ) from None
-    else:
-        sys.stdout.write(text)
+    if not args.output:
+        return text
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValidationError(f"cannot write {args.output}: {e.strerror or e}") from None
+    return ""
 
 
 # ------------------------------------------------------------------- parser
@@ -458,9 +459,24 @@ def main(argv=None) -> int:
         print(f"internal check failed: {e}", file=sys.stderr)
         return 4
     if isinstance(result, dict):
-        sys.stdout.write(_json_text(result))
-    elif result is not None:  # text lines; fixture wrote its own bytes
-        print("\n".join(result))
+        result = _json_text(result)
+    elif isinstance(result, list):
+        result = "\n".join(result) + "\n"
+    # started without a stdout (print writes nothing then), or fixture wrote -o
+    if sys.stdout is None or not result:
+        return 0
+    try:
+        # the last character goes alone: on an unbuffered stdout (-u), a
+        # write that the reader cuts short fails only at the next write
+        sys.stdout.write(result[:-1])
+        sys.stdout.write(result[-1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered is flushed at exit, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -31,7 +31,8 @@ kernel, image and, through `kernel_and_image`, intersection.  `MatQ` has
 products but no sums: one `_combination` serves every sum of matrices, and
 `_plus_identity` every shift by a multiple of I.
 
-Products.  One kernel, `_dot_rows`, forms every integer product, and it
+Products.  One kernel, `_dot_rows(a, b, ncols)`, forms every integer
+product a @ b from the rows of both factors as they are stored, and it
 takes one of three paths per row of the left factor.  Permutation and
 monomial matrices, such as those of the regular representation, have one
 nonzero per row; a row counts as sparse when at most a quarter of its
@@ -39,15 +40,16 @@ entries are nonzero, a test made at C speed (`_is_sparse`), and a sparse
 row is formed from the rows of the right factor at its nonzeros.  With at
 least 12 columns and 8 dense rows, the dense rows go through Kronecker
 substitution (`_packed_rows`): each row of the right factor is packed once
-into one integer of 16-, 32- or 64-bit fields, and each dense row of the
-product is then one C-level sum of big-integer products, unpacked with
-`struct`.  The fields are wide enough that no entry carries into the next;
-a product whose entries might not fit 64 bits, and a smaller shape, takes
-the full dot products.  So an n by n product makes n interpreter-level
-calls, not n^2.  Eliminations (`_row_reduce`) likewise update only at the
-nonzeros of a sparse pivot row.  Every path adds up the same integer terms,
-so every result is the same exact integer matrix as the dense computation
-gives.
+into one integer of 16-, 32- or 64-bit fields, wide enough that no entry
+carries into the next, so an n by n product makes n interpreter-level
+calls, not n^2.  Other dense rows take the full dot products, the one
+path that reads the right factor by columns; `_images` (the images M b_j
+of a subspace's basis rows) is the one product with an operator transposed.
+Eliminations (`_row_reduce`) likewise update only at the nonzeros of a
+sparse pivot row, and divide each row by its content (`_content`, the
+rule `MatQ` normalizes by too).  Every path adds up the same integer
+terms, so every result is the same exact integer matrix as the dense
+computation gives.
 An elimination also pivots, in each column, on the candidate row with the
 fewest nonzeros (ties to the smallest |pivot|), a Markowitz-style choice
 that keeps sparse rows sparse and intermediate entries small.  The reduced
@@ -136,23 +138,28 @@ _PACK_MIN_COLS = 12
 _PACK_MIN_ROWS = 8
 
 
-def _packed_rows(rows, bt) -> list[list[int]] | None:
-    """The dense rows of the product a @ bt^T by Kronecker substitution
-    (see ``_dot_rows``), or None when inner * max|a| * max|b| is 2^63 or
-    more.
+def _packed_rows(rows, b, n: int) -> list[list[int]] | None:
+    """The dense rows of the product a @ b, for b's rows of n entries, by
+    Kronecker substitution, or None when the bound inner * max|a| * max|b|
+    is 2^63 or more.
 
-    With k the field width and h = 2^(k-1), row t of b (column t of bt)
-    becomes P_t = sum_j (b_tj + h) 2^(kj) - H, with H = sum_j h 2^(kj): one
-    signed `struct.pack` of all of b, then one XOR with H per row, which
-    flips each field's top bit and so turns the k-bit two's complement of
-    b_tj into b_tj + h.  A product row is sum_t a_t P_t + H, whose field j
-    holds c_j + h; the same XOR turns it back into the two's complement of
+    Row t of b becomes the integer P_t = sum_j b_tj 2^(kj), and a row of
+    the product the one C-level sum sum_t a_t P_t = sum_j c_j 2^(kj), read
+    back k bits at a time.  With h = 2^(k-1), the read is exact when every
+    c_j lies in [-h, h): each field then holds c_j + h in [0, 2^k) and
+    carries nothing into the next.  The bound covers every |c_j|, and every
+    |b_tj| since a dense row has a nonzero entry, so k is the smallest of
+    16, 32 and 64 with the bound below h.  With H = sum_j h 2^(kj), P_t + H
+    is one signed `struct.pack` of b's rows as stored, then one XOR with H
+    per row, which flips each field's top bit and so turns the k-bit two's
+    complement of b_tj into b_tj + h.  A product row plus H holds c_j + h
+    in field j; the same XOR turns it back into the two's complement of
     c_j, and one signed `struct.unpack` of all the rows, joined, reads
     every entry.
     """
-    inner, n = len(bt[0]), len(bt)
+    inner = len(b)
     amax = max(max(map(max, rows)), -min(map(min, rows)))
-    bmax = max(max(map(max, bt)), -min(map(min, bt)))
+    bmax = max(max(map(max, b)), -min(map(min, b)))
     bound = inner * amax * bmax
     for k, code in _FIELDS:
         if bound < 1 << (k - 1):
@@ -162,7 +169,7 @@ def _packed_rows(rows, bt) -> list[list[int]] | None:
     width = n * k // 8
     offset = (1 << (k - 1)) * ((1 << (k * n)) - 1) // ((1 << k) - 1)  # H
     # fields of b_tj mod 2^k, and of b_tj + h after the XOR
-    data = struct.pack(f"<{inner * n}{code}", *chain.from_iterable(zip(*bt)))
+    data = struct.pack(f"<{inner * n}{code}", *chain.from_iterable(b))
     packed = [
         (int.from_bytes(data[i : i + width], "little") ^ offset) - offset
         for i in range(0, len(data), width)
@@ -177,65 +184,54 @@ def _packed_rows(rows, bt) -> list[list[int]] | None:
     return [list(vals[i : i + n]) for i in range(0, len(vals), n)]
 
 
-def _dot_rows(a, bt) -> list[list[int]]:
-    """The integer product a @ bt^T: entry (i, j) is row i of a dotted with
-    row j of bt.  The one dot-product kernel behind every integer product.
+def _dot_rows(a, b, ncols: int) -> list[list[int]]:
+    """The integer product a @ b from the rows of both factors as stored: a
+    row of a has len(b) entries and a row of b has ncols.  The one kernel
+    behind every integer product.
 
     A row of a is sparse when at most a quarter of its entries are nonzero
-    (see ``_is_sparse``).  A sparse row is formed as a combination of the
-    rows of b (the columns of bt): one plain copy for an entry 1 and one
-    scaled copy for any other nonzero entry.
-
-    With at least ``_PACK_MIN_COLS`` columns and ``_PACK_MIN_ROWS`` dense
-    rows, the dense rows are formed by Kronecker substitution
-    (``_packed_rows``): each row t of b is packed once into the integer
-    P_t = sum_j b_tj 2^(kj), and a row of the product is the one C-level
-    sum sum_t a_t P_t = sum_j c_j 2^(kj), read back k bits at a time.  The
-    read is exact when every c_j lies in [-2^(k-1), 2^(k-1)): offset by
-    h = 2^(k-1), each field then holds c_j + h in [0, 2^k) and carries
-    nothing into the next.  |c_j| <= inner * max|a| * max|b| over the
-    dense rows (and |b_tj| <= that bound, since a dense row has a nonzero
-    entry), so k is the smallest of 16, 32 and 64 with that bound below
-    2^(k-1); from 2^63 on, and for smaller shapes, a dense row takes the
-    full dot product with every column.  Each path adds the same integer
-    products, so the result is the same exact integer matrix.
+    (see ``_is_sparse``), and it is formed as a combination of the rows of
+    b: one plain copy for an entry 1 and one scaled copy for any other
+    nonzero entry.  With at least ``_PACK_MIN_COLS`` columns and
+    ``_PACK_MIN_ROWS`` dense rows, the dense rows are formed by Kronecker
+    substitution (``_packed_rows``).  For smaller shapes, and when the
+    packing declines, a dense row takes the full dot product with every
+    column of b, the one path that transposes b.  Each path adds the same
+    integer products, so the result is the same exact integer matrix.
     """
-    if not bt:  # no columns: b would have no rows for a sparse row to take
-        return [[] for _ in a]
     sparse = list(map(_is_sparse, a))
     dense = [row for row, s in zip(a, sparse) if not s]
     formed = None
-    if len(bt) >= _PACK_MIN_COLS and len(dense) >= _PACK_MIN_ROWS:
-        formed = _packed_rows(dense, bt)
-    if formed is None:
-        formed = [[sum(map(mul, row, col)) for col in bt] for row in dense]
+    if ncols >= _PACK_MIN_COLS and len(dense) >= _PACK_MIN_ROWS:
+        formed = _packed_rows(dense, b, ncols)
+    if formed is None:  # the plain dot products, with b's columns
+        cols = list(zip(*b)) if dense else []
+        formed = [[sum(map(mul, row, col)) for col in cols] for row in dense]
     formed = iter(formed)
-    b = None  # the rows of b, formed for the first sparse row of a
     out = []
     for row, s in zip(a, sparse):
         if not s:
             out.append(next(formed))
             continue
-        if b is None:
-            b = list(zip(*bt))
         acc = None
         for t in _nonzero_cols(row):
             v = row[t]
             term = b[t] if v == 1 else map(mul, b[t], repeat(v))
             acc = list(term) if acc is None else list(map(add, acc, term))
-        out.append([0] * len(bt) if acc is None else acc)
+        out.append([0] * ncols if acc is None else acc)
     return out
 
 
 def _content(rows, start: int) -> int:
-    """gcd of `start` and every entry; 0 entries ignored; always >= 0."""
+    """gcd of `start` and every entry of the rows, always >= 0 and 0 exactly
+    when all are 0; zeros are skipped at C speed, and the scan stops once
+    the gcd is 1.  The one content rule, for `MatQ` and `_row_reduce`."""
     g = abs(start)
     for row in rows:
-        for v in row:
-            if v:
-                g = gcd(g, v)
-                if g == 1:
-                    return 1
+        for v in filter(None, row):
+            g = gcd(g, v)
+            if g == 1:
+                return 1
     return g
 
 
@@ -286,10 +282,8 @@ class MatQ:
     def __matmul__(self, other: "MatQ") -> "MatQ":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        bt = list(zip(*other.num)) if other.rows else [()] * other.cols
-        return MatQ._raw(
-            _dot_rows(self.num, bt), self.den * other.den, ncols=other.cols
-        )
+        num = _dot_rows(self.num, other.num, other.cols)
+        return MatQ._raw(num, self.den * other.den, ncols=other.cols)
 
     def mul_vector(self, vec) -> tuple[Fraction, ...]:
         """M v for a column vector v (any sequence of rationals)."""
@@ -297,9 +291,9 @@ class MatQ:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         vden = lcm(1, *(x.denominator for x in v))
-        vnum = [[x.numerator * (vden // x.denominator) for x in v]]
+        vnum = [[x.numerator * (vden // x.denominator)] for x in v]
         d = self.den * vden
-        return tuple(Fraction(row[0], d) for row in _dot_rows(self.num, vnum))
+        return tuple(Fraction(row[0], d) for row in _dot_rows(self.num, vnum, 1))
 
     def __pow__(self, n: int) -> "MatQ":
         if self.rows != self.cols:
@@ -453,16 +447,10 @@ class MatZ:
         return f"MatZ({[list(r) for r in self.entries]})"
 
 
-def _reduce_row_content(row):
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return row
-    if g > 1:
-        return [v // g for v in row]
-    return row
+def _primitive(row):
+    """The row over its content; content 1 or 0 (a zero row) keeps it as is."""
+    g = _content((row,), 0)
+    return [v // g for v in row] if g > 1 else row
 
 
 def _row_reduce(int_rows, ncols: int):
@@ -485,7 +473,7 @@ def _row_reduce(int_rows, ncols: int):
     pivot rule changes the rows returned, up to sign, but not their RREF.
     """
     # rows are replaced, never mutated, so the caller's rows are safe
-    rows = [_reduce_row_content(r) for r in int_rows if any(r)]
+    rows = [_primitive(r) for r in int_rows if any(r)]
     piv: list[int] = []
     r = 0
     for c in range(ncols):
@@ -509,7 +497,7 @@ def _row_reduce(int_rows, ncols: int):
                     new = list(rows[i] if p == 1 else map(mul, rows[i], repeat(p)))
                     for t in nz:
                         new[t] -= prow[t] * v
-                rows[i] = _reduce_row_content(new)
+                rows[i] = _primitive(new)
         piv.append(c)
         r += 1
     return piv, rows[:r]
@@ -585,8 +573,8 @@ class SubspaceQ:
         """
         coords = [[row[c] for c in self.pivot_cols] for row in rows]
         b = self.basis
-        bt = list(zip(*b.num)) if b.rows else [()] * self.ambient_dim
-        if _dot_rows(coords, bt) != [[v * b.den for v in row] for row in rows]:
+        products = _dot_rows(coords, b.num, self.ambient_dim)
+        if products != [[v * b.den for v in row] for row in rows]:
             return None
         return coords
 
@@ -658,6 +646,14 @@ def intersect_spaces(u: SubspaceQ, v: SubspaceQ) -> SubspaceQ:
     return kernel_and_image(MatQ._raw(t, d, ncols=n), u)[0]
 
 
+def _images(m: MatQ, s: SubspaceQ) -> list[list[int]]:
+    """The integer rows M b_j, over M.den * s.basis.den, for the basis rows
+    b_j of s and a square M on its space: s's basis times M transposed."""
+    if m.rows != m.cols or m.cols != s.ambient_dim:
+        raise PreconditionError("operator and subspace dimensions do not match")
+    return _dot_rows(s.basis.num, list(zip(*m.num)), m.cols)
+
+
 def kernel_and_image(t: MatQ, y: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
     """ker T ∩ Y and T(Y), for a square T and a subspace Y of its space.
 
@@ -671,15 +667,13 @@ def kernel_and_image(t: MatQ, y: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
     T is semisimple and Y is T-invariant (a power of a finite-order operator
     minus 1, on a piece it preserves), Y is the direct sum of the two.
     """
-    if t.rows != t.cols or t.cols != y.ambient_dim:
-        raise PreconditionError("operator and subspace dimensions do not match")
+    images = _images(t, y)
     n = y.ambient_dim
-    images = _dot_rows(y.basis.num, t.num)  # images[j] = T b_j
     image = SubspaceQ(n, images)
     # a vector of T(Y) is fixed by its entries at the pivot columns of T(Y)
     at_pivots = [[row[c] for row in images] for c in image.pivot_cols]
     coeffs = _kernel_rows(at_pivots, y.dim)
-    kernel = SubspaceQ(n, _dot_rows(coeffs, list(zip(*y.basis.num))))
+    kernel = SubspaceQ(n, _dot_rows(coeffs, y.basis.num, n))
     return kernel, image
 
 
@@ -868,10 +862,7 @@ def restrict_operator(M: MatQ, s: SubspaceQ) -> MatQ:
     Coordinates in an RREF basis are read off at the pivot columns.  Raises
     PreconditionError if the subspace is not invariant under M.
     """
-    if M.rows != M.cols or M.cols != s.ambient_dim:
-        raise PreconditionError("operator and subspace dimensions do not match")
-    images = _dot_rows(s.basis.num, M.num)  # images[j] = M b_j
-    coords = s._pivot_coords(images)
+    coords = s._pivot_coords(_images(M, s))
     if coords is None:
         raise PreconditionError("subspace is not invariant under the operator")
     # column j of the result holds the coordinates of M b_j

@@ -125,7 +125,7 @@ def _split(m: MatQ, d: int) -> RoanReport:
             sides = kernel_and_image(_plus_identity(a**e, -1), SubspaceQ.full(a.rows))
             for side, divides in zip(sides, (True, False)):
                 if side.dim:
-                    lifted = _dot_rows(side.basis.num, list(zip(*rows)))
+                    lifted = _dot_rows(side.basis.num, rows, n)
                     part = [f for f in cands if (e % f == 0) == divides]
                     pieces.append((lifted, restrict_operator(a, side), part))
     leaves.sort(key=lambda leaf: leaf[0])

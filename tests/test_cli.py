@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -797,3 +798,50 @@ def test_entry_point_module():
     )
     assert proc.returncode == 0
     assert "rational irreducible classes" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["subgroups", "--group", "2,2,2,2,2,2"],
+        ["characters", "--json", "--group", "100,100"],
+        ["fixture", "regular", "200"],
+    ],
+    ids=["text", "json", "fixture"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_stdout_closed_early_exits_1_with_an_empty_stderr(argv, unbuffered):
+    # each output is larger than a 64 KiB pipe buffer, so the write after
+    # the reader has gone fails
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-m", "isodec", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert len(head) == 10
+    assert (code, err) == (1, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["characters", "--group", "4"], ["characters", "--json", "--group", "4"], None],
+    ids=["text", "json", "fixture-o"],
+)
+def test_a_command_started_without_stdout_exits_0(argv, tmp_path):
+    out = tmp_path / "r6.json"
+    argv = argv or ["fixture", "regular", "6", "-o", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "isodec", *argv],
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(1),  # the child starts with fd 1 closed
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.exists() == (argv[0] == "fixture")

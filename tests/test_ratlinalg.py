@@ -2,6 +2,7 @@ import doctest
 import itertools
 import time
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from hypothesis import assume, example, given, settings
@@ -953,8 +954,8 @@ class PackedRowsSpy:
         self.returned = []
         real = ratlinalg._packed_rows
 
-        def spy(rows, bt):
-            out = real(rows, bt)
+        def spy(rows, b, n):
+            out = real(rows, b, n)
             self.returned.append(out)
             return out
 
@@ -966,12 +967,12 @@ def dot_rows_checked(a, b, inner, ncols, as_tuples):
     Fraction product and for leaving its inputs as they were."""
     wrap = tuple if as_tuples else list
     a_in = [wrap(row) for row in a]
-    bt_in = [wrap(col) for col in zip(*b)] if b else [wrap(())] * ncols
-    before = ([tuple(r) for r in a_in], [tuple(c) for c in bt_in])
-    out = ratlinalg._dot_rows(a_in, bt_in)
+    b_in = [wrap(row) for row in b]
+    before = ([tuple(r) for r in a_in], [tuple(r) for r in b_in])
+    out = ratlinalg._dot_rows(a_in, b_in, ncols)
     assert out == oracle_product(a, b, inner, ncols)
     assert all(type(row) is list for row in out)
-    assert ([tuple(r) for r in a_in], [tuple(c) for c in bt_in]) == before
+    assert ([tuple(r) for r in a_in], [tuple(r) for r in b_in]) == before
     return out
 
 
@@ -1061,6 +1062,10 @@ def wide_product_case(draw):
 @example(([], [[1] * 16] * 3, 3, 16), False, 1)  # no rows
 @example(([[1, 2, 3, 4]] * 12, [[]] * 4, 4, 0), True, 1)  # no columns
 @example(([[]] * 12, [], 0, 16), False, 2)  # inner dimension 0
+@example(([[]] * 9, [], 0, 13), True, 1)  # inner dimension 0, tuples
+@example(([], [], 0, 5), True, 1)  # no rows and inner dimension 0
+@example(([[1] * 12] * 8, [[]] * 12, 12, 0), True, 1)  # dense rows, no columns
+@example(([[]] * 3, [], 0, 0), False, 1)  # no inner dimension and no columns
 @settings(max_examples=150)
 def test_products_of_mixed_rows_match_the_oracle(case, as_tuples, den):
     a, b, inner, ncols = case
@@ -1232,3 +1237,37 @@ def test_row_reduce_gives_the_rref_of_the_first_nonzero_row_rule(case):
     assert ratlinalg._rref_over_lcm(piv, reduced, n) == ratlinalg._rref_over_lcm(
         first_piv, first_reduced, n
     )
+
+
+# ------------------------------------------------------------ one content rule
+#
+# `_content` is the gcd behind both `MatQ` normalization and the row
+# division of `_row_reduce` (`_primitive`).  A row that cancels to zero has
+# content 0 and is kept as it is, never divided.
+
+content_entry = st.just(0) | st.integers(-60, 60) | st.integers(-(2**70), 2**70)
+
+
+@given(
+    st.lists(st.lists(content_entry, max_size=6), max_size=5),
+    st.just(0) | st.just(1) | st.integers(1, 360),
+    st.booleans(),
+)
+@example([[0, 0], [], [0]], 0, True)  # all zero: content 0
+@example([[], []], 12, False)  # no entries: the start alone
+@example([[-4, 0, 6], [0, -10]], 0, True)  # negative entries, content 2
+@example([[3, 5], [2**70 * 3]], 9, False)  # gcd 1 stops the scan
+def test_content_and_the_row_division_match_math_gcd(rows, start, as_tuples):
+    given_rows = [tuple(r) for r in rows] if as_tuples else [list(r) for r in rows]
+    before = [tuple(r) for r in given_rows]
+    expected = reduce(gcd, itertools.chain.from_iterable(rows), start)
+    assert ratlinalg._content(given_rows, start) == expected
+    for row in given_rows:
+        g = reduce(gcd, row, 0)
+        divided = ratlinalg._primitive(row)
+        if g <= 1:  # content 1, or a zero row (content 0): kept as it is
+            assert divided is row
+        else:
+            assert [divmod(v, g) for v in row] == [(q, 0) for q in divided]
+            assert ratlinalg._content((divided,), 0) == 1
+    assert [tuple(r) for r in given_rows] == before
