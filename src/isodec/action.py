@@ -25,7 +25,7 @@ elements: the HNF generators of a subgroup, the step of a cyclic factor
 and the Sylow powers below.  A run of powers of one element is applied to
 the basis it acts on, never formed as a run of square matrices.
 Validation checks only the presentation (the relations M_j ** n_j = I and
-commutation).
+commutation, where a generator that is I forms no product).
 
 Route (1) forms no idempotent: rho has finite order, so A^H is the common
 kernel of rho(h) - 1 over the HNF rows h of H, and the complement of A^H in
@@ -34,10 +34,11 @@ writes e_W = p_K * F with F = (1/n) sum_{j<n} c_n(j) rho(j * x), for
 n = [G:K], x a generator of G/K and c_n the Ramanujan sum (every g is
 j * x + k with k in K, and c_n depends only on gcd(n, .)).  p_K and F
 commute, so the image of e_W is F(A^K), never the |G|-term sum.  Both
-routes read one run: with s = n / rad(n), v_i is rho(i * s * x) applied to
-the basis of A^K for i < rad(n), F(A^K) is the span of
+routes read one run: with s = n / rad(n), v_i holds the rows
+rho(i * s * x) b_j for the basis rows b_j of A^K and i < rad(n), each v_i
+formed from v_{i-1} by ``ratlinalg._images``.  F(A^K) is the row span of
 (1/n) sum_i c_n(i * s) v_i, and as (n/p) * x = (rad(n)/p) * s * x, the
-complement for the minimal overgroup K + (n/p) * x is the span of
+complement for the minimal overgroup K + (n/p) * x is the row span of
 v_{rad(n)/p} - v_0.  For the trivial class e_W is p_G, a product of
 averages of p terms over the Sylow parts of the generators.
 
@@ -77,6 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from math import gcd, prod
 
 from .abgroup import FinAbGroup, GroupElement, Subgroup
@@ -154,10 +156,11 @@ def validate_action(group: FinAbGroup, matrices, name: str | None = None) -> GAc
     for j, (m, n) in enumerate(zip(mats, group.moduli)):
         if not (m ** n).is_identity():
             raise ValidationError(f"generator {j + 1}: M^{n} != I")
-    for i in range(k):
-        for j in range(i + 1, k):
-            if mats[i] @ mats[j] != mats[j] @ mats[i]:
-                raise ValidationError(f"generators {i + 1} and {j + 1} do not commute")
+    # an identity commutes with everything: only the others form products
+    moving = [(j, m) for j, m in enumerate(mats) if not m.is_identity()]
+    for (i, a), (j, b) in combinations(moving, 2):
+        if a @ b != b @ a:
+            raise ValidationError(f"generators {i + 1} and {j + 1} do not commute")
 
     return GAction(group, mats, dim, name)
 
@@ -172,15 +175,6 @@ def action_matrix(action: GAction, g: GroupElement) -> MatQ:
         if e:
             m = gen**e if m is None else m @ gen**e
     return MatQ.identity(action.dim) if m is None else m
-
-
-def _orbit(step: MatQ, start: MatQ, count: int) -> list[MatQ]:
-    """start, step @ start, ..., step ** (count - 1) @ start: a running
-    product, one product per entry after the first."""
-    out = [start]
-    for _ in range(1, count):
-        out.append(step @ out[-1])
-    return out
 
 
 def _shifted_generators(action: GAction, h: Subgroup) -> list[MatQ]:
@@ -220,8 +214,8 @@ def complementary_subvariety(action: GAction, k_sub: Subgroup, h: Subgroup) -> S
         raise PreconditionError(
             "the complement P(A^K/A^H) requires K to be contained in H"
         )
-    a_k = fixed_subvariety(action, k_sub)
-    rows = [row for m in _shifted_generators(action, h) for row in _images(m, a_k)]
+    b = fixed_subvariety(action, k_sub).basis
+    rows = [row for m in _shifted_generators(action, h) for row in _images(m, b)]
     return SubspaceQ(action.dim, rows)
 
 
@@ -235,7 +229,9 @@ def _average_over_g(action: GAction) -> MatQ:
     eye = m = MatQ.identity(action.dim)
     for j, p, a in _sylow_parts(action.group):
         for t in _sylow_powers(action, j, p, a):
-            powers = [eye, *_orbit(t, t, p - 1)]
+            powers = [eye, t]
+            for _ in range(2, p):
+                powers.append(t @ powers[-1])
             m = m @ _combination(m.shape, ((1, r) for r in powers), p)
     return m
 
@@ -250,8 +246,8 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     (rho((n/p) x) - 1)(A^K).  When K is all of G it is A^G itself.  Route
     two is the image of the central idempotent e_W = p_K * F, with F one
     cyclic factor in x, taken as F applied to A^K; for the trivial class
-    e_W = p_G, taken from its Sylow factors.  Both routes read one running
-    product of rho(s x), s = n / rad(n), applied to the basis of A^K, so no
+    e_W = p_G, taken from its Sylow factors.  Both routes read one run of
+    rho(s x), s = n / rad(n), applied to the basis rows of A^K, so no
     rho((n/p) x) is formed.  Disagreement raises InternalCheckError — it
     would mean the algebra identity behind the construction failed.
     """
@@ -261,7 +257,7 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
     x = k_sub.quotient_generator()
     if x is None:
         raise PreconditionError("minimal overgroups require a cyclic quotient G/K")
-    n = k_sub.index
+    n, dim = k_sub.index, action.dim
     primes = prime_divisors(n)
     a_k = fixed_subvariety(action, k_sub)
     if n == 1:
@@ -269,15 +265,20 @@ def isotypical_component(action: GAction, w: RationalIrrep) -> SubspaceQ:
         by_intersection = a_k
     else:
         # c_n(j) = 0 unless s = n / rad(n) divides j: F has r = rad(n) terms,
-        # along s x; v[i] = rho(i s x) applied to A^K's basis as columns
+        # along s x; row j of v[i] is rho(i s x) b_j, for A^K's basis rows b_j
         r = prod(primes)
         s = n // r
-        v = _orbit(action_matrix(action, s * x), a_k.basis.transpose(), r)
+        step = action_matrix(action, s * x)
+        v = [a_k.basis]
+        for _ in range(1, r):
+            v.append(MatQ._raw(_images(step, v[-1]), step.den * v[-1].den, dim))
         terms = ((ramanujan_sum(n, i * s), vi) for i, vi in enumerate(v))
-        by_idempotent = image_space(_combination(v[0].shape, terms, n))
+        by_idempotent = SubspaceQ(dim, _combination(v[0].shape, terms, n).num)
         # (n/p) x = (r/p) s x: rho((n/p) x) - 1 on A^K is v[r/p] - v[0]
         parts = [
-            image_space(_combination(v[0].shape, ((1, v[r // p]), (-1, v[0])), 1))
+            SubspaceQ(
+                dim, _combination(v[0].shape, ((1, v[r // p]), (-1, v[0])), 1).num
+            )
             for p in primes
         ]
         by_intersection = reduce(intersect_spaces, parts)
@@ -411,7 +412,7 @@ def isotypical_decomposition(action: GAction) -> IsotypicalReport:
         sig: (y.basis.num, _restricted(action, y))
         for sig, y in _sylow_split(action).items()
     }
-    zero = SubspaceQ.zero(action.dim)
+    zero = SubspaceQ(action.dim)
     components = []
     for w in irreps:
         piece = pieces.get(_signature(w, parts))

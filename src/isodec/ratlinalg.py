@@ -43,8 +43,10 @@ substitution (`_packed_rows`): each row of the right factor is packed once
 into one integer of 16-, 32- or 64-bit fields, wide enough that no entry
 carries into the next, so an n by n product makes n interpreter-level
 calls, not n^2.  Other dense rows take the full dot products, the one
-path that reads the right factor by columns; `_images` (the images M b_j
-of a subspace's basis rows) is the one product with an operator transposed.
+path that reads the right factor by columns.  `_images` (the images M b_j
+of stored rows b_j) is the one product with an operator transposed; it
+applies an operator to rows for `kernel_and_image`, `restrict_operator`,
+`action.complementary_subvariety` and the run of both isotypical routes.
 Eliminations (`_row_reduce`) likewise update only at the nonzeros of a
 sparse pivot row, and divide each row by its content (`_content`, the
 rule `MatQ` normalizes by too).  Every path adds up the same integer
@@ -274,10 +276,6 @@ class MatQ:
     @classmethod
     def identity(cls, n: int) -> "MatQ":
         return cls._raw([[int(i == j) for j in range(n)] for i in range(n)], 1)
-
-    def transpose(self) -> "MatQ":
-        cols = zip(*self.num) if self.num else [()] * self.cols
-        return MatQ._raw([list(col) for col in cols], self.den, ncols=self.rows)
 
     def __matmul__(self, other: "MatQ") -> "MatQ":
         if self.cols != other.rows:
@@ -549,10 +547,6 @@ class SubspaceQ:
         raise AttributeError("SubspaceQ is immutable")
 
     @classmethod
-    def zero(cls, n: int) -> "SubspaceQ":
-        return cls(n, ())
-
-    @classmethod
     def full(cls, n: int) -> "SubspaceQ":
         """Q^n, whose RREF basis is the identity: nothing to reduce."""
         s = object.__new__(cls)
@@ -646,12 +640,13 @@ def intersect_spaces(u: SubspaceQ, v: SubspaceQ) -> SubspaceQ:
     return kernel_and_image(MatQ._raw(t, d, ncols=n), u)[0]
 
 
-def _images(m: MatQ, s: SubspaceQ) -> list[list[int]]:
-    """The integer rows M b_j, over M.den * s.basis.den, for the basis rows
-    b_j of s and a square M on its space: s's basis times M transposed."""
-    if m.rows != m.cols or m.cols != s.ambient_dim:
+def _images(m: MatQ, b: MatQ) -> list[list[int]]:
+    """The integer rows M b_j, over M.den * b.den, for the rows b_j of b and
+    a square M on their space: b times M transposed, the one product that
+    applies an operator to stored rows."""
+    if m.rows != m.cols or m.cols != b.cols:
         raise PreconditionError("operator and subspace dimensions do not match")
-    return _dot_rows(s.basis.num, list(zip(*m.num)), m.cols)
+    return _dot_rows(b.num, list(zip(*m.num)), m.cols)
 
 
 def kernel_and_image(t: MatQ, y: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
@@ -667,7 +662,7 @@ def kernel_and_image(t: MatQ, y: SubspaceQ) -> tuple[SubspaceQ, SubspaceQ]:
     T is semisimple and Y is T-invariant (a power of a finite-order operator
     minus 1, on a piece it preserves), Y is the direct sum of the two.
     """
-    images = _images(t, y)
+    images = _images(t, y.basis)
     n = y.ambient_dim
     image = SubspaceQ(n, images)
     # a vector of T(Y) is fixed by its entries at the pivot columns of T(Y)
@@ -862,7 +857,7 @@ def restrict_operator(M: MatQ, s: SubspaceQ) -> MatQ:
     Coordinates in an RREF basis are read off at the pivot columns.  Raises
     PreconditionError if the subspace is not invariant under M.
     """
-    coords = s._pivot_coords(_images(M, s))
+    coords = s._pivot_coords(_images(M, s.basis))
     if coords is None:
         raise PreconditionError("subspace is not invariant under the operator")
     # column j of the result holds the coordinates of M b_j

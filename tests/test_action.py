@@ -151,6 +151,24 @@ def test_validate_rejects_noncommuting():
         )
 
 
+def test_validate_forms_no_commutation_product_for_an_identity(products):
+    # M ** 1 forms no product: 1500 factors Z/1 used to form 2 * C(1500, 2)
+    validate_action(FinAbGroup((1,) * 1500), [MatQ([[1]])] * 1500)
+    assert products.n == 0
+    # one squaring per relation M ** 2, and one pair of non-identities
+    swap, eye = MatQ([[0, 1], [1, 0]]), MatQ.identity(2)
+    validate_action(FinAbGroup((2,) * 5), [swap, eye, eye, swap, eye])
+    assert products.n == 5 + 2
+
+
+def test_validate_names_noncommuting_generators_around_an_identity():
+    with pytest.raises(ValidationError, match="generators 1 and 3 do not commute"):
+        validate_action(
+            FinAbGroup((2, 2, 2)),
+            [MatQ([[0, 1], [1, 0]]), MatQ.identity(2), MatQ([[1, 0], [0, -1]])],
+        )
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -619,7 +637,7 @@ def test_a_split_with_a_non_invariant_piece_is_an_internal_fault(
         pieces[sig] = SubspaceQ(action.dim, [[1] * action.dim, *eye[1 : y.dim]])
         assert any(
             not pieces[sig].contains_subspace(
-                image_space(m @ pieces[sig].basis.transpose())
+                SubspaceQ(action.dim, map(m.mul_vector, pieces[sig].basis.num))
             )
             for m in action.gen_matrices
         )

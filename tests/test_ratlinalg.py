@@ -85,7 +85,6 @@ def scaled(a: MatQ, q) -> MatQ:
 @given(square_matq(3))
 def test_matq_scaling_normalizes(a):
     assert scaled(scaled(a, Fraction(2, 3)), Fraction(3, 2)) == a
-    assert a.transpose().transpose() == a
 
 
 @given(st.integers(0, 4).flatmap(square_matq), st.integers(-6, 6))
@@ -128,14 +127,10 @@ def test_combination_matches_the_fraction_sum(case):
     assert total.shape == (r, c)
 
 
-def test_transpose_of_matrices_without_rows_or_columns():
-    no_rows = zeros(0, 3)
-    assert no_rows.transpose().shape == (3, 0)
-    assert no_rows.transpose() @ no_rows == zeros(3, 3)
-    assert no_rows.transpose().transpose() == no_rows
-    no_cols = zeros(2, 0)
-    assert no_cols.transpose().shape == (0, 2)
-    assert no_cols @ no_cols.transpose() == zeros(2, 2)
+def test_products_of_matrices_without_rows_or_columns():
+    no_rows, no_cols = zeros(0, 3), zeros(2, 0)
+    assert zeros(3, 0) @ no_rows == zeros(3, 3)
+    assert no_cols @ zeros(0, 2) == zeros(2, 2)
 
 
 def test_matq_equality_ignores_representation():
@@ -647,7 +642,7 @@ def test_restrict_operator_on_invariant_subspace():
     s = SubspaceQ(3, [[1, 0, 0], [0, 1, 0]])
     r = restrict_operator(rot, s)
     assert fraction_rows(r) == ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
-    assert restrict_operator(rot, SubspaceQ.zero(3)) == zeros(0, 0)
+    assert restrict_operator(rot, SubspaceQ(3)) == zeros(0, 0)
 
 
 def test_restrict_operator_rejects_noninvariant_subspace():
@@ -1091,6 +1086,47 @@ def test_kernel_and_image_on_sparse_inputs_match_the_oracle(case):
     assert_kernel_and_image_match_the_oracle(as_matq(t_rows, n), t_rows, y_rows, n)
 
 
+@st.composite
+def images_case(draw):
+    """(n, M rows, b rows, den): a square rational M and integer rows of
+    every kind (zero, one nonzero, a quarter nonzero, dense) over den, no
+    rows included."""
+    n = draw(st.integers(0, 6))
+    rows = draw(st.integers(0, 5).flatmap(lambda r: mixed_rows(r, n)))
+    return n, draw(frac_matrix(n, n)), rows, draw(st.integers(1, 6))
+
+
+@given(images_case())
+@example((2, [[0, 1], [1, 0]], [], 1))  # no rows
+@example((3, [[1, 2, 0], [0, 1, 0], [Fraction(1, 2), 0, 1]], [[0, 0, 0], [0, 5, 0]], 4))
+@example(  # 9 dense rows of 13 entries: the packed path
+    (13, [[Fraction(i * j % 5 - 2, 3) for j in range(13)] for i in range(13)],
+     [[i + j + 1 for j in range(13)] for i in range(9)], 2)
+)
+@settings(max_examples=100)
+def test_images_match_the_fraction_oracle(case):
+    # row j of _images(m, b), over m.den * b.den, is M b_j
+    n, m_rows, b_rows, den = case
+    m, b = as_matq(m_rows, n), as_matq(b_rows, n, den)
+    images = ratlinalg._images(m, b)
+    expected = [
+        [sum((Fraction(m_rows[i][k]) * Fraction(row[k], den) for k in range(n)),
+             Fraction(0)) for i in range(n)]
+        for row in b_rows
+    ]
+    assert [[Fraction(v, m.den * b.den) for v in row] for row in images] == expected
+    for row in images:  # fresh rows: writing to them leaves the inputs alone
+        row[:] = [7] * n
+    assert m == as_matq(m_rows, n) and b == as_matq(b_rows, n, den)
+
+
+def test_images_reject_mismatched_dimensions():
+    with pytest.raises(PreconditionError, match="dimensions do not match"):
+        ratlinalg._images(MatQ.identity(3), zeros(1, 2))
+    with pytest.raises(PreconditionError, match="dimensions do not match"):
+        ratlinalg._images(MatQ([[1, 0]]), zeros(1, 2))
+
+
 # kernel_and_image takes the kernel's coefficients from the images at the
 # pivot columns of T(Y); the oracle solves the full system of all n rows
 
@@ -1129,7 +1165,7 @@ def test_kernel_and_image_of_zero_are_y_and_zero(case):
     zero = [[0] * n for _ in range(n)]
     y, kernel = assert_kernel_and_image_match_the_oracle(as_matq(zero, n), zero, y_rows, n)
     assert kernel == y
-    assert kernel_and_image(as_matq(zero, n), y)[1] == SubspaceQ.zero(n)
+    assert kernel_and_image(as_matq(zero, n), y)[1] == SubspaceQ(n)
 
 
 @given(
@@ -1143,7 +1179,7 @@ def test_kernel_and_image_of_an_invertible_operator_keep_all_of_y(case):
     assume(len(oracle_rref(t_rows, n)[0]) == n)
     t = MatQ(t_rows)
     y, kernel = assert_kernel_and_image_match_the_oracle(t, t_rows, y_rows, n)
-    assert kernel == SubspaceQ.zero(n)
+    assert kernel == SubspaceQ(n)
     assert kernel_and_image(t, y)[1].dim == y.dim
 
 

@@ -146,11 +146,11 @@ def _overlapping(kernel, image):
 
 def _all_in_the_kernel(kernel, image):
     n = kernel.ambient_dim
-    return SubspaceQ(n, kernel.basis.num + image.basis.num), SubspaceQ.zero(n)
+    return SubspaceQ(n, kernel.basis.num + image.basis.num), SubspaceQ(n)
 
 
 def _no_kernel(kernel, image):
-    return SubspaceQ.zero(kernel.ambient_dim), image
+    return SubspaceQ(kernel.ambient_dim), image
 
 
 def _one_kernel_vector(kernel, image):
