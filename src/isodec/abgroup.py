@@ -9,13 +9,19 @@ L in Z^k (``Subgroup.from_lattice_rows`` takes any spanning rows), where
 
     R  =  the relation lattice generated by n_j * e_j,   R ⊆ L ⊆ Z^k,
 
-so H = L/R, [G : H] = det(L) and membership is exact back-substitution.
+so H = L/R, [G : H] = det(L) and membership is exact back-substitution
+(the trivial subgroup is ``from_lattice_rows(group, ())``).
 The invariant factors of G/H are the Smith invariants of the same basis
 matrix, read off its Hermite form (`Subgroup.quotient_invariants`).  When
 G/H is cyclic of order n, its subgroups are the images of the multiples
 m * G, so the overgroup of index n/p over H is H + (n/p) * G
 (`Subgroup.minimal_overgroups`), and a generator is read by membership
 tests alone (`Subgroup.quotient_generator`).
+
+Each set has one enumerator: ``FinAbGroup.exponent_tuples`` walks the
+elements (an element's index is its place in that walk), ``all_subgroups``
+the whole lattice, and ``chars.rational_irreps`` the class kernels, which
+are the subgroups with cyclic quotient.
 """
 
 from __future__ import annotations
@@ -64,26 +70,10 @@ class FinAbGroup:
     def exponent(self) -> int:
         return lcm(*self.moduli)
 
-    def elements(self):
-        """All elements in index order (leftmost coordinate most significant)."""
-        for exps in itertools.product(*(range(n) for n in self.moduli)):
-            yield GroupElement(self, exps)
-
     def exponent_tuples(self):
+        """Every element's exponent tuple, once each, in index order (the
+        leftmost coordinate most significant): G's one element walk."""
         return itertools.product(*(range(n) for n in self.moduli))
-
-    def index_of(self, exps) -> int:
-        i = 0
-        for e, n in zip(exps, self.moduli):
-            i = i * n + e
-        return i
-
-    def element_of_index(self, i: int) -> "GroupElement":
-        exps = []
-        for n in reversed(self.moduli):
-            i, e = divmod(i, n)
-            exps.append(e)
-        return GroupElement(self, tuple(reversed(exps)))
 
     def generator_elements(self) -> tuple["GroupElement", ...]:
         """The standard generators e_1, ..., e_k."""
@@ -197,10 +187,6 @@ class Subgroup:
             raise PreconditionError(f"lattice rows must be ints, {k} in each row")
         all_rows += group.relation_rows()
         return cls(group, MatZ._raw(tuple(map(tuple, _hermite(all_rows)))))
-
-    @classmethod
-    def trivial(cls, group: FinAbGroup) -> "Subgroup":
-        return cls.from_lattice_rows(group, ())
 
     @cached_property
     def index(self) -> int:

@@ -154,7 +154,7 @@ def _p_classes(p: int, moduli: tuple[int, ...]):
     gp = FinAbGroup(moduli)
     seen: set[tuple[int, ...]] = set()
     classes = []
-    for b in itertools.product(*(range(m) for m in moduli)):
+    for b in gp.exponent_tuples():
         if b in seen:
             continue
         chi = Character(gp, b)

@@ -6,7 +6,7 @@ Commands::
     roan <file>           the order-filtration of a cyclic action
     verify <file>         cross-check filtration vs. isotypical components
     characters --group …  the rational irreducible classes of a group
-    subgroups --group …   all subgroups (or --kernels: cyclic-quotient ones)
+    subgroups --group …   all subgroups (or --kernels: the class kernels)
     fixture <kind> …      generate a test action file of known decomposition
 
 Each handler returns a JSON document (a dict), text lines, or a file's
@@ -283,14 +283,17 @@ def _cmd_characters(args) -> dict | list[str]:
 
 def _cmd_subgroups(args) -> dict | list[str]:
     group = _parse_group_arg(args.group, args.max_order)
-    subs = all_subgroups(group)
+    # the class kernels are the subgroups with cyclic quotient, in the
+    # lattice's order, so --kernels never enumerates the lattice
+    if args.kernels:
+        subs = [w.kernel for w in rational_irreps(group)]
+    else:
+        subs = all_subgroups(group)
     # the quotient's invariants only: no generator
     infos = []
     for s in subs:
         inv = [d for d in s.quotient_invariants if d > 1]
         infos.append((s, inv, len(inv) <= 1))
-    if args.kernels:
-        infos = [(s, inv, cyclic) for s, inv, cyclic in infos if cyclic]
     if args.json:
         return {
             "group": list(group.moduli),

@@ -1,11 +1,13 @@
 """The rational group algebra Q[G] of a finite abelian group.
 
-Elements are dense coefficient vectors indexed by group-element index, stored
-as integer numerators over one positive common denominator; the unit is
-(1, 0, ..., 0), since the identity element has index 0.  Coefficients are
-normalized and written by the rules of a ``MatQ`` entry
-(``ratlinalg._normalize_int_rows`` and ``_rational_to_jsonable``).  A sum and a
-difference are one combination (``_combine``), a product a convolution.
+Elements are dense coefficient vectors indexed by group-element index (the
+position in ``FinAbGroup.exponent_tuples()``, read by ``_elements`` in one
+pass per group), stored as integer numerators over one positive common
+denominator; the unit is (1, 0, ..., 0), since the identity element has
+index 0.  Coefficients are normalized and written by the rules of a ``MatQ``
+entry (``ratlinalg._normalize_int_rows`` and ``_rational_to_jsonable``).  A
+sum and a difference are one combination (``_combine``), a product a
+convolution.
 The module provides the three idempotent constructions the decomposition
 rests on:
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .abgroup import FinAbGroup, Subgroup
+from .abgroup import FinAbGroup, GroupElement, Subgroup
 from .chars import RationalIrrep, ramanujan_sum
 from .errors import PreconditionError
 from .ratlinalg import _normalize_int_rows, _rational_to_jsonable
@@ -36,17 +38,21 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
+def _elements(moduli: tuple[int, ...]):
+    """The exponent tuples of G in index order, and the index of each."""
+    elems = tuple(FinAbGroup(moduli).exponent_tuples())
+    return elems, {x: i for i, x in enumerate(elems)}
+
+
 @lru_cache(maxsize=8192)
 def _translation_perm(moduli: tuple[int, ...], h_index: int) -> tuple[int, ...]:
     """perm[i] = index of (g_i + h), for translation by the element of index h."""
-    group = FinAbGroup(moduli)
-    h = group.element_of_index(h_index)
-    out = []
-    for exps in group.exponent_tuples():
-        out.append(
-            group.index_of(tuple((a + b) % n for a, b, n in zip(exps, h.exps, moduli)))
-        )
-    return tuple(out)
+    elems, index = _elements(moduli)
+    h = elems[h_index]
+    return tuple(
+        index[tuple((a + b) % n for a, b, n in zip(x, h, moduli))] for x in elems
+    )
 
 
 class GroupAlgebraElem:
@@ -120,9 +126,9 @@ class GroupAlgebraElem:
         return hash((self.group, self.nums, self.den))
 
     def __repr__(self):
-        g = self.group
+        elems, _ = _elements(self.group.moduli)
         parts = [
-            f"{_rational_to_jsonable(v, self.den)}*{g.element_of_index(i).exps}"
+            f"{_rational_to_jsonable(v, self.den)}*{elems[i]}"
             for i, v in enumerate(self.nums)
             if v
         ]
@@ -150,7 +156,10 @@ def central_idempotent(w: RationalIrrep) -> GroupAlgebraElem:
     n = w.order
     rep = w.representative
     c_table = [ramanujan_sum(n, k) for k in range(n)]
-    nums = [c_table[rep.root_exponent(g)] for g in group.elements()]
+    nums = [
+        c_table[rep.root_exponent(GroupElement(group, x))]
+        for x in group.exponent_tuples()
+    ]
     return GroupAlgebraElem(group, nums, group.order)
 
 

@@ -158,7 +158,7 @@ class RoanMatchReport:
 def _cyclic_roan(action: GAction) -> RoanReport:
     """Roan's decomposition of alpha = rho(x), x a generator of the cyclic G."""
     group = action.group
-    x = Subgroup.trivial(group).quotient_generator()
+    x = Subgroup.from_lattice_rows(group, ()).quotient_generator()
     if x is None:
         raise PreconditionError("Roan's decomposition requires a cyclic group")
     return roan_decomposition(action_matrix(action, x), group.order)

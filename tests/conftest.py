@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from isodec import FinAbGroup, MatQ, Subgroup
+from isodec import FinAbGroup, GroupElement, MatQ, Subgroup
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -54,6 +54,11 @@ def perm_matrix(n: int, shift: int = 1) -> MatQ:
     return MatQ(
         [[1 if (i - shift) % n == j else 0 for j in range(n)] for i in range(n)]
     )
+
+
+def elements(group: FinAbGroup) -> list[GroupElement]:
+    """The elements of G as GroupElements, in index order."""
+    return [GroupElement(group, x) for x in group.exponent_tuples()]
 
 
 def add_exps(group: FinAbGroup, x, y) -> tuple[int, ...]:
@@ -119,7 +124,7 @@ def quotient_order_counts(group: FinAbGroup, sub: Subgroup) -> dict[int, int]:
     coset_reps = []
     seen = set()
     members = subgroup_element_set(sub)
-    for g in group.elements():
+    for g in elements(group):
         key = min(add_exps(group, g.exps, h) for h in members)
         if key not in seen:
             seen.add(key)

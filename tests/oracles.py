@@ -12,14 +12,15 @@ the reference that split is checked against.  ``algebra_matrix`` is the
 idempotents of ``isodec.action`` are checked against.
 ``rational_irreps_by_walk`` is the walk over all |G| characters and their
 Galois orbits (``galois_orbit``), the reference the Sylow construction of
-``isodec.chars.rational_irreps`` is checked against.  ``oracle_rref`` is
-Fraction Gauss-Jordan, and ``inverse`` reads a rational inverse off it; the
-package forms no inverse.
+``isodec.chars.rational_irreps`` is checked against.
+``kernels_by_filtering`` is the whole subgroup lattice filtered to cyclic
+quotients, the reference the class kernels of ``subgroups --kernels`` are
+checked against.  ``oracle_rref`` is Fraction Gauss-Jordan, and ``inverse``
+reads a rational inverse off it; the package forms no inverse.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -32,6 +33,7 @@ from isodec import (
     RationalIrrep,
     RoanReport,
     SubspaceQ,
+    all_subgroups,
     char_kernel,
     cyclotomic,
     restrict_operator,
@@ -234,16 +236,16 @@ def rho_table(action) -> tuple[MatQ, ...]:
     Each entry is one product: rho(g) = rho(g - e_j) @ M_j for the last
     nonzero coordinate j of g, and g - e_j comes earlier in index order.
     """
-    group, table = action.group, []
-    for exps in group.exponent_tuples():
+    table: dict[tuple[int, ...], MatQ] = {}
+    for exps in action.group.exponent_tuples():
         nonzero = [j for j, e in enumerate(exps) if e]
         if not nonzero:
-            table.append(MatQ.identity(action.dim))
+            table[exps] = MatQ.identity(action.dim)
             continue
         j = nonzero[-1]
-        prev = group.index_of(exps[:j] + (exps[j] - 1,) + exps[j + 1 :])
-        table.append(table[prev] @ action.gen_matrices[j])
-    return tuple(table)
+        prev = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+        table[exps] = table[prev] @ action.gen_matrices[j]
+    return tuple(table.values())
 
 
 def algebra_matrix(action, x) -> MatQ:
@@ -283,7 +285,7 @@ def rational_irreps_by_walk(group) -> tuple[RationalIrrep, ...]:
     have that kernel, the lex-least conjugate as representative."""
     seen: set[tuple[int, ...]] = set()
     irreps = []
-    for exps in itertools.product(*(range(n) for n in group.moduli)):
+    for exps in group.exponent_tuples():
         if exps in seen:
             continue
         chi = Character(group, exps)
@@ -302,3 +304,13 @@ def rational_irreps_by_walk(group) -> tuple[RationalIrrep, ...]:
     if sum(w.degree for w in irreps) != group.order:
         raise InternalCheckError("degrees of rational irreducibles do not sum to |G|")
     return tuple(sorted(irreps, key=lambda w: w.kernel.sort_key))
+
+
+def kernels_by_filtering(group) -> list:
+    """The subgroups with cyclic quotient, by Smith invariants over the whole
+    lattice, in its order."""
+    return [
+        s
+        for s in all_subgroups(group)
+        if sum(1 for d in s.quotient_invariants if d > 1) <= 1
+    ]

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import perm_matrix, subgroup_element_set
+from conftest import elements, perm_matrix, subgroup_element_set
 from isodec import (
     FinAbGroup,
     GroupElement,
@@ -219,14 +219,13 @@ def test_action_matrix_by_repeated_squaring(products):
         action = make_fixture(
             FixtureSpec("random-conjugated", moduli=moduli, seed=2, max_dim=12)
         ).action
-        table = rho_table(action)
-        elements = list(action.group.elements())
-        random.Random(5).shuffle(elements)
-        for g in elements:
+        pairs = list(zip(elements(action.group), rho_table(action)))
+        random.Random(5).shuffle(pairs)
+        for g, expected in pairs:
             products.n = 0
             rho_g = action_matrix(action, g)
             assert products.n <= sum(2 * e.bit_length() for e in g.exps)
-            assert rho_g == table[action.group.index_of(g.exps)]
+            assert rho_g == expected
         rep = isotypical_decomposition(action)
         assert sum(c.dim for c in rep.components) == action.dim
         assert_routes_match_expanded_sums(action)
@@ -258,9 +257,9 @@ def test_action_kernel_equals_brute_force_kernel(moduli, trivial_on):
     )
     for action in (af.action, rationally_conjugated(af.action, seed=4)):
         kernel = {
-            g.exps
-            for g in group.elements()
-            if rho_table(action)[group.index_of(g.exps)].is_identity()
+            x
+            for x, rho in zip(group.exponent_tuples(), rho_table(action))
+            if rho.is_identity()
         }
         assert subgroup_element_set(forced) <= kernel
         report = isotypical_decomposition(action)

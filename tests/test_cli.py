@@ -20,8 +20,10 @@ from isodec import (
     load_action_file,
 )
 import isodec.roan as roan_module
-from isodec.cli import build_parser, main
+from isodec.actionfile import _json_text
+from isodec.cli import _group_line, _render_table, build_parser, main
 from isodec.fixtures import FIXTURE_KINDS
+from oracles import kernels_by_filtering
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -385,6 +387,62 @@ def test_oversized_subgroup_enumeration_exits_3_before_enumerating():
     assert time.perf_counter() - start < 2
     assert code == 3
     assert "subgroup enumeration is too large for this group" in err
+
+
+def test_subgroups_kernels_answer_where_the_lattice_is_refused():
+    # the class list, not the lattice: 2,4,8,16 has 232 classes
+    start = time.perf_counter()
+    argv = ["subgroups", "--kernels", "--json", "--group", "2,4,8,16"]
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 2
+    assert code == 0, err
+    hnfs = [s["hnf"] for s in json.loads(out)["subgroups"]]
+    _, out, _ = run_cli(["characters", "--json", "--group", "2,4,8,16"])
+    assert hnfs == [w["kernel_hnf"] for w in json.loads(out)["irreps"]]
+    assert len(hnfs) == 232
+
+
+def _kernels_text(group: FinAbGroup, as_json: bool) -> str:
+    """What ``subgroups --kernels`` prints, rendered from the lattice
+    filtered to cyclic quotients."""
+    subs = kernels_by_filtering(group)
+    invs = [[d for d in s.quotient_invariants if d > 1] for s in subs]
+    if as_json:
+        entries = [
+            {
+                "hnf": s.hnf_basis.to_jsonable(),
+                "index": s.index,
+                "order": s.order,
+                "quotient_invariants": inv,
+                "cyclic_quotient": True,
+            }
+            for s, inv in zip(subs, invs)
+        ]
+        return _json_text(
+            {"group": list(group.moduli), "kernels_only": True, "subgroups": entries}
+        )
+    rows = [
+        (
+            s.index,
+            s.order,
+            " x ".join(f"Z/{d}" for d in inv) or "trivial",
+            "yes",
+            str([list(r) for r in s.hnf_basis.entries]),
+        )
+        for s, inv in zip(subs, invs)
+    ]
+    header = f"{_group_line(group)}: {len(subs)} cyclic-quotient subgroups (kernels)"
+    table = _render_table(("index", "order", "quotient", "cyclic", "hnf"), rows)
+    return "\n".join([header, "", *table]) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+def test_subgroups_kernels_equal_the_filtered_lattice(moduli):
+    group = FinAbGroup(tuple(moduli))
+    for flags, as_json in (([], False), (["--json"], True)):
+        argv = ["subgroups", "--kernels", "--group", ",".join(map(str, moduli))]
+        assert run_cli(argv + flags) == (0, _kernels_text(group, as_json), "")
 
 
 def test_paper_example_with_large_degree_classes_is_fast():

@@ -11,7 +11,7 @@ names are not public.
 
 A definition is matched by ``(co_filename, co_firstlineno)`` of its code,
 not by its name, so a method that shares its name with another (``order``,
-``elements``, ``to_jsonable``) is checked on its own.
+``to_jsonable``) is checked on its own.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ ALLOWED = {
     "qalgebra.averaging_idempotent",
     "qalgebra.central_idempotent",
     "qalgebra.product_formula_idempotent",
-    # what only those names call
-    "abgroup.FinAbGroup.elements",  # central_idempotent
-    "abgroup.FinAbGroup.element_of_index",  # GroupAlgebraElem * and repr
-    "abgroup.FinAbGroup.index_of",  # GroupAlgebraElem *
     # bench/ traces these by name
     "ratlinalg.MatQ.mul_vector",
     "ratlinalg.SubspaceQ.contains_subspace",
