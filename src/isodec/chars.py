@@ -16,10 +16,10 @@ identified by its kernel K, which carries the group and the canonical order.
 
 An orbit is a cyclic subgroup of the dual, which is isomorphic to G, and a
 cyclic group is the product of its Sylow parts.  So ``rational_irreps``
-walks only the Sylow parts G_p (sum_p |G_p| tuples, one Hermite elimination
-per class of G_p) and combines one class per prime: the kernel by CRT on the
-p-kernels' Hermite forms, the representative in closed form, coordinate by
-coordinate, with no orbit scanned.
+builds each class of each Sylow part G_p by rule, as its least tuple (no
+element walked, one Hermite elimination per class), and combines one class
+per prime: the kernel by CRT on the p-kernels' Hermite forms, the
+representative in closed form, coordinate by coordinate, no orbit scanned.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from operator import mul
 
 from .abgroup import FinAbGroup, GroupElement, Subgroup, _Exponents
 from .errors import InternalCheckError, PreconditionError
-from .numtheory import factorint, moebius, totient
+from .numtheory import divisors, factorint, moebius, totient
 from .ratlinalg import MatQ, MatZ, _hermite, companion_matrix, cyclotomic
 
 __all__ = [
@@ -148,29 +148,28 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
 
 def _p_classes(p: int, moduli: tuple[int, ...]):
     """The rational classes of the p-group with these moduli (powers of p),
-    as (order, an exponent tuple, kernel HNF rows): one walk over the group,
-    one Hermite elimination per class.  The orbit of a tuple of order p^e is
-    its multiples by the units t mod p^e."""
+    as (order, least exponent tuple, kernel HNF rows), built by rule with one
+    Hermite elimination each.  A least prefix of order m is fixed by the
+    units t = 1 mod m, which move x = g * u mod n (o = n / g, u a unit mod o)
+    over the u' = u mod min(m, o); so x extends it exactly when u < min(m, o),
+    or u = 1 if that is 1, and the order becomes max(m, o)."""
+    least = [((), 1)]
+    for n in moduli:
+        least = [
+            (b + (n // o * u % n,), max(m, o))
+            for b, m in least
+            for o in divisors(n)
+            for u in range(1, max(2, min(m, o)))
+            if u % p
+        ]
     gp = FinAbGroup(moduli)
-    seen: set[tuple[int, ...]] = set()
-    classes = []
-    for b in gp.exponent_tuples():
-        if b in seen:
-            continue
-        chi = Character(gp, b)
-        q = chi.order()
-        orbit = {
-            tuple(t * x % m for x, m in zip(b, moduli))
-            for t in range(1, q + 1)
-            if t % p
-        }
-        if len(orbit) != totient(q):
-            raise InternalCheckError(
-                f"Galois orbit size {len(orbit)} != phi({q}) = {totient(q)}"
-            )
-        seen |= orbit
-        classes.append((q, b, char_kernel(chi).hnf_basis.entries))
-    return classes
+    covered = sum(totient(q) for _, q in least)
+    if covered != gp.order:
+        raise InternalCheckError(
+            f"the {p}-part's Galois orbits hold {covered} characters, "
+            f"not |G_{p}| = {gp.order}"
+        )
+    return [(q, b, char_kernel(Character(gp, b)).hnf_basis.entries) for b, q in least]
 
 
 def _crt_hnf(hnfs, k: int) -> tuple[tuple[int, ...], ...]:

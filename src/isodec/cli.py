@@ -283,16 +283,16 @@ def _cmd_characters(args) -> dict | list[str]:
 
 def _cmd_subgroups(args) -> dict | list[str]:
     group = _parse_group_arg(args.group, args.max_order)
-    # the class kernels are the subgroups with cyclic quotient, in the
-    # lattice's order, so --kernels never enumerates the lattice
+    # the class kernels are the subgroups with cyclic quotient Z/order, in
+    # the lattice's order, so --kernels never enumerates the lattice; only
+    # the quotient's invariants are shown, no generator
     if args.kernels:
-        subs = [w.kernel for w in rational_irreps(group)]
+        quotients = [(w.kernel, (w.order,)) for w in rational_irreps(group)]
     else:
-        subs = all_subgroups(group)
-    # the quotient's invariants only: no generator
+        quotients = [(s, s.quotient_invariants) for s in all_subgroups(group)]
     infos = []
-    for s in subs:
-        inv = [d for d in s.quotient_invariants if d > 1]
+    for s, invariants in quotients:
+        inv = [d for d in invariants if d > 1]
         infos.append((s, inv, len(inv) <= 1))
     if args.json:
         return {

@@ -196,6 +196,41 @@ def test_rational_irreps_equal_the_walk_on_mixed_moduli(moduli):
     assert_irreps_equal_the_walk(moduli)
 
 
+@pytest.mark.parametrize("moduli", [(8, 9), (2, 4, 8, 16)])
+def test_rational_irreps_walk_no_element(moduli, monkeypatch):
+    want = rational_irreps_by_walk(FinAbGroup(moduli))
+
+    def refuse(self):
+        raise AssertionError("rational_irreps walked the elements of a group")
+
+    monkeypatch.setattr(FinAbGroup, "exponent_tuples", refuse)
+    assert rational_irreps(FinAbGroup(moduli)) == want
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_p_classes_are_the_least_orbit_members(data):
+    # exponents 0..4, so moduli 1 occur, with |G_p| at most 1024
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    budget = {2: 10, 3: 6, 5: 4}[p]
+    exps = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        exps.append(data.draw(st.integers(0, min(4, budget - sum(exps)))))
+    moduli = tuple(p**e for e in exps)
+    group = FinAbGroup(moduli)
+    seen, least = set(), {}
+    for x in group.exponent_tuples():
+        if x not in seen:
+            orbit = galois_orbit(Character(group, x))
+            seen.update(c.exps for c in orbit)
+            least[orbit[0].exps] = orbit[0]
+    classes = chars_module._p_classes(p, moduli)
+    assert sorted(b for _, b, _ in classes) == sorted(least)
+    for q, b, hnf in classes:
+        assert q == least[b].order()
+        assert hnf == char_kernel(least[b]).hnf_basis.entries
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_least_conjugate_is_the_orbit_minimum(data):
@@ -214,8 +249,10 @@ def test_least_conjugate_is_the_orbit_minimum(data):
 
 def test_rational_irreps_certifies_the_orbit_size(monkeypatch):
     monkeypatch.setattr(chars_module, "totient", lambda n: totient(n) + 1)
+    # the 2-part's classes, of orders 1 and 2, now count 2 + 2 characters
     with pytest.raises(
-        InternalCheckError, match=r"Galois orbit size 1 != phi\(1\) = 2"
+        InternalCheckError,
+        match=r"the 2-part's Galois orbits hold 4 characters, not \|G_2\| = 2",
     ):
         rational_irreps(FinAbGroup((6,)))
 
