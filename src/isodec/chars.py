@@ -14,24 +14,21 @@ G/kernel is cyclic).  The canonical representative of the orbit is the
 exponent tuple that is lexicographically smallest.  A ``RationalIrrep`` is
 identified by its kernel K, which carries the group and the canonical order.
 
-An orbit is a cyclic subgroup of the dual, which is isomorphic to G, and a
-cyclic group is the product of its Sylow parts.  So ``rational_irreps``
-builds each class of each Sylow part G_p by rule, as its least tuple (no
-element walked, one Hermite elimination per class), and combines one class
-per prime: the kernel by CRT on the p-kernels' Hermite forms, the
-representative in closed form, coordinate by coordinate, no orbit scanned.
+``rational_irreps`` builds each orbit over G itself, as its least tuple,
+coordinate by coordinate by one rule (no element walked, no orbit scanned),
+and reads its kernel's Hermite form off the character's weights
+(``char_kernel``, no elimination).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 from .abgroup import FinAbGroup, GroupElement, Subgroup, _Exponents
 from .errors import InternalCheckError, PreconditionError
-from .numtheory import divisors, factorint, moebius, totient
+from .numtheory import divisors, moebius, totient
 from .ratlinalg import MatQ, MatZ, _hermite, companion_matrix, cyclotomic
 
 __all__ = [
@@ -85,8 +82,36 @@ class Character(_Exponents):
 
 
 def char_kernel(chi: Character) -> Subgroup:
-    """The kernel of a character: ``common_kernel`` of it alone."""
-    return common_kernel(chi.group, [chi])
+    """The kernel of a character, its Hermite basis read off the weights.
+
+    For n the character's order, g is in the kernel iff
+    sum_j c_j g_j = 0 mod n, with integer weights c_j = a_j * n / n_j.  Let
+    g_i = gcd(n, c_i, ..., c_{k-1}) and g_k = n.  Row i has pivot
+    d_i = g_{i+1} / g_i, the least d with d * c_i in the ideal of n and the
+    later weights.  Its later entries fill in what the row still owes,
+    l = -d_i * c_i at first: t_j = (l / g_j) * (c_j / g_j)^-1 mod d_j, then
+    l -= c_j * t_j.  Each t_j is the only choice in [0, d_j), so the rows
+    are the Hermite form itself and no elimination runs.
+
+    >>> char_kernel(Character(FinAbGroup((4, 6)), (1, 1))).hnf_basis
+    MatZ([[2, 3], [0, 6]])
+    """
+    n = chi.order()
+    c = [a * n // m for a, m in zip(chi.exps, chi.group.moduli)]
+    g = [n]
+    for w in reversed(c):
+        g.append(gcd(g[-1], w))
+    g.reverse()
+    d = [g[i + 1] // g[i] for i in range(len(c))]
+    rows = []
+    for i, w in enumerate(c):
+        row, rest = [0] * i + [d[i]], -d[i] * w
+        for j in range(i + 1, len(c)):
+            t = rest // g[j] * pow(c[j] // g[j], -1, d[j]) % d[j]
+            row.append(t)
+            rest -= c[j] * t
+        rows.append(tuple(row))
+    return Subgroup(chi.group, MatZ._raw(tuple(rows)))
 
 
 def common_kernel(group: FinAbGroup, characters) -> Subgroup:
@@ -137,133 +162,52 @@ class RationalIrrep:
         )
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """The t mod lcm(m1, m2) with t = r1 mod m1 and t = r2 mod m2, for
-    residues that agree modulo gcd(m1, m2)."""
-    g = gcd(m1, m2)
-    s = (r2 - r1) // g * pow(m1 // g, -1, m2 // g)
-    m = m1 // g * m2
-    return (r1 + m1 * s) % m, m
-
-
-def _p_classes(p: int, moduli: tuple[int, ...]):
-    """The rational classes of the p-group with these moduli (powers of p),
-    as (order, least exponent tuple, kernel HNF rows), built by rule with one
-    Hermite elimination each.  A least prefix of order m is fixed by the
-    units t = 1 mod m, which move x = g * u mod n (o = n / g, u a unit mod o)
-    over the u' = u mod min(m, o); so x extends it exactly when u < min(m, o),
-    or u = 1 if that is 1, and the order becomes max(m, o)."""
-    least = [((), 1)]
-    for n in moduli:
-        least = [
-            (b + (n // o * u % n,), max(m, o))
-            for b, m in least
-            for o in divisors(n)
-            for u in range(1, max(2, min(m, o)))
-            if u % p
-        ]
-    gp = FinAbGroup(moduli)
-    covered = sum(totient(q) for _, q in least)
-    if covered != gp.order:
-        raise InternalCheckError(
-            f"the {p}-part's Galois orbits hold {covered} characters, "
-            f"not |G_{p}| = {gp.order}"
-        )
-    return [(q, b, char_kernel(Character(gp, b)).hnf_basis.entries) for b, q in least]
-
-
-def _crt_hnf(hnfs, k: int) -> tuple[tuple[int, ...], ...]:
-    """The HNF of the intersection of k x k lattice HNFs of coprime indices
-    (the identity for none, the one HNF itself for one).
-
-    Its diagonal is the product of theirs.  Each later entry of a row is
-    fixed modulo each diagonal entry by back-substituting the row so far
-    through that HNF; CRT puts it into [0, d_j).
-    """
-    if len(hnfs) == 1:
-        return hnfs[0]
-    rows = []
-    for i in range(k):
-        d = prod(h[i][i] for h in hnfs)
-        row = [0] * i + [d]
-        # per lattice, a vector of it that agrees with row so far
-        agree = [[d // h[i][i] * x for x in h[i]] for h in hnfs]
-        for j in range(i + 1, k):
-            x, m = 0, 1
-            for h, v in zip(hnfs, agree):
-                x, m = _crt(x, m, v[j], h[j][j])
-            row.append(x)
-            for h, v in zip(hnfs, agree):
-                c = (x - v[j]) // h[j][j]
-                for t in range(j, k):
-                    v[t] += c * h[j][t]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _least_conjugate(a: tuple[int, ...], moduli: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographically least t * a over the units t mod the order of a.
-
-    Coordinate by coordinate, keep the constraint t = tau mod M.  Write the
-    coordinate x = g * u with o = n_j / g its order and u a unit mod o; its
-    least value is g * v for the least unit v mod o with v = tau * u mod
-    gcd(M, o), and then t = v / u mod o joins the constraint.
-    """
-    tau, mod = 0, 1
-    out = []
-    for x, n in zip(a, moduli):
-        g = gcd(x, n)
-        o, u = n // g, x // g
-        h = gcd(mod, o)
-        v = tau * u % h
-        while gcd(v, o) != 1:
-            v += h
-        out.append(g * v)
-        tau, mod = _crt(tau, mod, v * pow(u, -1, o), o)
-    return tuple(out)
+def _least_units(h: int, o: int):
+    """For each unit r mod h (h dividing o), the least unit v mod o with
+    v = r mod h."""
+    for r in range(h):
+        if gcd(r, h) == 1:
+            v = r
+            while gcd(v, o) != 1:
+                v += h
+            yield v
 
 
 def rational_irreps(group: FinAbGroup) -> tuple[RationalIrrep, ...]:
     """All irreducible rational representations, in canonical order.
 
-    A class is a cyclic subgroup of the dual, so it is one class of each
-    Sylow part G_p, embedded by a_j -> a_j * n_j / p^v_p(n_j): its order is
-    the product of their orders and its kernel the intersection of theirs
-    (``_crt_hnf``).  The canonical order is by kernel sort key (index
-    ascending, then basis entries), so the trivial representation always
-    comes first.
+    Each class is built as its least exponent tuple, coordinate by
+    coordinate.  A least prefix of order m is fixed by the units t = 1 mod m,
+    which move a coordinate x = (n_j / o) * u of order o (u a unit mod o) over
+    the units u' = u mod h, h = gcd(m, o).  So x extends the prefix exactly
+    when u is the least unit mod o in its class mod h (``_least_units``), and
+    the order becomes lcm(m, o).  The canonical order is by kernel sort key
+    (index ascending, then basis entries), so the trivial representation
+    always comes first.
     """
-    moduli, k, n_all = group.moduli, group.rank, group.exponent
-    parts = []
-    for p, e in factorint(group.order):
-        pm = tuple(gcd(n, p**e) for n in moduli)
-        parts.append(
-            [
-                (q, tuple(x * (n // m) for x, n, m in zip(b, moduli, pm)), h)
-                for q, b, h in _p_classes(p, pm)
-            ]
-        )
+    moduli, n_all = group.moduli, group.exponent
+    least = [((), 1)]
+    for n in moduli:
+        least = [
+            (b + (n // o * v,), lcm(m, o))
+            for b, m in least
+            for o in divisors(n)
+            for v in _least_units(gcd(m, o), o)
+        ]
     irreps = []
     kernels: set[Subgroup] = set()
     total_degree = 0
-    for combo in itertools.product(*parts):
-        n = prod(q for q, _, _ in combo)
-        a = [0] * k
-        for _, b, _ in combo:
-            a = [(x + y) % m for x, y, m in zip(a, b, moduli)]
+    for b, n in least:
+        rep = Character(group, b)
         try:
-            kernel_hnf = _crt_hnf([h for _, _, h in combo], k)
-            kernel = Subgroup(group, MatZ._raw(kernel_hnf))
+            kernel = char_kernel(rep)
         except PreconditionError as err:
-            raise InternalCheckError(
-                f"combined kernel is not a subgroup: {err}"
-            ) from err
+            raise InternalCheckError(f"class kernel is not a subgroup: {err}") from err
         if kernel.index != n:
             raise InternalCheckError("kernel index differs from character order")
         # the representative kills the kernel and has order n = [G : K], so
         # K is its kernel, and the kernel of every Galois conjugate
-        rep = Character(group, _least_conjugate(tuple(a), moduli))
-        c = [(n_all // m) * r for r, m in zip(rep.exps, moduli)]
+        c = [(n_all // m) * r for r, m in zip(b, moduli)]
         if rep.order() != n or any(
             sum(map(mul, c, row)) % n_all for row in kernel.hnf_basis.entries
         ):

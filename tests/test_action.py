@@ -615,6 +615,8 @@ def test_components_that_overlap_fail_the_overlap_check(monkeypatch, tmp_path):
     monkeypatch.setattr(action_module, "isotypical_component", overlapping)
     with pytest.raises(InternalCheckError, match="overlap"):
         isotypical_decomposition(af.action)
+    # the first run's actions are freed, and the second's may reuse their ids
+    first.clear()
     code, out, err = run_cli(["decompose", str(path)])
     assert code == 4
     assert err.startswith("internal check failed: isotypical components overlap")

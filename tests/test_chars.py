@@ -1,4 +1,4 @@
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,9 @@ from isodec import (
     FinAbGroup,
     GroupElement,
     InternalCheckError,
+    MatZ,
     PreconditionError,
+    Subgroup,
     char_kernel,
     companion_matrix,
     cyclotomic,
@@ -19,7 +21,7 @@ from isodec import (
     rational_irreps,
 )
 import isodec.chars as chars_module
-from isodec.chars import _least_conjugate, common_kernel
+from isodec.chars import common_kernel
 from isodec.numtheory import divisors, moebius, totient
 from oracles import char_poly, galois_orbit, rational_irreps_by_walk, trace
 
@@ -67,6 +69,20 @@ def test_kernel_matches_brute_force(gc):
     }
     assert subgroup_element_set(kernel) == expected
     assert kernel.index == chi.order()
+
+
+@st.composite
+def any_character(draw):
+    """A random character of a group of rank at most 5, moduli 1 among them."""
+    moduli = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5))
+    exps = tuple(draw(st.integers(0, n - 1)) for n in moduli)
+    return Character(FinAbGroup(tuple(moduli)), exps)
+
+
+@given(any_character())
+@settings(max_examples=300)
+def test_char_kernel_is_the_common_kernel_of_one(chi):
+    assert char_kernel(chi) == common_kernel(chi.group, [chi])
 
 
 @st.composite
@@ -152,13 +168,15 @@ def test_cyclic_group_has_one_irrep_per_divisor():
 
 
 @st.composite
-def moduli_up_to(draw, max_order=3000):
-    """One to four moduli, 1s and unequal ones among them, of product at
-    most max_order."""
+def moduli_up_to(draw, max_order=3000, max_rank=4, max_modulus=100):
+    """One to max_rank moduli, 1s and unequal ones among them, each at most
+    max_modulus and of product at most max_order."""
     moduli = []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+    for _ in range(draw(st.integers(min_value=1, max_value=max_rank))):
         budget = max_order // prod(moduli)
-        moduli.append(draw(st.integers(min_value=1, max_value=min(budget, 100))))
+        moduli.append(
+            draw(st.integers(min_value=1, max_value=min(budget, max_modulus)))
+        )
     return tuple(moduli)
 
 
@@ -207,84 +225,36 @@ def test_rational_irreps_walk_no_element(moduli, monkeypatch):
     assert rational_irreps(FinAbGroup(moduli)) == want
 
 
-@given(st.data())
+@given(moduli_up_to(max_order=2000, max_rank=5, max_modulus=60))
 @settings(max_examples=100, deadline=None)
-def test_p_classes_are_the_least_orbit_members(data):
-    # exponents 0..4, so moduli 1 occur, with |G_p| at most 1024
-    p = data.draw(st.sampled_from([2, 3, 5]))
-    budget = {2: 10, 3: 6, 5: 4}[p]
-    exps = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        exps.append(data.draw(st.integers(0, min(4, budget - sum(exps)))))
-    moduli = tuple(p**e for e in exps)
-    group = FinAbGroup(moduli)
-    seen, least = set(), {}
-    for x in group.exponent_tuples():
-        if x not in seen:
-            orbit = galois_orbit(Character(group, x))
-            seen.update(c.exps for c in orbit)
-            least[orbit[0].exps] = orbit[0]
-    classes = chars_module._p_classes(p, moduli)
-    assert sorted(b for _, b, _ in classes) == sorted(least)
-    for q, b, hnf in classes:
-        assert q == least[b].order()
-        assert hnf == char_kernel(least[b]).hnf_basis.entries
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_least_conjugate_is_the_orbit_minimum(data):
-    moduli = data.draw(
-        st.lists(st.integers(1, 60), min_size=1, max_size=4).filter(
-            lambda m: lcm(*m) <= 5000
-        )
-    )
-    a = tuple(data.draw(st.integers(0, n - 1)) for n in moduli)
-    chi = Character(FinAbGroup(tuple(moduli)), a)
-    assert _least_conjugate(a, tuple(moduli)) == galois_orbit(chi)[0].exps
+def test_rational_irreps_equal_the_walk_on_random_moduli(moduli):
+    assert_irreps_equal_the_walk(moduli)
 
 
 # Each certificate of rational_irreps, reached by breaking one step.
 
 
-def test_rational_irreps_certifies_the_orbit_size(monkeypatch):
-    monkeypatch.setattr(chars_module, "totient", lambda n: totient(n) + 1)
-    # the 2-part's classes, of orders 1 and 2, now count 2 + 2 characters
-    with pytest.raises(
-        InternalCheckError,
-        match=r"the 2-part's Galois orbits hold 4 characters, not \|G_2\| = 2",
-    ):
-        rational_irreps(FinAbGroup((6,)))
-
-
-def test_a_p_group_class_kernel_is_its_own_hnf(monkeypatch):
-    # one Sylow part: each class kernel is one lattice, already in HNF
-    real = chars_module._crt_hnf
-    handed_back = []
-
-    def spy(hnfs, k):
-        out = real(hnfs, k)
-        handed_back.append(len(hnfs) == 1 and out is hnfs[0])
-        return out
-
-    monkeypatch.setattr(chars_module, "_crt_hnf", spy)
-    assert_irreps_equal_the_walk((2, 4, 8))
-    assert handed_back and all(handed_back)
-
-
 def test_rational_irreps_certifies_the_combined_kernel_is_a_subgroup(monkeypatch):
     # an entry above its diagonal entry: not a Hermite normal form
-    monkeypatch.setattr(chars_module, "_crt_hnf", lambda hnfs, k: ((1, 5), (0, 2)))
+    monkeypatch.setattr(
+        chars_module,
+        "char_kernel",
+        lambda chi: Subgroup(chi.group, MatZ._raw(((1, 5), (0, 2)))),
+    )
     with pytest.raises(
         InternalCheckError,
-        match="combined kernel is not a subgroup: .*not in Hermite normal form",
+        match="class kernel is not a subgroup: .*not in Hermite normal form",
     ):
         rational_irreps(FinAbGroup((2, 3)))
 
 
 def test_rational_irreps_certifies_the_kernel_index(monkeypatch):
     # the whole group as every kernel: index 1, for classes of every order
-    monkeypatch.setattr(chars_module, "_crt_hnf", lambda hnfs, k: ((1, 0), (0, 1)))
+    monkeypatch.setattr(
+        chars_module,
+        "char_kernel",
+        lambda chi: Subgroup(chi.group, MatZ._raw(((1, 0), (0, 1)))),
+    )
     with pytest.raises(
         InternalCheckError, match="kernel index differs from character order"
     ):
@@ -293,13 +263,12 @@ def test_rational_irreps_certifies_the_kernel_index(monkeypatch):
 
 def test_rational_irreps_certifies_the_representative(monkeypatch):
     # (2, 2) has three classes of order 2; give each the kernel of (1, 0)
-    real = chars_module._crt_hnf
+    real = chars_module.char_kernel
 
-    def one_index_two_kernel(hnfs, k):
-        rows = real(hnfs, k)
-        return rows if rows[0][0] * rows[1][1] == 1 else ((1, 0), (0, 2))
+    def kernel_of_1_0(chi):
+        return real(chi if chi.order() == 1 else Character(chi.group, (1, 0)))
 
-    monkeypatch.setattr(chars_module, "_crt_hnf", one_index_two_kernel)
+    monkeypatch.setattr(chars_module, "char_kernel", kernel_of_1_0)
     with pytest.raises(
         InternalCheckError, match="the representative's kernel is not the class kernel"
     ):
@@ -307,20 +276,30 @@ def test_rational_irreps_certifies_the_representative(monkeypatch):
 
 
 def test_rational_irreps_certifies_distinct_kernels(monkeypatch):
-    real = chars_module._p_classes
-    monkeypatch.setattr(chars_module, "_p_classes", lambda p, m: real(p, m) * 2)
+    real = chars_module._least_units
+
+    def twice(h, o):
+        return [v for v in real(h, o) for _ in range(2)]
+
+    monkeypatch.setattr(chars_module, "_least_units", twice)
     with pytest.raises(InternalCheckError, match="two Galois orbits share a kernel"):
         rational_irreps(FinAbGroup((6,)))
 
 
 def test_rational_irreps_certifies_the_degree_sum(monkeypatch):
-    real = chars_module._p_classes
-    monkeypatch.setattr(chars_module, "_p_classes", lambda p, m: real(p, m)[:-1])
-    with pytest.raises(
-        InternalCheckError,
-        match=r"degrees of rational irreducibles do not sum to \|G\|",
-    ):
-        rational_irreps(FinAbGroup((6,)))
+    real = chars_module._least_units
+    # drop the last unit class of every coordinate, or miscount each degree
+    for name, broken in [
+        ("_least_units", lambda h, o: list(real(h, o))[:-1]),
+        ("totient", lambda n: totient(n) + 1),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(chars_module, name, broken)
+            with pytest.raises(
+                InternalCheckError,
+                match=r"degrees of rational irreducibles do not sum to \|G\|",
+            ):
+                rational_irreps(FinAbGroup((6,)))
 
 
 # ----------------------------------------------------------- Ramanujan sums
